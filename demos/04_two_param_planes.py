@@ -1,39 +1,34 @@
 """Two-parameter state planes: separability geometry datasets.
 
-Sweeps the (alpha, beta) planes of the two-qubit and two-qutrit families and
-writes figure-ready CSV files with the region label, the Hilbert-Schmidt
-measure, and the eigenvalue diagnostics at every grid point. Also spot-checks
+Sweeps the (alpha, beta) planes of the two-qubit and two-qutrit families with
+the ``sweep`` subcommand, which writes figure-ready CSV files with the region
+label, the Hilbert-Schmidt measure, and the eigenvalue diagnostics at every
+grid point (17 significant digits, as every CLI output). Also spot-checks
 the closed-form witnesses in both entangled regions.
 """
 
+import collections
+import csv
 import os
 
-import numpy as np
-
 import quditbloch as qb
-from quditbloch import SweepSpec, run_sweep
+from quditbloch import cli_main
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT_DIR, exist_ok=True)
 
 # ---------------------------------------------------------------------------
-# Sweep both planes (these files plot directly with any CSV tool)
+# Sweep both planes through the CLI (these files plot directly with any CSV tool)
 # ---------------------------------------------------------------------------
 for family, a_rng, b_rng in (("qubit2p", (-1.3, 1.3, 105), (-2.2, 1.3, 141)),
                              ("qutrit2p", (-0.4, 1.1, 121), (-0.6, 1.2, 145))):
-    spec = SweepSpec(family, a_rng, b_rng)
-    rows = run_sweep(spec)
-    counts = {}
-    for row in rows:
-        counts[row["region"]] = counts.get(row["region"], 0) + 1
     path = os.path.join(OUT_DIR, f"{family}_plane.csv")
-    with open(path, "w") as fh:
-        fh.write("alpha,beta,region,D,min_eig,ppt_min_eig\n")
-        for row in rows:
-            d = "" if row["D"] is None else f"{row['D']:.12g}"
-            fh.write(f"{row['alpha']:.12g},{row['beta']:.12g},{row['region']},{d},"
-                     f"{row['min_eig']:.12g},{row['ppt_min_eig']:.12g}\n")
-    print(f"{family}: {len(rows)} grid points -> {path}")
+    if cli_main(["sweep", "--family", family, "--alpha", *map(repr, a_rng),
+                 "--beta", *map(repr, b_rng), "--out", path]) != 0:
+        raise SystemExit(f"sweep of {family} failed")
+    with open(path, newline="") as fh:
+        counts = collections.Counter(row["region"] for row in csv.DictReader(fh))
+    print(f"{family}: {sum(counts.values())} grid points -> {path}")
     for label, count in sorted(counts.items()):
         print(f"  {label:<20} {count}")
 

@@ -26,8 +26,8 @@ from .bloch import (
     bipartite_decompose, bloch_decode, bloch_encode, purity, radius_bound,
 )
 from .states import (
-    PAULI, CompositeKind, COMPOSITE_NORMS,
-    bell_state, composite_operator, isotropic_state,
+    PAULI, PLANES, QUBIT_PLANE, QUTRIT_PLANE, CompositeKind, COMPOSITE_NORMS, PlaneFamily,
+    bell_state, composite_operator, isotropic_physical, isotropic_state,
     qubit_plane_physical, qutrit_plane_physical,
     random_density_matrix, random_ket, random_product_state,
     sample_separable, two_param_qubit, two_param_qubit_pauli,
@@ -35,9 +35,9 @@ from .states import (
 )
 from .entanglement import (
     TOL_WIT, HSMeasureResult, RegionLabel, WitnessMethod, WitnessReport,
-    WitnessVerdict, classify_qubit_plane, classify_qutrit_plane,
-    hs_measure_isotropic, hs_measure_qubit_plane, hs_measure_qutrit_plane,
-    ppt_verdict, verify_witness, witness_candidate,
+    WitnessVerdict, classify_isotropic, classify_plane, classify_qubit_plane,
+    classify_qutrit_plane, hs_measure_isotropic, hs_measure_plane, hs_measure_qubit_plane,
+    hs_measure_qutrit_plane, plane_distance, ppt_verdict, verify_witness, witness_candidate,
 )
 from .gilbert import (
     GilbertConfig, GilbertResult, best_product_state,

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -20,13 +23,12 @@ import numpy as np
 
 from .bases import BasisKind, get_basis
 from .bloch import Convention, bloch_encode, purity
-from .entanglement import (RegionLabel, hs_measure_isotropic,
-                           hs_measure_qubit_plane, hs_measure_qutrit_plane)
+from .entanglement import (RegionLabel, classify_isotropic, hs_measure_isotropic,
+                           hs_measure_plane, plane_distance)
 from .gilbert import GilbertConfig, nearest_separable_numeric
-from .linalg import (TOL_PSD, BipartiteState, is_hermitian, matrix_from_json,
-                     matrix_to_json, partial_transpose)
-from .states import (bell_state, isotropic_state, two_param_qubit,
-                     two_param_qutrit, weyl_bell_projector)
+from .linalg import (TOL_PSD, is_hermitian, matrix_from_json, matrix_to_json,
+                     partial_transpose)
+from .states import PLANES, bell_state, isotropic_state, weyl_bell_projector
 
 
 class _UsageError(Exception):
@@ -40,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _csv_text(header, records) -> str:
+    """CSV with 17-significant-digit floats and empty cells for None."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for rec in records:
+        writer.writerow(["" if v is None else _fmt(v) if isinstance(v, float) else v
+                         for v in rec])
+    return out.getvalue()
 
 
 def _json_dumps(obj) -> str:
@@ -80,11 +93,6 @@ def _write_json(obj, out) -> None:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _matrix_json(mat) -> dict:
-    doc = matrix_to_json(mat)
-    return {"dim": doc["dim"], "re": doc["re"], "im": doc["im"]}
-
-
 def _label_str(label) -> str:
     return ":".join(str(x) for x in label)
 
@@ -119,21 +127,16 @@ def _cmd_basis_dump(args) -> int:
             "dim": basis.dim,
             "ortho_const": basis.ortho_const,
             "elements": [
-                {"label": _label_str(lab), "matrix": _matrix_json(el)}
+                {"label": _label_str(lab), "matrix": matrix_to_json(el)}
                 for lab, el in zip(basis.labels, basis.elements)
             ],
         }
         _emit(_json_dumps(doc) + "\n", args.out)
     else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["label", "row", "col", "re", "im"])
-        for lab, el in zip(basis.labels, basis.elements):
-            for r in range(basis.dim):
-                for c in range(basis.dim):
-                    writer.writerow([_label_str(lab), r, c,
-                                     _fmt(el[r, c].real), _fmt(el[r, c].imag)])
-        _emit(out.getvalue(), args.out)
+        _emit(_csv_text(["label", "row", "col", "re", "im"],
+                        ([_label_str(lab), r, c, el[r, c].real, el[r, c].imag]
+                         for lab, el in zip(basis.labels, basis.elements)
+                         for r in range(basis.dim) for c in range(basis.dim))), args.out)
     return 0
 
 
@@ -146,14 +149,10 @@ def _make_state(args):
         if args.alpha is None:
             raise _UsageError("--alpha is required for isotropic states")
         return isotropic_state(args.dim, args.alpha, checked=checked)
-    if fam == "qubit2p":
+    if fam in PLANES:
         if args.alpha is None or args.beta is None:
-            raise _UsageError("--alpha and --beta are required for qubit2p")
-        return two_param_qubit(args.alpha, args.beta, checked=checked)
-    if fam == "qutrit2p":
-        if args.alpha is None or args.beta is None:
-            raise _UsageError("--alpha and --beta are required for qutrit2p")
-        return two_param_qutrit(args.alpha, args.beta, checked=checked)
+            raise _UsageError(f"--alpha and --beta are required for {fam}")
+        return PLANES[fam].state(args.alpha, args.beta, checked=checked)
     if fam == "weylproj":
         if args.n is None or args.k is None:
             raise _UsageError("--n and --k are required for weylproj")
@@ -163,7 +162,7 @@ def _make_state(args):
 
 def _cmd_state_make(args) -> int:
     state = _make_state(args)
-    _emit(_json_dumps(_matrix_json(state.matrix)) + "\n", args.out)
+    _emit(_json_dumps(matrix_to_json(state.matrix)) + "\n", args.out)
     return 0
 
 
@@ -193,7 +192,7 @@ def _cmd_decompose(args) -> int:
 
 def _witness_json(report) -> dict:
     return {
-        "operator": _matrix_json(report.operator),
+        "operator": matrix_to_json(report.operator),
         "ent_expectation": report.ent_expectation,
         "sep_min_estimate": report.sep_min_estimate,
         "verdict": report.verdict.value,
@@ -206,28 +205,18 @@ def _cmd_measure(args) -> int:
     if fam == "isotropic":
         if args.alpha is None:
             raise _UsageError("--alpha is required")
-        d = args.dim
-        lo = -1.0 / (d * d - 1)
-        if not (lo - 1e-12 <= args.alpha <= 1 + 1e-12):
-            region, result = "Unphysical", None
-        elif args.alpha <= 1.0 / (d + 1) + 1e-12:
-            region, result = "Separable", None
-        else:
-            region = "Entangled"
-            result = hs_measure_isotropic(d, args.alpha)
-        ent = isotropic_state(d, args.alpha, checked=False) if region != "Unphysical" else None
-    elif fam in ("qubit2p", "qutrit2p"):
+        label = classify_isotropic(args.dim, args.alpha)
+        entangled = label is RegionLabel.ENTANGLED
+        result = hs_measure_isotropic(args.dim, args.alpha) if entangled else None
+        make_state = functools.partial(isotropic_state, args.dim, args.alpha)
+    else:
         if args.alpha is None or args.beta is None:
             raise _UsageError("--alpha and --beta are required")
-        fn = hs_measure_qubit_plane if fam == "qubit2p" else hs_measure_qutrit_plane
-        label, result = fn(args.alpha, args.beta)
-        region = label.value
-        mk = two_param_qubit if fam == "qubit2p" else two_param_qutrit
-        ent = mk(args.alpha, args.beta, checked=False) if label is not RegionLabel.UNPHYSICAL else None
-    else:
-        raise _UsageError(f"unknown family {fam!r}")
+        plane = PLANES[fam]
+        label, result = hs_measure_plane(plane, args.alpha, args.beta)
+        make_state = functools.partial(plane.state, args.alpha, args.beta)
 
-    doc = {"family": fam, "alpha": args.alpha, "region": region}
+    doc = {"family": fam, "alpha": args.alpha, "region": label.value}
     if fam != "isotropic":
         doc["beta"] = args.beta
     else:
@@ -235,39 +224,18 @@ def _cmd_measure(args) -> int:
     if result is not None:
         doc["D"] = result.distance
         doc["B"] = result.max_violation
-        doc["rho0"] = _matrix_json(result.nearest_separable.matrix)
+        doc["rho0"] = matrix_to_json(result.nearest_separable.matrix)
         doc["witness"] = _witness_json(result.witness)
         if args.oracle:
             cfg = GilbertConfig(seed=args.seed)
-            doc["oracle_D"] = nearest_separable_numeric(ent, cfg).distance
+            doc["oracle_D"] = nearest_separable_numeric(make_state(), cfg).distance
     else:
         doc["D"] = None
     _emit(_json_dumps(doc) + "\n", args.out)
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid over the (alpha, beta) plane of a two-parameter family."""
-
-    family: str                        # "qubit2p" | "qutrit2p"
-    alpha_range: tuple[float, float, int]
-    beta_range: tuple[float, float, int]
-    outputs: tuple[str, ...] = ("region", "hs_measure", "min_eigenvalue", "ppt_min_eigenvalue")
-
-    def __post_init__(self):
-        if self.family not in ("qubit2p", "qutrit2p"):
-            raise ValueError(f"unknown sweep family {self.family!r}")
-        for name, (lo, hi, steps) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
-            if steps < 2:
-                raise ValueError(f"{name} steps must be >= 2, got {steps}")
-            if not lo < hi:
-                raise ValueError(f"{name} range needs min < max, got [{lo}, {hi}]")
-        bad = set(self.outputs) - {"region", "hs_measure", "min_eigenvalue", "ppt_min_eigenvalue"}
-        if bad:
-            raise ValueError(f"unknown sweep outputs: {sorted(bad)}")
-
-
+# sweep output name -> column name, in column order
 _SWEEP_COLUMNS = {
     "region": "region",
     "hs_measure": "D",
@@ -275,68 +243,78 @@ _SWEEP_COLUMNS = {
     "ppt_min_eigenvalue": "ppt_min_eig",
 }
 
+# run_sweep holds every row in memory and the writers build the whole output
+# before emitting it, roughly 1 kB per point all told, so grids are capped.
+MAX_SWEEP_POINTS = 1_000_000
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Grid over the (alpha, beta) plane of a two-parameter family."""
+
+    family: str                        # a key of states.PLANES
+    alpha_range: tuple[float, float, int]
+    beta_range: tuple[float, float, int]
+    outputs: tuple[str, ...] = tuple(_SWEEP_COLUMNS)
+
+    def __post_init__(self):
+        if self.family not in PLANES:
+            raise ValueError(f"unknown sweep family {self.family!r}")
+        for name, (lo, hi, steps) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
+            if not (isinstance(steps, numbers.Integral) and steps >= 2):
+                raise ValueError(f"{name} steps must be an integer >= 2, got {steps!r}")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"{name} range needs finite min < max, got [{lo}, {hi}]")
+        points = self.alpha_range[2] * self.beta_range[2]
+        if points > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep grid of {points} points exceeds {MAX_SWEEP_POINTS}")
+        bad = set(self.outputs) - _SWEEP_COLUMNS.keys()
+        if bad:
+            raise ValueError(f"unknown sweep outputs: {sorted(bad)}")
+
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per grid point, beta-major order.
 
     ``D`` is None for separable and unphysical points; eigenvalue columns are
     computed from the unchecked construction so unphysical points are probed
-    too.
+    too. Each beta row of states and of their partial transposes is built
+    as one stack and diagonalized in one call; every value equals the one
+    of the single-point functions bit for bit.
     """
-    measure = hs_measure_qubit_plane if spec.family == "qubit2p" else hs_measure_qutrit_plane
-    make = two_param_qubit if spec.family == "qubit2p" else two_param_qutrit
+    plane = PLANES[spec.family]
     alphas = np.linspace(*spec.alpha_range[:2], spec.alpha_range[2])
     betas = np.linspace(*spec.beta_range[:2], spec.beta_range[2])
+    ops = plane.operators()[:3]
+    pt_ops = [partial_transpose(op, "B", plane.subdim) for op in ops]
+    column = alphas[:, None, None]
     rows = []
-    for beta in betas:
-        for alpha in alphas:
-            row = {"alpha": float(alpha), "beta": float(beta)}
-            label, result = measure(float(alpha), float(beta))
-            if "region" in spec.outputs:
-                row["region"] = label.value
-            if "hs_measure" in spec.outputs:
-                row["D"] = None if result is None else result.distance
-            if "min_eigenvalue" in spec.outputs or "ppt_min_eigenvalue" in spec.outputs:
-                state = make(float(alpha), float(beta), checked=False)
-                if "min_eigenvalue" in spec.outputs:
-                    row["min_eig"] = float(np.linalg.eigvalsh(state.matrix)[0])
-                if "ppt_min_eigenvalue" in spec.outputs:
-                    pt = partial_transpose(state.matrix, "B", state.subdim)
-                    row["ppt_min_eig"] = float(np.linalg.eigvalsh(pt)[0])
+    for beta in betas.tolist():
+        min_eigs = np.linalg.eigvalsh(plane.mix(column, beta, ops))[:, 0].tolist()
+        pt_min_eigs = np.linalg.eigvalsh(plane.mix(column, beta, pt_ops))[:, 0].tolist()
+        for alpha, min_eig, pt_min_eig in zip(alphas.tolist(), min_eigs, pt_min_eigs):
+            label, distance = plane_distance(plane, alpha, beta)
+            values = {"region": label.value, "hs_measure": distance,
+                      "min_eigenvalue": min_eig, "ppt_min_eigenvalue": pt_min_eig}
+            row = {"alpha": alpha, "beta": beta}
+            row.update((_SWEEP_COLUMNS[o], v) for o, v in values.items() if o in spec.outputs)
             rows.append(row)
     return rows
 
 
 def _cmd_sweep(args) -> int:
-    outputs = tuple(args.outputs) if args.outputs else \
-        ("region", "hs_measure", "min_eigenvalue", "ppt_min_eigenvalue")
-    spec = SweepSpec(args.family,
-                     (args.alpha[0], args.alpha[1], int(args.alpha[2])),
-                     (args.beta[0], args.beta[1], int(args.beta[2])),
-                     outputs)
+    def grid_range(lo, hi, steps):
+        return lo, hi, int(steps) if steps.is_integer() else steps
+
+    spec = SweepSpec(args.family, grid_range(*args.alpha), grid_range(*args.beta),
+                     tuple(args.outputs))
     rows = run_sweep(spec)
-    columns = ["alpha", "beta"] + [_SWEEP_COLUMNS[o] for o in
-                                   ("region", "hs_measure", "min_eigenvalue", "ppt_min_eigenvalue")
-                                   if o in spec.outputs]
+    columns = ["alpha", "beta"] + [col for o, col in _SWEEP_COLUMNS.items() if o in spec.outputs]
     if args.format == "json":
         doc = {"family": spec.family, "columns": columns, "rows": rows}
         _emit(_json_dumps(doc) + "\n", args.out)
     else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            rec = []
-            for col in columns:
-                val = row.get(col)
-                if val is None:
-                    rec.append("")
-                elif isinstance(val, float):
-                    rec.append(_fmt(val))
-                else:
-                    rec.append(val)
-            writer.writerow(rec)
-        _emit(out.getvalue(), args.out)
+        _emit(_csv_text(columns, ([row.get(col) for col in columns] for row in rows)), args.out)
     return 0
 
 
@@ -431,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
     p_make = state_sub.add_parser("make", help="build a state and emit its matrix JSON")
     p_make.add_argument("--family", required=True,
-                        choices=["bell", "isotropic", "qubit2p", "qutrit2p", "weylproj"])
+                        choices=["bell", "isotropic", *PLANES, "weylproj"])
     p_make.add_argument("--dim", type=int, default=2)
     p_make.add_argument("--alpha", type=float, default=None)
     p_make.add_argument("--beta", type=float, default=None)
@@ -451,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meas = sub.add_parser("measure", help="HS measure, witness, and region")
     p_meas.add_argument("--family", required=True,
-                        choices=["isotropic", "qubit2p", "qutrit2p"])
+                        choices=["isotropic", *PLANES])
     p_meas.add_argument("--dim", type=int, default=2)
     p_meas.add_argument("--alpha", type=float, default=None)
     p_meas.add_argument("--beta", type=float, default=None)
@@ -462,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.set_defaults(fn=_cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="parameter-plane sweep dataset")
-    p_sweep.add_argument("--family", required=True, choices=["qubit2p", "qutrit2p"])
+    p_sweep.add_argument("--family", required=True, choices=list(PLANES))
     p_sweep.add_argument("--alpha", nargs=3, type=float, required=True,
                          metavar=("MIN", "MAX", "STEPS"))
     p_sweep.add_argument("--beta", nargs=3, type=float, required=True,
                          metavar=("MIN", "MAX", "STEPS"))
-    p_sweep.add_argument("--outputs", nargs="+", default=None,
-                         choices=["region", "hs_measure", "min_eigenvalue", "ppt_min_eigenvalue"])
+    p_sweep.add_argument("--outputs", nargs="+", default=list(_SWEEP_COLUMNS),
+                         choices=list(_SWEEP_COLUMNS))
     p_sweep.add_argument("--format", default="csv", choices=["json", "csv"])
     p_sweep.add_argument("--out", default=None, metavar="FILE")
     p_sweep.set_defaults(fn=_cmd_sweep)

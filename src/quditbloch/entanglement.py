@@ -20,10 +20,9 @@ import numpy as np
 
 from .gilbert import min_product_expectation
 from .linalg import (BipartiteState, hs_inner, hs_norm, is_hermitian,
-                     min_eigenvalue, partial_transpose, tensor, TOL_PSD)
-from .states import (PAULI, CompositeKind, composite_operator, isotropic_state,
-                     qubit_plane_physical, qutrit_plane_physical,
-                     two_param_qubit, two_param_qutrit)
+                     min_eigenvalue, partial_transpose, TOL_PSD)
+from .states import (QUBIT_PLANE, QUTRIT_PLANE, CompositeKind, PlaneFamily,
+                     composite_operator, isotropic_physical, isotropic_state)
 
 TOL_WIT = 1e-9
 _EDGE = 1e-12   # boundary points count as separable
@@ -32,6 +31,7 @@ _EDGE = 1e-12   # boundary points count as separable
 class RegionLabel(str, Enum):
     UNPHYSICAL = "Unphysical"
     SEPARABLE = "Separable"
+    ENTANGLED = "Entangled"            # isotropic states
     ENTANGLED_I = "EntangledRegionI"
     ENTANGLED_II = "EntangledRegionII"
 
@@ -98,39 +98,28 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
     return (diff - shift * np.eye(mt.shape[0])) / dist
 
 
-def _pauli_corr_components(a: np.ndarray) -> tuple[float, float, float, float]:
-    g = [hs_inner(tensor(PAULI[i], PAULI[i]), a).real / 4 for i in (1, 2, 3)]
-    return float(np.trace(a).real / 4), g[0], g[1], g[2]
+def _match_lemma(a: np.ndarray, identity_weight: int, ops, tol: float = TOL_WIT):
+    """Fit A = s(k 1 + c1 X1 + c2 X2), k = identity_weight, (X1, X2) = ops.
 
-
-def _match_lemma_qubit(a: np.ndarray, tol: float = TOL_WIT):
-    """Fit A = s(1 + c1(s1s1 - s2s2) + c2 s3s3); None if it is not of that form."""
-    s, g11, g22, g33 = _pauli_corr_components(a)
+    s = Tr A / (k n) and c_i = <X_i, A> / (||X_i||^2 s) for traceless,
+    mutually orthogonal X_i; None if A is not of that form with s > 0 and
+    |c1|, |c2| <= 1.
+    """
+    n = a.shape[0]
+    s = float(np.trace(a).real) / (identity_weight * n)
     if s <= tol:
         return None
-    c1 = (g11 - g22) / (2 * s)
-    c2 = g33 / s
-    form = s * (np.eye(4, dtype=complex)
-                + c1 * (tensor(PAULI[1], PAULI[1]) - tensor(PAULI[2], PAULI[2]))
-                + c2 * tensor(PAULI[3], PAULI[3]))
+    c1, c2 = (hs_inner(x, a).real / (hs_inner(x, x).real * s) for x in ops)
+    form = s * (identity_weight * np.eye(n, dtype=complex) + c1 * ops[0] + c2 * ops[1])
     if np.abs(a - form).max() > 1e-9 or abs(c1) > 1 + tol or abs(c2) > 1 + tol:
         return None
     return s, c1, c2
 
 
-def _match_lemma_qutrit(a: np.ndarray, tol: float = TOL_WIT):
-    """Fit A = s(2*1 + c1 U1 + c2 U2); None if it is not of that form."""
-    u1 = composite_operator(CompositeKind.U1, 3)
-    u2 = composite_operator(CompositeKind.U2, 3)
-    s = float(np.trace(a).real) / 18
-    if s <= tol:
-        return None
-    c1 = hs_inner(u1, a).real / (54 * s)
-    c2 = hs_inner(u2, a).real / (18 * s)
-    form = s * (2 * np.eye(9, dtype=complex) + c1 * u1 + c2 * u2)
-    if np.abs(a - form).max() > 1e-9 or abs(c1) > 1 + tol or abs(c2) > 1 + tol:
-        return None
-    return s, c1, c2
+# the plane whose lemma each lemma method fits; the method for each subsystem dimension
+_LEMMA_PLANES = {WitnessMethod.LEMMA_QUBIT: QUBIT_PLANE,
+                 WitnessMethod.LEMMA_QUTRIT: QUTRIT_PLANE}
+_LEMMA_METHODS = {plane.subdim: method for method, plane in _LEMMA_PLANES.items()}
 
 
 def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
@@ -154,11 +143,10 @@ def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
     if d * d != a.shape[0]:
         raise ValueError(f"witness of dimension {a.shape[0]} is not a d x d bipartite operator")
 
+    plane = _LEMMA_PLANES.get(method)
     fit = None
-    if method is WitnessMethod.LEMMA_QUBIT and a.shape[0] == 4:
-        fit = _match_lemma_qubit(a)
-    elif method is WitnessMethod.LEMMA_QUTRIT and a.shape[0] == 9:
-        fit = _match_lemma_qutrit(a)
+    if plane is not None and d == plane.subdim:
+        fit = _match_lemma(a, plane.lemma_identity, plane.operators()[3:])
 
     if fit is not None:
         sep_min = 0.0
@@ -175,12 +163,18 @@ def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
     return WitnessReport(a, ent, sep_min, verdict, WitnessMethod.SEESAW)
 
 
-def _report_for(a_opt: np.ndarray, rho_ent, d: int) -> WitnessReport:
-    if d == 2:
-        return verify_witness(a_opt, rho_ent, WitnessMethod.LEMMA_QUBIT)
-    if d == 3:
-        return verify_witness(a_opt, rho_ent, WitnessMethod.LEMMA_QUTRIT)
-    return verify_witness(a_opt, rho_ent, WitnessMethod.SEESAW)
+def _isotropic_threshold(d: int) -> float:
+    return 1.0 / (d + 1)
+
+
+def classify_isotropic(d: int, alpha: float) -> RegionLabel:
+    """Region of an isotropic state: entangled iff alpha > 1/(d+1); the
+    boundary counts as separable. Raises ``ValueError`` for d < 2."""
+    if not isotropic_physical(d, alpha):
+        return RegionLabel.UNPHYSICAL
+    if alpha > _isotropic_threshold(d) + _EDGE:
+        return RegionLabel.ENTANGLED
+    return RegionLabel.SEPARABLE
 
 
 def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
@@ -191,83 +185,76 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     the optimal witness is
     (1/d) sqrt((d-1)/(d+1)) 1x1 - LAMBDA / (2 sqrt(d^2-1)).
     """
-    threshold = 1.0 / (d + 1)
-    if not (threshold < alpha <= 1 + 1e-12):
-        raise ValueError(f"isotropic alpha={alpha} is not in the entangled range ({threshold}, 1]")
+    if classify_isotropic(d, alpha) is not RegionLabel.ENTANGLED:
+        raise ValueError(f"isotropic alpha={alpha} is not in the entangled range "
+                         f"(1/(d+1), 1] of d={d}")
+    threshold = _isotropic_threshold(d)
     rho_ent = isotropic_state(d, alpha)
     rho0 = isotropic_state(d, threshold)
     lam = composite_operator(CompositeKind.LAMBDA, d)
     a_opt = (np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d, dtype=complex)
              - lam / (2 * np.sqrt(d * d - 1.0)))
     distance = np.sqrt(d * d - 1.0) / d * (alpha - threshold)
-    report = _report_for(a_opt, rho_ent, d)
+    report = verify_witness(a_opt, rho_ent, _LEMMA_METHODS.get(d, WitnessMethod.SEESAW))
     return HSMeasureResult(float(distance), rho0, report, -report.ent_expectation)
 
 
-def classify_qubit_plane(alpha: float, beta: float) -> RegionLabel:
-    """Region of a point of the two-qubit plane; boundaries count as separable."""
-    if not qubit_plane_physical(alpha, beta):
+def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel:
+    """Region of a point of a two-parameter plane; boundaries count as separable."""
+    if not plane.physical(alpha, beta):
         return RegionLabel.UNPHYSICAL
-    if alpha > beta / 3 + 1 / 3 + _EDGE:
+    if alpha > plane.line_i(beta) + _EDGE:
         return RegionLabel.ENTANGLED_I
-    if alpha < -beta - 1 - _EDGE:
+    if alpha < plane.line_ii(beta) - _EDGE:
         return RegionLabel.ENTANGLED_II
     return RegionLabel.SEPARABLE
 
 
-def hs_measure_qubit_plane(alpha: float, beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
-    """Region label and, for entangled points, the closed-form measure.
-
-    Region I (around phi+): nearest separable point (1/3 + beta/3, beta),
-    D = (sqrt 3 / 2)(alpha - 1/3 - beta/3). Region II (around phi-): nearest
-    point ((-1 + 2 alpha - beta)/3, (-2 - 2 alpha + beta)/3),
-    D = (-alpha - 1 - beta) / (2 sqrt 3).
-    """
-    label = classify_qubit_plane(alpha, beta)
-    if label in (RegionLabel.UNPHYSICAL, RegionLabel.SEPARABLE):
-        return label, None
-    rho_ent = two_param_qubit(alpha, beta)
+def plane_distance(plane: PlaneFamily, alpha: float,
+                   beta: float) -> tuple[RegionLabel, float | None]:
+    """Region label and, for entangled points, the closed-form distance D;
+    builds no state."""
+    label = classify_plane(plane, alpha, beta)
     if label is RegionLabel.ENTANGLED_I:
-        rho0 = two_param_qubit(1 / 3 + beta / 3, beta)
-        distance = np.sqrt(3) / 2 * (alpha - 1 / 3 - beta / 3)
-    else:
-        rho0 = two_param_qubit((-1 + 2 * alpha - beta) / 3, (-2 - 2 * alpha + beta) / 3)
-        distance = (-alpha - 1 - beta) / (2 * np.sqrt(3))
+        return label, float(plane.distance_i(alpha, beta))
+    if label is RegionLabel.ENTANGLED_II:
+        return label, float(plane.distance_ii(alpha, beta))
+    return label, None
+
+
+def hs_measure_plane(plane: PlaneFamily, alpha: float,
+                     beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
+    """Region label and, for entangled points, the closed-form measure: the
+    nearest separable state, D, and the optimal witness certified by the
+    plane's separable-expectation lemma."""
+    label, distance = plane_distance(plane, alpha, beta)
+    if distance is None:
+        return label, None
+    nearest = plane.nearest_i if label is RegionLabel.ENTANGLED_I else plane.nearest_ii
+    rho_ent = plane.state(alpha, beta)
+    rho0 = plane.state(*nearest(alpha, beta))
     a_opt = witness_candidate(rho0, rho_ent)
-    report = verify_witness(a_opt, rho_ent, WitnessMethod.LEMMA_QUBIT)
-    return label, HSMeasureResult(float(distance), rho0, report, -report.ent_expectation)
+    report = verify_witness(a_opt, rho_ent, _LEMMA_METHODS[plane.subdim])
+    return label, HSMeasureResult(distance, rho0, report, -report.ent_expectation)
+
+
+def classify_qubit_plane(alpha: float, beta: float) -> RegionLabel:
+    """Region of a point of the two-qubit plane; boundaries count as separable."""
+    return classify_plane(QUBIT_PLANE, alpha, beta)
+
+
+def hs_measure_qubit_plane(alpha: float, beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
+    """``hs_measure_plane`` on the two-qubit plane (Region I around phi+,
+    Region II around phi-; formulas in ``QUBIT_PLANE``)."""
+    return hs_measure_plane(QUBIT_PLANE, alpha, beta)
 
 
 def classify_qutrit_plane(alpha: float, beta: float) -> RegionLabel:
     """Region of a point of the two-qutrit plane; for this family the PPT
     states are exactly the separable ones."""
-    if not qutrit_plane_physical(alpha, beta):
-        return RegionLabel.UNPHYSICAL
-    if alpha > beta / 8 + 1 / 4 + _EDGE:
-        return RegionLabel.ENTANGLED_I
-    if alpha < 5 * beta / 4 - 1 / 2 - _EDGE:
-        return RegionLabel.ENTANGLED_II
-    return RegionLabel.SEPARABLE
+    return classify_plane(QUTRIT_PLANE, alpha, beta)
 
 
 def hs_measure_qutrit_plane(alpha: float, beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
-    """Region label and, for entangled points, the closed-form measure.
-
-    Region I: nearest separable point (1/4 + beta/8, beta),
-    D = (2 sqrt 2 / 3)(alpha - 1/4 - beta/8). Region II: nearest point
-    ((-2 + 20 alpha + 5 beta)/24, (2 + 4 alpha + beta)/6),
-    D = (-4 alpha - 2 + 5 beta) / (6 sqrt 2).
-    """
-    label = classify_qutrit_plane(alpha, beta)
-    if label in (RegionLabel.UNPHYSICAL, RegionLabel.SEPARABLE):
-        return label, None
-    rho_ent = two_param_qutrit(alpha, beta)
-    if label is RegionLabel.ENTANGLED_I:
-        rho0 = two_param_qutrit(1 / 4 + beta / 8, beta)
-        distance = 2 * np.sqrt(2) / 3 * (alpha - 1 / 4 - beta / 8)
-    else:
-        rho0 = two_param_qutrit((-2 + 20 * alpha + 5 * beta) / 24, (2 + 4 * alpha + beta) / 6)
-        distance = (-4 * alpha - 2 + 5 * beta) / (6 * np.sqrt(2))
-    a_opt = witness_candidate(rho0, rho_ent)
-    report = verify_witness(a_opt, rho_ent, WitnessMethod.LEMMA_QUTRIT)
-    return label, HSMeasureResult(float(distance), rho0, report, -report.ent_expectation)
+    """``hs_measure_plane`` on the two-qutrit plane (formulas in ``QUTRIT_PLANE``)."""
+    return hs_measure_plane(QUTRIT_PLANE, alpha, beta)

@@ -205,4 +205,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"matrix JSON arrays do not match dim={d}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix JSON has non-finite entries")
     return re + 1j * im

@@ -12,7 +12,10 @@ can be probed (the matrices are still built, they just may fail positivity).
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -35,15 +38,26 @@ def bell_state(d: int) -> BipartiteState:
     return BipartiteState(np.outer(psi, psi.conj()), d, validate=False)
 
 
+def isotropic_physical(d: int, alpha: float) -> bool:
+    """Positivity of the isotropic state: -1/(d^2 - 1) <= alpha <= 1.
+
+    Raises ``ValueError`` for d < 2, where the isotropic family is undefined.
+    """
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return -1.0 / (d * d - 1) - 1e-12 <= alpha <= 1 + 1e-12
+
+
 def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteState:
     """alpha * Bell projector + (1 - alpha)/d^2 * identity.
 
     Positivity holds exactly for -1/(d^2 - 1) <= alpha <= 1; outside that
-    range construction requires ``checked=False``.
+    range construction requires ``checked=False``. Raises ``ValueError`` for
+    d < 2 either way.
     """
-    lo = -1.0 / (d * d - 1)
-    if checked and not (lo - 1e-12 <= alpha <= 1 + 1e-12):
-        raise ValueError(f"isotropic alpha={alpha} outside physical range [{lo}, 1]")
+    physical = isotropic_physical(d, alpha)
+    if checked and not physical:
+        raise ValueError(f"isotropic alpha={alpha} outside [-1/(d^2 - 1), 1] for d={d}")
     mat = alpha * bell_state(d).matrix + (1 - alpha) / (d * d) * np.eye(d * d)
     return BipartiteState(mat, d, validate=False)
 
@@ -57,21 +71,94 @@ def weyl_bell_projector(d: int, n: int, k: int) -> BipartiteState:
     return BipartiteState(a @ bell_state(d).matrix @ a.conj().T, d, validate=False)
 
 
-def _bell_basis_qubit() -> dict[str, np.ndarray]:
-    s = 1 / np.sqrt(2)
-    phi_p = s * np.array([1, 0, 0, 1], dtype=complex)
-    phi_m = s * np.array([1, 0, 0, -1], dtype=complex)
-    psi_p = s * np.array([0, 1, 1, 0], dtype=complex)
-    psi_m = s * np.array([0, 1, -1, 0], dtype=complex)
-    return {k: np.outer(v, v.conj()) for k, v in
-            [("phi+", phi_p), ("phi-", phi_m), ("psi+", psi_p), ("psi-", psi_m)]}
+@dataclass(frozen=True)
+class PlaneFamily:
+    """The plane (1 - a - b)/d^2 * 1 + a P + (b/2)(Q + R) of two-qudit states,
+    P, Q, R orthogonal maximally entangled projectors, with each of its
+    formulas once, as lambdas of plain operators that take floats or arrays."""
+
+    name: str               # CLI family name
+    subdim: int
+    physical: Callable      # (a, b) -> inside the positivity triangle
+    line_i: Callable        # b -> alpha on the line above which Region I lies
+    line_ii: Callable       # b -> alpha on the line below which Region II lies
+    nearest_i: Callable     # (a, b) -> nearest separable point of a Region I point
+    nearest_ii: Callable
+    distance_i: Callable    # (a, b) -> its Hilbert-Schmidt distance D
+    distance_ii: Callable
+    lemma_identity: int     # k: s(k 1 + c1 X1 + c2 X2) >= 0 on separable states
+    operators: Callable     # () -> (1, P, Q + R, X1, X2), built on first use
+
+    def mix(self, alpha, beta, ops) -> np.ndarray:
+        """rho(alpha, beta) for ops = operators()[:3], its partial transpose for
+        theirs; an alpha column (m, 1, 1) stacks m points, bit for bit alike."""
+        ident, p, qr = ops
+        return (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
+
+    def state(self, alpha: float, beta: float, checked: bool = True) -> BipartiteState:
+        """rho(alpha, beta); ``checked`` rejects points outside the triangle."""
+        if checked and not self.physical(alpha, beta):
+            raise ValueError(f"{self.name} plane point ({alpha}, {beta}) is unphysical")
+        return BipartiteState(self.mix(alpha, beta, self.operators()[:3]), self.subdim,
+                              validate=False)
+
+
+def _read_only(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
+@functools.cache
+def _qubit_plane_operators() -> tuple[np.ndarray, ...]:
+    kets = 1 / np.sqrt(2) * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
+    phi_p, psi_p, psi_m = (np.outer(v, v.conj()) for v in kets)
+    s11, s22, s33 = (tensor(PAULI[i], PAULI[i]) for i in (1, 2, 3))
+    return _read_only(np.eye(4, dtype=complex), phi_p, psi_p + psi_m, s11 - s22, s33)
+
+
+@functools.cache
+def _qutrit_plane_operators() -> tuple[np.ndarray, ...]:
+    p00, p10, p20 = (weyl_bell_projector(3, n, 0).matrix for n in range(3))
+    return _read_only(np.eye(9, dtype=complex), p00, p10 + p20,
+                      composite_operator(CompositeKind.U1, 3),
+                      composite_operator(CompositeKind.U2, 3))
+
+
+QUBIT_PLANE = PlaneFamily(
+    name="qubit2p", subdim=2,
+    physical=lambda a, b: ((a <= -b + 1 + 1e-12) & (a >= b / 3 - 1 / 3 - 1e-12)
+                           & (a <= b + 1 + 1e-12)),
+    line_i=lambda b: b / 3 + 1 / 3,
+    line_ii=lambda b: -b - 1,
+    nearest_i=lambda a, b: (1 / 3 + b / 3, b),
+    nearest_ii=lambda a, b: ((-1 + 2 * a - b) / 3, (-2 - 2 * a + b) / 3),
+    distance_i=lambda a, b: np.sqrt(3) / 2 * (a - 1 / 3 - b / 3),
+    distance_ii=lambda a, b: (-a - 1 - b) / (2 * np.sqrt(3)),
+    lemma_identity=1,               # s(1 + c1 (s1s1 - s2s2) + c2 s3s3)
+    operators=_qubit_plane_operators,
+)
+
+QUTRIT_PLANE = PlaneFamily(
+    name="qutrit2p", subdim=3,
+    physical=lambda a, b: ((a <= 3.5 * b + 1 + 1e-12) & (a <= -b + 1 + 1e-12)
+                           & (a >= b / 8 - 1 / 8 - 1e-12)),
+    line_i=lambda b: b / 8 + 1 / 4,
+    line_ii=lambda b: 5 * b / 4 - 1 / 2,
+    nearest_i=lambda a, b: (1 / 4 + b / 8, b),
+    nearest_ii=lambda a, b: ((-2 + 20 * a + 5 * b) / 24, (2 + 4 * a + b) / 6),
+    distance_i=lambda a, b: 2 * np.sqrt(2) / 3 * (a - 1 / 4 - b / 8),
+    distance_ii=lambda a, b: (-4 * a - 2 + 5 * b) / (6 * np.sqrt(2)),
+    lemma_identity=2,               # s(2 + c1 U1 + c2 U2)
+    operators=_qutrit_plane_operators,
+)
+
+PLANES = {plane.name: plane for plane in (QUBIT_PLANE, QUTRIT_PLANE)}
 
 
 def qubit_plane_physical(alpha: float, beta: float) -> bool:
     """Positivity constraints of the two-parameter two-qubit family."""
-    return (alpha <= -beta + 1 + 1e-12
-            and alpha >= beta / 3 - 1 / 3 - 1e-12
-            and alpha <= beta + 1 + 1e-12)
+    return QUBIT_PLANE.physical(alpha, beta)
 
 
 def two_param_qubit(alpha: float, beta: float, checked: bool = True) -> BipartiteState:
@@ -80,13 +167,7 @@ def two_param_qubit(alpha: float, beta: float, checked: bool = True) -> Bipartit
     Physical iff a <= -b + 1, a >= b/3 - 1/3 and a <= b + 1 (a triangle in
     the (a, b) plane). Equals the isotropic qubit state at b = 0.
     """
-    if checked and not qubit_plane_physical(alpha, beta):
-        raise ValueError(f"qubit plane point ({alpha}, {beta}) is unphysical")
-    bb = _bell_basis_qubit()
-    mat = ((1 - alpha - beta) / 4 * np.eye(4, dtype=complex)
-           + alpha * bb["phi+"]
-           + beta / 2 * (bb["psi+"] + bb["psi-"]))
-    return BipartiteState(mat, 2, validate=False)
+    return QUBIT_PLANE.state(alpha, beta, checked)
 
 
 def two_param_qubit_pauli(alpha: float, beta: float) -> np.ndarray:
@@ -100,9 +181,7 @@ def two_param_qubit_pauli(alpha: float, beta: float) -> np.ndarray:
 
 def qutrit_plane_physical(alpha: float, beta: float) -> bool:
     """Positivity constraints of the two-parameter two-qutrit family."""
-    return (alpha <= 3.5 * beta + 1 + 1e-12
-            and alpha <= -beta + 1 + 1e-12
-            and alpha >= beta / 8 - 1 / 8 - 1e-12)
+    return QUTRIT_PLANE.physical(alpha, beta)
 
 
 def two_param_qutrit(alpha: float, beta: float, checked: bool = True) -> BipartiteState:
@@ -111,13 +190,7 @@ def two_param_qutrit(alpha: float, beta: float, checked: bool = True) -> Biparti
     Physical iff a <= 7b/2 + 1, a <= -b + 1 and a >= b/8 - 1/8. In the Weyl
     basis the state reads (1/9)(1 + (a - b/2) U1 + (a + b) U2).
     """
-    if checked and not qutrit_plane_physical(alpha, beta):
-        raise ValueError(f"qutrit plane point ({alpha}, {beta}) is unphysical")
-    mat = ((1 - alpha - beta) / 9 * np.eye(9, dtype=complex)
-           + alpha * weyl_bell_projector(3, 0, 0).matrix
-           + beta / 2 * (weyl_bell_projector(3, 1, 0).matrix
-                         + weyl_bell_projector(3, 2, 0).matrix))
-    return BipartiteState(mat, 3, validate=False)
+    return QUTRIT_PLANE.state(alpha, beta, checked)
 
 
 class CompositeKind(str, Enum):
