@@ -16,6 +16,7 @@ import io
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass
 
@@ -36,6 +37,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-5.5e-05" for an option; read it as a number, as it
+        # reads "-5.5"
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 

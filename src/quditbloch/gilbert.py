@@ -16,6 +16,8 @@ underestimate the gap from a bad starting point.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +35,28 @@ class GilbertConfig:
     inner_sweeps: int = 80
     confirm_restarts: int = 25   # extra inits before accepting convergence
 
+    def __post_init__(self):
+        for name, low in (("max_iterations", 0), ("restarts", 0), ("inner_sweeps", 1),
+                          ("confirm_restarts", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+
 
 @dataclass(frozen=True)
 class GilbertResult:
+    """Outcome of :func:`nearest_separable_numeric`.
+
+    ``rho0`` is an explicit convex combination of product states, so
+    ``distance`` (its Hilbert-Schmidt distance to the input) is a certified
+    upper bound on the true measure. ``gap`` and ``converged`` rest on the
+    seesaw's estimate of the Frank-Wolfe gap, a proxy rather than a
+    certificate: the seesaw may miss the best product state, and then the
+    gap is underestimated.
+    """
+
     rho0: BipartiteState
     distance: float
     converged: bool
@@ -50,29 +71,40 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
     Alternating eigenvector ascent: with one factor fixed the objective is a
     Hermitian quadratic form on the other, maximized by its top eigenvector.
     Returns ``(value, a, b)`` for the best run over ``warm`` and ``restarts``
-    random initializations.
+    random initializations; ties go to the earliest run.
+
+    All runs advance together: each half-sweep is one einsum and one stacked
+    ``eigh`` over the runs still live, and a run leaves the stack once its
+    top eigenvalue rises by less than 1e-15. Each run's arithmetic is the
+    same as when the runs went one at a time, so the result is too, bit for bit.
     """
     gr = g.reshape(d, d, d, d)
     inits = list(warm or [])
     for _ in range(max(restarts, 0 if inits else 1)):
         inits.append((random_ket(d, rng), random_ket(d, rng)))
-    best = None
-    for a, b in inits:
-        val = -np.inf
-        for _ in range(sweeps):
-            ma = np.einsum("ijkl,j,l->ik", gr, b.conj(), b)
-            w, v = np.linalg.eigh(ma)
-            a = v[:, -1]
-            mb = np.einsum("ijkl,i,k->jl", gr, a.conj(), a)
-            w, v = np.linalg.eigh(mb)
-            b = v[:, -1]
-            if w[-1].real - val < 1e-15:
-                val = w[-1].real
-                break
-            val = w[-1].real
-        if best is None or val > best[0]:
-            best = (val, a, b)
-    return best
+    kets = np.array(inits)
+    # the eigenvectors written back below take the einsum's dtype
+    kets = kets.astype(np.result_type(gr, kets), copy=False)
+    a, b = kets[:, 0], kets[:, 1]
+    val = np.full(len(kets), -np.inf)
+    live = np.arange(len(kets))
+    for _ in range(sweeps):
+        bl = b[live]
+        w, v = np.linalg.eigh(np.einsum("ijkl,rj,rl->rik", gr, bl.conj(), bl))
+        al = v[:, :, -1]
+        w, v = np.linalg.eigh(np.einsum("ijkl,ri,rk->rjl", gr, al.conj(), al))
+        a[live], b[live] = al, v[:, :, -1]
+        top = w[:, -1]
+        done = top - val[live] < 1e-15
+        val[live] = top
+        live = live[~done]
+        if not live.size:
+            break
+    best = 0
+    for r in range(1, len(val)):
+        if val[r] > val[best]:
+            best = r
+    return val[best], a[best], b[best]
 
 
 def min_product_expectation(a_op: np.ndarray, d: int, rng: np.random.Generator,
@@ -124,7 +156,9 @@ def nearest_separable_numeric(rho_ent, config: GilbertConfig | None = None) -> G
 
     Deterministic for a given config seed. If the gap proxy does not reach
     ``config.tolerance`` within ``config.max_iterations``, the best iterate
-    found so far is returned with ``converged=False``.
+    found so far is returned with ``converged=False``. A plain array input
+    must be a d (x) d density matrix (finite, Hermitian, unit trace, PSD),
+    else ``ValueError``; a ``BipartiteState`` is taken as it is.
     """
     cfg = config or GilbertConfig()
     if isinstance(rho_ent, BipartiteState):
@@ -132,9 +166,7 @@ def nearest_separable_numeric(rho_ent, config: GilbertConfig | None = None) -> G
         d = rho_ent.subdim
     else:
         target = np.asarray(rho_ent, dtype=complex)
-        d = int(round(np.sqrt(target.shape[0])))
-        if d * d != target.shape[0]:
-            raise ValueError("expected a d x d bipartite state")
+        d = BipartiteState(target).subdim   # raises ValueError unless a state
     rng = np.random.default_rng(cfg.seed)
     n = d * d
     te = target.ravel()

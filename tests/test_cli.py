@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,47 @@ class TestFormatting:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "FAIL" not in out and out.count("PASS") == 4
+
+
+class TestNegativeExponentArguments:
+    def test_measure_reads_exponent_form(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "--family", "qubit2p",
+                                 "--alpha", "-5.5e-05", "--beta", "-1.5")
+        assert code == 0 and err == ""
+        assert run_cli(capsys, "measure", "--family", "qubit2p",
+                       "--alpha=-5.5e-05", "--beta=-1.5") == (0, out, "")
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (("-1e-1", "1.3", "5"), ("-2.2E0", "1.3", "3")),
+        (("-.5e+0", "1e0", "4"), ("-22e-1", "-1.3e-1", "3")),
+    ])
+    def test_sweep_ranges_read_exponent_form(self, capsys, alpha, beta):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "qubit2p",
+                               "--alpha", *alpha, "--beta", *beta)
+        assert code == 0
+        plain = [repr(float(x)) for x in alpha], [repr(float(x)) for x in beta]
+        assert run_cli(capsys, "sweep", "--family", "qubit2p", "--alpha", *plain[0],
+                       "--beta", *plain[1]) == (0, out, "")
+
+    def test_option_names_still_options(self, capsys):
+        assert run_cli(capsys, "measure", "--family", "qubit2p", "--alpha", "-e5",
+                       "--beta", "0")[0] == 1
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "quditbloch", *argv],
+                          capture_output=True, text=True, env=env, check=False, timeout=60)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_quditbloch(self, capsys):
+        argv = ["measure", "--family", "isotropic", "--dim", "3", "--alpha", "0.9"]
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(capsys, *argv)[1]
+
+    def test_module_exit_code(self):
+        proc = run_module("frobnicate")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("usage error:")

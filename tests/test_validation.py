@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import quditbloch as qb
@@ -86,3 +87,52 @@ class TestMatrixJson:
                                     "im": [[0.0, math.nan], [0.0, 0.0]]}))
         assert cli_main(["decompose", "--kind", "ggb", "--in", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+class TestOracleInputs:
+    @pytest.mark.parametrize("name,matrix", [
+        ("nan", np.full((4, 4), np.nan)),
+        ("inf", np.diag([np.inf, 0.0, 0.0, 0.0])),
+        ("non-Hermitian", np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) / 8),
+        ("negative", -np.eye(4) / 4),
+        ("trace 2", np.eye(4) / 2),
+        ("not PSD", np.diag([1.5, -0.5, 0.0, 0.0])),
+        ("not d x d", np.eye(6) / 6),
+        ("not square", np.ones((4, 2)) / 4),
+    ])
+    def test_array_that_is_not_a_state_raises(self, name, matrix):
+        with pytest.raises(ValueError):
+            qb.nearest_separable_numeric(matrix, qb.GilbertConfig(max_iterations=2))
+
+    def test_array_and_state_give_the_same_bits(self):
+        cfg = qb.GilbertConfig(max_iterations=20, seed=4)
+        state = qb.isotropic_state(2, 0.9)
+        from_state = qb.nearest_separable_numeric(state, cfg)
+        from_array = qb.nearest_separable_numeric(np.array(state.matrix), cfg)
+        assert from_array.distance == from_state.distance
+        assert from_array.gap == from_state.gap
+        assert from_array.rho0.matrix.tobytes() == from_state.rho0.matrix.tobytes()
+
+
+class TestGilbertConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"inner_sweeps": 0}, {"inner_sweeps": -3}, {"inner_sweeps": 2.5},
+        {"restarts": -1}, {"confirm_restarts": -1}, {"max_iterations": -1},
+        {"max_iterations": 10.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
+        {"tolerance": -1e-9},
+    ])
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            qb.GilbertConfig(**kwargs)
+
+    def test_accepts_defaults_and_edges(self):
+        qb.GilbertConfig()
+        qb.GilbertConfig(max_iterations=0, tolerance=0.0, restarts=0, inner_sweeps=1,
+                         confirm_restarts=0)
+        qb.GilbertConfig(max_iterations=np.int64(3), tolerance=1)
+
+    def test_zero_iterations_returns_first_atom(self):
+        res = qb.nearest_separable_numeric(qb.isotropic_state(2, 0.9),
+                                           qb.GilbertConfig(max_iterations=0))
+        assert not res.converged and res.iterations == 0
+        assert res.distance >= qb.hs_measure_isotropic(2, 0.9).distance
