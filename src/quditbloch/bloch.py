@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisKind, get_basis
-from .linalg import (TOL_PSD, DensityMatrix, _as_square, partial_trace)
+from .linalg import _bipartite_matrix, as_matrix, is_psd, partial_trace
 
 
 class Convention(str, Enum):
@@ -67,17 +67,11 @@ class BlochVector:
         return float(np.linalg.norm(self.components))
 
 
-def _matrix_of(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return _as_square(rho)
-
-
 def bloch_encode(rho, kind, convention=Convention.EXPANSION) -> BlochVector:
     """Bloch vector of a density matrix in the chosen basis and convention."""
     kind = BasisKind(kind)
     convention = Convention(convention)
-    mat = _matrix_of(rho)
+    mat = as_matrix(rho)
     basis = get_basis(kind, mat.shape[0])
     stack = basis.stacked[1:]
     comp = np.einsum("kab,ab->k", stack.conj(), mat)   # Tr(A_i^dag rho)
@@ -114,14 +108,12 @@ def bloch_decode(b: BlochVector) -> DecodeResult:
     coeff = _expansion_components(b)
     mat = np.eye(b.dim, dtype=complex) / b.dim
     mat += np.einsum("k,kab->ab", coeff, basis.stacked[1:])
-    herm = (mat + mat.conj().T) / 2
-    physical = bool(np.linalg.eigvalsh(herm)[0] >= -TOL_PSD)
-    return DecodeResult(mat, physical)
+    return DecodeResult(mat, is_psd(mat))
 
 
 def purity(rho) -> float:
     """Tr rho^2; equals 1/d + N |b|^2 for the EXPANSION Bloch vector b."""
-    mat = _matrix_of(rho)
+    mat = as_matrix(rho)
     return float(np.vdot(mat, mat).real)
 
 
@@ -164,12 +156,7 @@ class BipartiteBlochDecomposition:
 def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochDecomposition:
     """Decompose a bipartite state into local Bloch vectors plus correlations."""
     kind = BasisKind(kind)
-    mat = _matrix_of(rho)
-    d = getattr(rho, "subdim", None) or subdim
-    if d is None:
-        d = int(round(np.sqrt(mat.shape[0])))
-    if d * d != mat.shape[0]:
-        raise ValueError(f"matrix of dimension {mat.shape[0]} is not a d x d bipartite square")
+    mat, d = _bipartite_matrix(rho, subdim)
     basis = get_basis(kind, d)
     stack = basis.stacked[1:]
     n = basis.ortho_const

@@ -27,7 +27,7 @@ from .bloch import Convention, bloch_encode, purity
 from .entanglement import (RegionLabel, classify_isotropic, hs_measure_isotropic,
                            hs_measure_plane, plane_distance)
 from .gilbert import GilbertConfig, nearest_separable_numeric
-from .linalg import (TOL_PSD, is_hermitian, matrix_from_json, matrix_to_json,
+from .linalg import (as_hermitian, is_psd, matrix_from_json, matrix_to_json,
                      partial_transpose)
 from .states import PLANES, bell_state, isotropic_state, weyl_bell_projector
 
@@ -174,14 +174,11 @@ def _cmd_state_make(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    mat = _read_matrix(args.infile)
-    if not is_hermitian(mat):
-        raise ValueError("input state is not Hermitian")
+    mat = as_hermitian(_read_matrix(args.infile), "input state")
     tr = np.trace(mat)
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"input state trace {tr} is not 1")
     vec = bloch_encode(mat, args.kind, Convention(args.convention))
-    physical = bool(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] >= -TOL_PSD)
     doc = {
         "kind": args.kind,
         "dim": vec.dim,
@@ -191,7 +188,7 @@ def _cmd_decompose(args) -> int:
         "im": [float(x) for x in vec.components.imag],
         "radius": vec.radius,
         "purity": purity(mat),
-        "is_physical": physical,
+        "is_physical": is_psd(mat),
     }
     _emit(_json_dumps(doc) + "\n", args.out)
     return 0
@@ -341,7 +338,9 @@ def _selftest_checks(seed: int):
                 stack = basis.stacked
                 gram = np.einsum("iab,jab->ij", stack.conj(), stack)
                 off = np.abs(gram - np.diag(np.diag(gram))).max()
-                diag = np.abs(np.diag(gram).real[1:] - basis.ortho_const).max()
+                # the GGB identity has norm d, not N; T_00 and U_00 have norm N
+                lo = 1 if kind is BasisKind.GGB else 0
+                diag = np.abs(np.diag(gram).real[lo:] - basis.ortho_const).max()
                 worst = max(worst, off, diag)
         return worst, 1e-12
 

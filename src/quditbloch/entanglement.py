@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .gilbert import min_product_expectation
-from .linalg import (BipartiteState, hs_inner, hs_norm, is_hermitian,
-                     min_eigenvalue, partial_transpose, TOL_PSD)
+from .linalg import (BipartiteState, _bipartite_matrix, as_hermitian, as_matrix, hs_inner,
+                     hs_norm, min_eigenvalue, partial_transpose, TOL_PSD)
 from .states import (QUBIT_PLANE, QUTRIT_PLANE, CompositeKind, PlaneFamily,
                      composite_operator, isotropic_physical, isotropic_state)
 
@@ -88,8 +88,10 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
     By construction <rho_ent, C> = -||rho_tilde - rho_ent|| < 0; C is a
     genuine witness iff rho_tilde is the nearest separable state.
     """
-    mt = rho_tilde.matrix if isinstance(rho_tilde, BipartiteState) else np.asarray(rho_tilde, dtype=complex)
-    me = rho_ent.matrix if isinstance(rho_ent, BipartiteState) else np.asarray(rho_ent, dtype=complex)
+    mt = as_matrix(rho_tilde)
+    me = as_matrix(rho_ent)
+    if mt.shape != me.shape:
+        raise ValueError(f"dimension mismatch: {mt.shape} vs {me.shape}")
     diff = mt - me
     dist = hs_norm(diff)
     if dist <= 1e-14:
@@ -131,17 +133,10 @@ def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
     an upper bound on the separable minimum, so it can refute
     (``NotWitness``) but never certify (at best ``Inconclusive``).
     """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a):
-        raise ValueError("witness operators must be Hermitian")
+    a = as_hermitian(a, "witness operator")
     method = WitnessMethod(method)
-    me = rho_ent.matrix if isinstance(rho_ent, BipartiteState) else np.asarray(rho_ent, dtype=complex)
-    if a.shape != me.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {me.shape}")
-    ent = hs_inner(me, a).real
-    d = int(round(np.sqrt(a.shape[0])))
-    if d * d != a.shape[0]:
-        raise ValueError(f"witness of dimension {a.shape[0]} is not a d x d bipartite operator")
+    me, d = _bipartite_matrix(rho_ent, None)
+    ent = hs_inner(me, a).real   # raises ValueError unless a and rho_ent have one shape
 
     plane = _LEMMA_PLANES.get(method)
     fit = None

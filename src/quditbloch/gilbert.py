@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteState
+from .linalg import BipartiteState, as_hermitian
 from .states import random_ket
 
 
@@ -77,7 +77,9 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
     ``eigh`` over the runs still live, and a run leaves the stack once its
     top eigenvalue rises by less than 1e-15. Each run's arithmetic is the
     same as when the runs went one at a time, so the result is too, bit for bit.
+    ``g`` must be finite and Hermitian, else ``ValueError``.
     """
+    as_hermitian(g, "operator")   # checks only: a real g stays real below
     gr = g.reshape(d, d, d, d)
     inits = list(warm or [])
     for _ in range(max(restarts, 0 if inits else 1)):

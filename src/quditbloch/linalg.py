@@ -93,12 +93,35 @@ def partial_trace(rho, subsystem: str = "B", subdim: int | None = None) -> np.nd
 
 
 def _bipartite_matrix(rho, subdim: int | None) -> tuple[np.ndarray, int]:
-    if isinstance(rho, DensityMatrix):
-        mat = rho.matrix
-        subdim = getattr(rho, "subdim", subdim)
-    else:
-        mat = _as_square(rho)
-    return mat, _subdim(mat, subdim)
+    """``as_matrix(rho)`` and its subsystem dimension (``rho.subdim`` wins)."""
+    mat = as_matrix(rho)
+    return mat, _subdim(mat, getattr(rho, "subdim", subdim))
+
+
+def as_matrix(x) -> np.ndarray:
+    """The matrix of a state or array argument: a ``DensityMatrix`` is taken
+    as it is, anything else must be a finite square array (``ValueError``)."""
+    if isinstance(x, DensityMatrix):
+        return x.matrix
+    a = _as_square(x)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    return a
+
+
+def as_hermitian(x, what: str) -> np.ndarray:
+    """``as_matrix(x)``, which must also be Hermitian within ``TOL_HERM``;
+    ``what`` names the argument in the error message."""
+    a = as_matrix(x)
+    if not is_hermitian(a):
+        raise ValueError(f"{what} is not Hermitian")
+    return a
+
+
+def is_psd(a: np.ndarray) -> bool:
+    """Smallest eigenvalue of the Hermitian part of ``a`` >= -TOL_PSD."""
+    a = np.asarray(a)
+    return bool(np.linalg.eigvalsh((a + a.conj().T) / 2)[0] >= -TOL_PSD)
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
@@ -111,21 +134,15 @@ def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, V)`` with real eigenvalues ``w`` sorted in descending order
     and the matching eigenvectors as columns of ``V``. Raises ``ValueError``
-    if the input is not Hermitian within ``TOL_HERM``.
+    if the input is not finite or not Hermitian within ``TOL_HERM``.
     """
-    a = _as_square(a)
-    if not is_hermitian(a):
-        raise ValueError("hermitian_eigen called on a non-Hermitian matrix")
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(as_hermitian(a, "hermitian_eigen input"))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    a = _as_square(a)
-    if not is_hermitian(a):
-        raise ValueError("min_eigenvalue called on a non-Hermitian matrix")
-    return float(np.linalg.eigvalsh(a)[0])
+    return float(np.linalg.eigvalsh(as_hermitian(a, "min_eigenvalue input"))[0])
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -148,14 +165,11 @@ class DensityMatrix:
     def __init__(self, matrix, *, validate: bool = True):
         mat = _frozen(_as_square(matrix))
         if validate:
-            if not np.isfinite(mat).all():
-                raise ValueError("density matrix has non-finite entries")
-            if not is_hermitian(mat, TOL_HERM):
-                raise ValueError("density matrix is not Hermitian")
+            as_hermitian(mat, "density matrix")
             tr = np.trace(mat)
             if abs(tr - 1.0) > TOL_TRACE:
                 raise ValueError(f"density matrix trace {tr} is not 1")
-            if float(np.linalg.eigvalsh(mat)[0]) < -TOL_PSD:
+            if not is_psd(mat):
                 raise ValueError("density matrix is not positive semidefinite")
         self.matrix = mat
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,3 +137,96 @@ class TestGilbertConfig:
                                            qb.GilbertConfig(max_iterations=0))
         assert not res.converged and res.iterations == 0
         assert res.distance >= qb.hs_measure_isotropic(2, 0.9).distance
+
+
+_STATE = qb.isotropic_state(2, 0.9)
+# one argument per entry point is the bad matrix; the others are valid
+ENTRY_POINTS = {
+    "bloch_encode": lambda m: qb.bloch_encode(m, "ggb"),
+    "purity": qb.purity,
+    "bipartite_decompose": lambda m: qb.bipartite_decompose(m, "ggb"),
+    "partial_transpose": qb.partial_transpose,
+    "partial_trace": qb.partial_trace,
+    "witness_candidate(guess)": lambda m: qb.witness_candidate(m, _STATE),
+    "witness_candidate(state)": lambda m: qb.witness_candidate(_STATE, m),
+    "verify_witness(operator)": lambda m: qb.verify_witness(m, _STATE),
+    "verify_witness(state)": lambda m: qb.verify_witness(np.eye(4), m),
+    "hermitian_eigen": qb.hermitian_eigen,
+    "min_eigenvalue": qb.min_eigenvalue,
+    "ppt_verdict": qb.ppt_verdict,
+    "best_product_state": lambda m: qb.best_product_state(m, 2, np.random.default_rng(0)),
+    "min_product_expectation": lambda m: qb.min_product_expectation(m, 2,
+                                                                    np.random.default_rng(0)),
+    "DensityMatrix": qb.DensityMatrix,
+    "nearest_separable_numeric": lambda m: qb.nearest_separable_numeric(
+        m, qb.GilbertConfig(max_iterations=2)),
+}
+HERMITIAN_REQUIRED = ["verify_witness(operator)", "hermitian_eigen", "min_eigenvalue",
+                      "ppt_verdict", "best_product_state", "min_product_expectation",
+                      "DensityMatrix", "nearest_separable_numeric"]
+NON_FINITE = {"nan": np.full((4, 4), np.nan), "inf": np.diag([np.inf, 0.0, 0.0, 0.0])}
+NON_HERMITIAN = np.triu(np.ones((4, 4)))
+
+
+def _raises_without_warnings(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+class TestEveryEntryPoint:
+    """Each entry point raises ValueError for a non-finite matrix, and for a
+    non-Hermitian one where it needs a Hermitian matrix, without a numeric
+    warning on the way."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite(self, entry, name):
+        _raises_without_warnings(lambda: ENTRY_POINTS[entry](NON_FINITE[name]), "finite")
+
+    @pytest.mark.parametrize("entry", HERMITIAN_REQUIRED)
+    def test_non_hermitian(self, entry):
+        _raises_without_warnings(lambda: ENTRY_POINTS[entry](NON_HERMITIAN), "Hermitian")
+
+    @pytest.mark.parametrize("matrix,match", [
+        (NON_FINITE["nan"], "finite"), (NON_FINITE["inf"], "finite"),
+        (NON_HERMITIAN / 4, "Hermitian"),
+    ], ids=["nan", "inf", "non-Hermitian"])
+    def test_cli_decompose(self, capsys, tmp_path, matrix, match):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": 4, "re": matrix.real.tolist(),
+                                    "im": matrix.imag.tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["decompose", "--kind", "ggb", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and match in captured.err
+
+    def test_witness_candidate_dimension_mismatch(self):
+        # a 1 x 1 state would broadcast against the 4 x 4 one
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            qb.witness_candidate(_STATE, np.ones((1, 1)))
+
+    def test_unvalidated_density_matrix_is_taken_as_it_is(self):
+        rho = qb.DensityMatrix(np.diag([1.5, -0.5]), validate=False)
+        vec = qb.bloch_encode(rho, "ggb")
+        dec = qb.bloch_decode(vec)
+        assert not dec.is_physical
+        assert np.abs(dec.matrix - rho.matrix).max() <= 1e-15
+        assert qb.purity(rho) == 2.5
+
+    def test_valid_arrays_keep_their_bits(self):
+        real = np.array([[0.75, 0.25], [0.25, 0.25]])
+        assert qb.as_matrix(real).dtype == complex
+        assert qb.as_matrix(real).tobytes() == np.asarray(real, dtype=complex).tobytes()
+        assert qb.as_matrix(real.tolist()).tobytes() == np.asarray(real, dtype=complex).tobytes()
+        assert qb.as_matrix(_STATE) is _STATE.matrix
+        assert qb.as_hermitian(_STATE, "state") is _STATE.matrix
+
+    def test_is_psd_reads_the_hermitian_part(self):
+        assert qb.is_psd(np.diag([1.0, 0.0]))
+        assert qb.is_psd(np.diag([1.0, -1e-10]))
+        assert not qb.is_psd(np.diag([1.0, -1e-8]))
+        # the Hermitian part of [[0, 2], [0, 0]] has eigenvalues -1 and 1
+        assert not qb.is_psd(np.array([[0.0, 2.0], [0.0, 0.0]]))
