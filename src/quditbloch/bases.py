@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cg import clebsch_gordan
-from .linalg import _frozen
+from .linalg import _frozen, as_matrix
 
 Label = tuple
 
@@ -46,27 +46,24 @@ class BasisKind(str, Enum):
 
 
 class OperatorBasis:
-    """Ordered collection of d^2 basis matrices with their orthogonality constant."""
+    """Ordered collection of d^2 basis matrices with their orthogonality constant.
 
-    __slots__ = ("kind", "dim", "elements", "labels", "ortho_const", "_index", "_stack")
+    ``stacked`` is the one read-only (d^2, d, d) array of all elements;
+    ``elements`` are its rows (views, read-only too).
+    """
+
+    __slots__ = ("kind", "dim", "stacked", "elements", "labels", "ortho_const", "_index")
 
     def __init__(self, kind: BasisKind, dim: int, elements, labels, ortho_const: float):
         self.kind = kind
         self.dim = dim
-        self.elements = tuple(_frozen(m) for m in elements)
+        self.stacked = _frozen(elements)
+        self.elements = tuple(self.stacked)
         self.labels = tuple(labels)
         self.ortho_const = float(ortho_const)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._stack = None
-        if len(self.elements) != dim * dim or len(self.labels) != dim * dim:
+        if self.stacked.shape != (dim * dim, dim, dim) or len(self.labels) != dim * dim:
             raise ValueError("a basis of dimension d needs exactly d^2 elements")
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """All elements as one (d^2, d, d) array (cached, read-only)."""
-        if self._stack is None:
-            self._stack = _frozen(np.stack(self.elements))
-        return self._stack
 
     def element(self, label: Label) -> np.ndarray:
         return self.elements[self.index(label)]
@@ -122,10 +119,12 @@ def ggb_basis(d: int) -> OperatorBasis:
     return OperatorBasis(BasisKind.GGB, d, elements, labels, 2.0)
 
 
-def _pob_m(d: int) -> list:
-    # m_1 = s, m_2 = s - 1, ..., m_d = -s with s = (d - 1)/2
+def _pob_entry(d: int, L: int, M: int, k: int) -> float:
+    """<k|T_LM|k+M> = sqrt((2L+1)/d) <s m_{k+M}; L M | s m_k> (0-based k), with
+    s = (d-1)/2 and m_k = s - k; every other entry of T_LM is 0, because the
+    Clebsch-Gordan coefficient vanishes unless m_l + M = m_k."""
     s = (d - 1) / 2.0
-    return [s - k for k in range(d)]
+    return math.sqrt((2 * L + 1) / d) * clebsch_gordan(s, s - (k + M), L, M, s, s - k)
 
 
 @lru_cache(maxsize=None)
@@ -133,22 +132,18 @@ def pob_basis(d: int) -> OperatorBasis:
     """Polarization operator basis in dimension d (N = 1).
 
     T_LM = sqrt((2L+1)/d) * sum_{k,l} <s m_l; L M | s m_k> |k><l| with
-    s = (d-1)/2, L = 0..2s, M = -L..L.
+    s = (d-1)/2, m_k = s - k, L = 0..2s, M = -L..L. The selection rule
+    m_l + M = m_k puts every T_LM on one diagonal, l = k + M, so the build
+    fills T_LM = sum_k <k|T_LM|k+M> |k><k+M| with d - |M| entries.
     """
     d = _check_dim(d)
-    s = (d - 1) / 2.0
-    ms = _pob_m(d)
     elements = []
     labels: list[Label] = []
     for L in range(0, d):
-        scale = math.sqrt((2 * L + 1) / d)
         for M in range(-L, L + 1):
             m = np.zeros((d, d), dtype=complex)
-            for k in range(d):
-                for l in range(d):
-                    c = clebsch_gordan(s, ms[l], L, M, s, ms[k])
-                    if c != 0.0:
-                        m[k, l] = scale * c
+            for k in range(max(0, -M), min(d, d - M)):
+                m[k, k + M] = _pob_entry(d, L, M, k)
             elements.append(m)
             labels.append((L, M))
     return OperatorBasis(BasisKind.POB, d, elements, labels, 1.0)
@@ -226,20 +221,18 @@ def expand_standard_ggb(d: int, j: int, k: int) -> dict[Label, complex]:
 def expand_standard_pob(d: int, i: int, j: int) -> dict[Label, complex]:
     """POB coefficient map of |i><j| (1-based indices).
 
-    Only M = m_i - m_j contributes: |i><j| = sum_L sqrt((2L+1)/d)
-    <s m_j; L M | s m_i> T_LM.
+    Only M = j - i contributes, and the coefficients are the entries of the
+    real, orthonormal T_LM: |i><j| = sum_L <i|T_LM|j> T_LM.
     """
     d = _check_dim(d)
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"standard-matrix index out of range 1..{d}: ({i}, {j})")
-    s = (d - 1) / 2.0
-    ms = _pob_m(d)
-    M = int(round(ms[i - 1] - ms[j - 1]))
+    M = j - i
     out: dict[Label, complex] = {}
     for L in range(abs(M), d):
-        c = clebsch_gordan(s, ms[j - 1], L, M, s, ms[i - 1])
+        c = _pob_entry(d, L, M, i - 1)
         if c != 0.0:
-            out[(L, M)] = math.sqrt((2 * L + 1) / d) * c
+            out[(L, M)] = c
     return out
 
 
@@ -260,9 +253,11 @@ def expand_standard_wob(d: int, j: int, k: int) -> dict[Label, complex]:
 
 
 def reconstruct(basis: OperatorBasis, coeffs: dict[Label, complex]) -> np.ndarray:
-    """Assemble sum coeff * element from a coefficient map."""
+    """Assemble sum coeff * element from a coefficient map of finite numbers."""
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for label, c in coeffs.items():
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient of {label!r} is not finite: {c!r}")
         out += c * basis.element(label)
     return out
 
@@ -274,7 +269,7 @@ def expand_matrix(basis: OperatorBasis, mat: np.ndarray) -> np.ndarray:
     sum_i coeff_i A_i == M for every basis (the GGB identity element has
     normalization d rather than N = 2).
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = as_matrix(mat)
     if mat.shape != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}")
     stack = basis.stacked

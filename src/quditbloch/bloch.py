@@ -61,6 +61,8 @@ class BlochVector:
             raise ValueError(
                 f"Bloch vector of dimension {self.dim} needs {self.dim**2 - 1} components"
             )
+        if not np.isfinite(comp).all():
+            raise ValueError("Bloch vector has non-finite components")
 
     @property
     def radius(self) -> float:

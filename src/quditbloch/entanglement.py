@@ -130,8 +130,12 @@ def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
 
     The lemma methods certify nonnegativity on all separable states when the
     operator matches the corresponding closed form; the seesaw only produces
-    an upper bound on the separable minimum, so it can refute
-    (``NotWitness``) but never certify (at best ``Inconclusive``).
+    an upper bound on the separable minimum, so it can refute but never
+    certify. One rule gives the verdict: ``NotWitness`` if
+    <rho_ent, A> > TOL_WIT or the seesaw finds a product state below
+    -TOL_WIT; ``Witness`` if a lemma certifies and <rho_ent, A> < -TOL_WIT;
+    otherwise ``Inconclusive`` (an expectation within TOL_WIT of 0 decides
+    nothing).
     """
     a = as_hermitian(a, "witness operator")
     method = WitnessMethod(method)
@@ -145,17 +149,17 @@ def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
 
     if fit is not None:
         sep_min = 0.0
-        verdict = WitnessVerdict.WITNESS if ent < -TOL_WIT else WitnessVerdict.NOT_WITNESS
-        return WitnessReport(a, ent, sep_min, verdict, method)
-
-    # no lemma form matched: fall back to the one-sided numeric bound
-    rng = np.random.default_rng(seed)
-    sep_min = min_product_expectation(a, d, rng, restarts=restarts)
-    if ent >= -TOL_WIT or sep_min < -TOL_WIT:
+    else:   # no lemma form matched: fall back to the one-sided numeric bound
+        method = WitnessMethod.SEESAW
+        rng = np.random.default_rng(seed)
+        sep_min = min_product_expectation(a, d, rng, restarts=restarts)
+    if ent > TOL_WIT or sep_min < -TOL_WIT:
         verdict = WitnessVerdict.NOT_WITNESS
+    elif fit is not None and ent < -TOL_WIT:
+        verdict = WitnessVerdict.WITNESS
     else:
         verdict = WitnessVerdict.INCONCLUSIVE
-    return WitnessReport(a, ent, sep_min, verdict, WitnessMethod.SEESAW)
+    return WitnessReport(a, ent, sep_min, verdict, method)
 
 
 def _isotropic_threshold(d: int) -> float:

@@ -210,15 +210,25 @@ COMPOSITE_NORMS = {
     CompositeKind.SIGMA: lambda d: 2 * np.sqrt(3.0),
 }
 
+# the basis each sum_i A_i (x) A_i^* runs over
+_COMPOSITE_BASES = {
+    CompositeKind.LAMBDA: BasisKind.GGB,
+    CompositeKind.T: BasisKind.POB,
+    CompositeKind.U: BasisKind.WOB,
+    CompositeKind.U1: BasisKind.WOB,
+    CompositeKind.U2: BasisKind.WOB,
+}
+
 
 def composite_operator(kind, d: int) -> np.ndarray:
     """Hermitian traceless d^2 x d^2 correlation operators.
 
-    LAMBDA = sum_{j<k} S_jk x S_jk - sum_{j<k} A_jk x A_jk + sum_l D_l x D_l
-    over the GGB families, T is its POB analogue sum T_LM x T_LM (identity
-    excluded), and U = sum U_lm x U_{-l,m} over nonzero Weyl labels. They are
-    proportional: LAMBDA = 2 T = (2/d) U. U1/U2 split U for d = 3 into the
-    m != 0 and m == 0 parts; SIGMA is the d = 2 form of LAMBDA.
+    LAMBDA, T and U are each sum_{i>=1} A_i (x) A_i^* over the non-identity
+    elements of the GGB, POB and WOB: LAMBDA = sum S_jk x S_jk -
+    sum A_jk x A_jk + sum D_l x D_l, T = sum T_LM x T_LM and
+    U = sum U_lm x U_{-l,m}. They are proportional: LAMBDA = 2 T = (2/d) U.
+    U1 and U2 are the m != 0 and m == 0 parts of the sum for U at d = 3;
+    SIGMA is the d = 2 form of LAMBDA written in Pauli matrices.
     """
     kind = CompositeKind(kind)
     if kind is CompositeKind.SIGMA:
@@ -226,38 +236,17 @@ def composite_operator(kind, d: int) -> np.ndarray:
             raise ValueError("SIGMA is defined for d = 2 only")
         return (tensor(PAULI[1], PAULI[1]) - tensor(PAULI[2], PAULI[2])
                 + tensor(PAULI[3], PAULI[3]))
-    if kind in (CompositeKind.U1, CompositeKind.U2):
-        if d != 3:
-            raise ValueError(f"{kind.name} is defined for d = 3 only")
-        basis = wob_basis(3)
-        out = np.zeros((9, 9), dtype=complex)
-        ms = (1, 2) if kind is CompositeKind.U1 else (0,)
-        for l in range(3):
-            for m in ms:
-                if (l, m) == (0, 0):
-                    continue
-                out += tensor(basis.element((l, m)), basis.element(((-l) % 3, m)))
-        return out
+    if kind in (CompositeKind.U1, CompositeKind.U2) and d != 3:
+        raise ValueError(f"{kind.name} is defined for d = 3 only")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    n2 = d * d
-    out = np.zeros((n2, n2), dtype=complex)
-    if kind is CompositeKind.LAMBDA:
-        basis = get_basis(BasisKind.GGB, d)
-        for a in basis.labels[1:]:
-            sign = -1.0 if a[0] == "a" else 1.0
-            el = basis.element(a)
-            out += sign * tensor(el, el)
-        return out
-    if kind is CompositeKind.T:
-        basis = get_basis(BasisKind.POB, d)
-        for a in basis.labels[1:]:
-            el = basis.element(a)
-            out += tensor(el, el)
-        return out
-    basis = wob_basis(d)
-    for (l, m) in basis.labels[1:]:
-        out += tensor(basis.element((l, m)), basis.element(((-l) % d, m)))
+    basis = get_basis(_COMPOSITE_BASES[kind], d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for label, el in zip(basis.labels[1:], basis.elements[1:]):
+        if (kind is CompositeKind.U1 and label[1] == 0
+                or kind is CompositeKind.U2 and label[1] != 0):
+            continue
+        out += tensor(el, el.conj())
     return out
 
 

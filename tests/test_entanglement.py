@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import quditbloch as qb
 from quditbloch import RegionLabel, WitnessMethod, WitnessVerdict
+from quditbloch.entanglement import TOL_WIT
 
 QUBIT_REGION_I = [(0.5, 0.0), (0.7, 0.0), (0.9, 0.0), (0.6, 0.2), (0.7, 0.25),
                   (0.6, -0.2), (0.8, -0.1), (0.5, 0.3), (0.55, -0.35), (0.95, 0.02)]
@@ -347,3 +350,43 @@ class TestSeparableExpectationLemmas:
                 c1, c2 = rng.uniform(-1, 1, size=2)
                 worst = min(worst, a * (2 + c1 * t1 + c2 * t2))
         assert worst >= -1e-12
+
+
+class TestVerdictNearZero:
+    """An expectation within TOL_WIT of 0 is Inconclusive, even where a lemma
+    certifies the operator; just beyond TOL_WIT the lemma makes it a Witness."""
+
+    # (alpha, beta) on the Region I line alpha = beta/3 + 1/3 and on the
+    # Region II line alpha = -beta - 1 (which meets the triangle for beta in
+    # [-1, -0.5]), with the direction into the region
+    LINES = {"I": (0.23333333333333334, -0.3, 1.0), "II": (0.0, -1.0, -1.0)}
+
+    @pytest.mark.parametrize("region", sorted(LINES))
+    def test_lemma_path(self, region):
+        alpha, beta, into = self.LINES[region]
+        label, near = qb.hs_measure_qubit_plane(alpha + into * 1e-11, beta)
+        assert label.value == "EntangledRegion" + region
+        assert 0 < near.distance < TOL_WIT
+        assert near.witness.method is WitnessMethod.LEMMA_QUBIT
+        assert near.witness.verdict is WitnessVerdict.INCONCLUSIVE
+        _, far = qb.hs_measure_qubit_plane(alpha + into * 1e-6, beta)
+        assert far.witness.method is WitnessMethod.LEMMA_QUBIT
+        assert far.witness.verdict is WitnessVerdict.WITNESS
+
+    def test_seesaw_path(self):
+        # <rho, A> = 0 exactly, and A = |00><00| >= 0 keeps products >= 0
+        a = np.diag([1.0, 0.0, 0.0, 0.0])
+        rho = qb.BipartiteState(np.diag([0.0, 0.0, 0.0, 1.0]), 2)
+        report = qb.verify_witness(a, rho, WitnessMethod.SEESAW)
+        assert report.method is WitnessMethod.SEESAW
+        assert report.ent_expectation == 0.0
+        assert report.sep_min_estimate > -TOL_WIT
+        assert report.verdict is WitnessVerdict.INCONCLUSIVE
+
+    def test_cli_measure(self, capsys):
+        base = ["measure", "--family", "qubit2p", "--beta", "-0.3", "--alpha"]
+        verdicts = []
+        for alpha in ("0.23333333334333334", "0.23333433333333334"):
+            assert qb.cli_main(base + [alpha]) == 0
+            verdicts.append(json.loads(capsys.readouterr().out)["witness"]["verdict"])
+        assert verdicts == ["Inconclusive", "Witness"]

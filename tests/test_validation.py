@@ -230,3 +230,37 @@ class TestEveryEntryPoint:
         assert not qb.is_psd(np.diag([1.0, -1e-8]))
         # the Hermitian part of [[0, 2], [0, 0]] has eigenvalues -1 and 1
         assert not qb.is_psd(np.array([[0.0, 2.0], [0.0, 0.0]]))
+
+
+class TestBasisLayerFiniteness:
+    """Non-finite input to the basis and Bloch layer raises instead of
+    flowing through as NaN."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_expand_matrix(self, bad):
+        _raises_without_warnings(lambda: qb.expand_matrix(qb.ggb_basis(2), np.full((2, 2), bad)),
+                                 "finite")
+
+    def test_expand_matrix_keeps_its_shape_message(self):
+        with pytest.raises(ValueError, match="does not match basis dim 2"):
+            qb.expand_matrix(qb.ggb_basis(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_bloch_vector(self, bad):
+        comps = np.array([0.1, bad, 0.2])
+        _raises_without_warnings(
+            lambda: qb.BlochVector(qb.BasisKind.GGB, 2, qb.Convention.EXPANSION, comps,
+                                   qb.ggb_basis(2).labels[1:]), "finite")
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.inf, 0)])
+    def test_reconstruct(self, bad):
+        coeffs = {("I",): 0.5, ("s", 1, 2): bad}
+        _raises_without_warnings(lambda: qb.reconstruct(qb.ggb_basis(2), coeffs), "finite")
+
+    def test_finite_input_keeps_its_bits(self):
+        basis = qb.pob_basis(3)
+        m = np.arange(9.0).reshape(3, 3) + 1j
+        coeffs = dict(zip(basis.labels, qb.expand_matrix(basis, m)))
+        assert np.abs(qb.reconstruct(basis, coeffs) - m).max() < 1e-12
+        vec = qb.bloch_encode(qb.isotropic_state(2, 0.5).reduced(), "wob")
+        assert qb.bloch_decode(vec).is_physical
