@@ -40,8 +40,8 @@ from .entanglement import (
     hs_measure_qutrit_plane, plane_distance, ppt_verdict, verify_witness, witness_candidate,
 )
 from .gilbert import (
-    GilbertConfig, GilbertResult, best_product_state,
-    min_product_expectation, nearest_separable_numeric,
+    WEYL_DIAGONAL_TOL, GilbertConfig, GilbertResult, best_product_state,
+    min_product_expectation, nearest_separable_numeric, nearest_separable_weyl,
 )
 from .cli import SweepSpec, cli_main, run_sweep
 

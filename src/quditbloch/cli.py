@@ -26,7 +26,7 @@ from .bases import BasisKind, get_basis
 from .bloch import Convention, bloch_encode, purity
 from .entanglement import (RegionLabel, classify_isotropic, hs_measure_isotropic,
                            hs_measure_plane, plane_distance)
-from .gilbert import GilbertConfig, nearest_separable_numeric
+from .gilbert import GilbertConfig, nearest_separable_weyl
 from .linalg import (as_hermitian, is_psd, matrix_from_json, matrix_to_json,
                      partial_transpose)
 from .states import PLANES, bell_state, isotropic_state, weyl_bell_projector
@@ -231,8 +231,11 @@ def _cmd_measure(args) -> int:
         doc["rho0"] = matrix_to_json(result.nearest_separable.matrix)
         doc["witness"] = _witness_json(result.witness)
         if args.oracle:
-            cfg = GilbertConfig(seed=args.seed)
-            doc["oracle_D"] = nearest_separable_numeric(make_state(), cfg).distance
+            oracle = nearest_separable_weyl(make_state(), GilbertConfig(seed=args.seed))
+            doc["oracle_D"] = oracle.distance
+            doc["oracle_iterations"] = oracle.iterations
+            doc["oracle_converged"] = oracle.converged
+            doc["oracle_gap"] = oracle.gap
     else:
         doc["D"] = None
     _emit(_json_dumps(doc) + "\n", args.out)

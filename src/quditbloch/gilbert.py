@@ -12,6 +12,15 @@ The Frank-Wolfe gap <pi - rho_k, rho_ent - rho_k> is used as the convergence
 proxy; an apparent convergence is re-checked with a burst of fresh random
 restarts of the inner search before it is accepted, since the seesaw can
 underestimate the gap from a bad starting point.
+
+One loop serves two entry points. :func:`nearest_separable_numeric` takes
+any state and iterates on its d^4 matrix entries. :func:`nearest_separable_weyl`
+takes a Weyl-diagonal state, a mixture of the Weyl Bell projectors P_nk
+(isotropic states and both two-parameter planes are), and iterates on its
+d^2 populations: the twirl over {U_nk (x) U_nk^*} fixes such a state and
+maps the separable set into itself without increasing distances, so the
+nearest separable state is Weyl-diagonal too (Vollbrecht & Werner, PRA 64,
+062307 (2001)).
 """
 
 from __future__ import annotations
@@ -22,8 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import get_basis
 from .linalg import BipartiteState, as_hermitian
 from .states import random_ket
+
+# largest off-diagonal Weyl Bell element |<Phi_nk|rho|Phi_n'k'>| that
+# nearest_separable_weyl accepts
+WEYL_DIAGONAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,7 +61,7 @@ class GilbertConfig:
 
 @dataclass(frozen=True)
 class GilbertResult:
-    """Outcome of :func:`nearest_separable_numeric`.
+    """Outcome of :func:`nearest_separable_numeric` or :func:`nearest_separable_weyl`.
 
     ``rho0`` is an explicit convex combination of product states, so
     ``distance`` (its Hilbert-Schmidt distance to the input) is a certified
@@ -153,66 +167,120 @@ def _product_atom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(ab, ab.conj()).ravel()
 
 
-def nearest_separable_numeric(rho_ent, config: GilbertConfig | None = None) -> GilbertResult:
-    """Distance from a bipartite state to the separable set, from above.
+def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConfig):
+    """Fully corrective Frank-Wolfe from ``target`` (a vector) toward its
+    nearest point in the hull of the atoms.
 
-    Deterministic for a given config seed. If the gap proxy does not reach
-    ``config.tolerance`` within ``config.max_iterations``, the best iterate
-    found so far is returned with ``converged=False``. A plain array input
-    must be a d (x) d density matrix (finite, Hermitian, unit trace, PSD),
-    else ``ValueError``; a ``BipartiteState`` is taken as it is.
+    ``atom_of(a, b)`` is the atom of a product pair, a vector like
+    ``target``; ``operator(g)`` is the d^2 x d^2 matrix G of a residual g with
+    <ab|G|ab> = <atom_of(a, b), g>, which the seesaw maximizes. Returns
+    ``(iterate, converged, iterations, gap)``.
     """
-    cfg = config or GilbertConfig()
-    if isinstance(rho_ent, BipartiteState):
-        target = rho_ent.matrix
-        d = rho_ent.subdim
-    else:
-        target = np.asarray(rho_ent, dtype=complex)
-        d = BipartiteState(target).subdim   # raises ValueError unless a state
     rng = np.random.default_rng(cfg.seed)
-    n = d * d
-    te = target.ravel()
-
-    _, a, b = best_product_state(target, d, rng, restarts=max(cfg.restarts, 5),
+    _, a, b = best_product_state(operator(target), d, rng, restarts=max(cfg.restarts, 5),
                                  sweeps=cfg.inner_sweeps)
-    atoms = [_product_atom(a, b)]
+    atoms = [atom_of(a, b)]
     weights = np.array([1.0])
     warm = [(a, b)]
     gap = np.inf
-    it = 0
     for it in range(cfg.max_iterations):
         rho = np.stack(atoms).T @ weights
-        g = te - rho
-        gmat = g.reshape(n, n)
+        g = target - rho
+        gmat = operator(g)
         _, a, b = best_product_state(gmat, d, rng, restarts=cfg.restarts,
                                      warm=warm, sweeps=cfg.inner_sweeps)
         warm = [(a, b)]
-        atom = _product_atom(a, b)
+        atom = atom_of(a, b)
         gap = float(np.real(np.vdot(atom - rho, g)))
         if gap <= cfg.tolerance:
             # confirm with fresh restarts before trusting the inner search
             _, a2, b2 = best_product_state(gmat, d, rng,
                                            restarts=cfg.confirm_restarts,
                                            sweeps=cfg.inner_sweeps)
-            atom2 = _product_atom(a2, b2)
+            atom2 = atom_of(a2, b2)
             gap2 = float(np.real(np.vdot(atom2 - rho, g)))
             if gap2 <= cfg.tolerance:
-                dist = float(np.sqrt(np.real(np.vdot(g, g))))
-                rho0 = BipartiteState(rho.reshape(n, n), d, validate=False)
-                return GilbertResult(rho0, dist, True, it, gap2)
+                return rho, True, it, gap2
             atom, gap, warm = atom2, gap2, [(a2, b2)]
         atoms.append(atom)
         mat = np.stack(atoms)
         gram = np.real(mat.conj() @ mat.T)
-        overlap = np.real(mat.conj() @ te)
+        overlap = np.real(mat.conj() @ target)
         weights = _solve_simplex_weights(gram, overlap)
         keep = weights > 1e-14
         if keep.sum() < len(weights):
             atoms = [at for at, kp in zip(atoms, keep) if kp]
             weights = weights[keep] / weights[keep].sum()
+    return np.stack(atoms).T @ weights, False, cfg.max_iterations, gap
 
-    rho = np.stack(atoms).T @ weights
+
+def _checked_state(rho_ent) -> tuple[np.ndarray, int]:
+    """The matrix and subsystem dimension of a state; a plain array must be a
+    d (x) d density matrix, else ``ValueError``."""
+    if isinstance(rho_ent, BipartiteState):
+        return rho_ent.matrix, rho_ent.subdim
+    target = np.asarray(rho_ent, dtype=complex)
+    return target, BipartiteState(target).subdim   # raises ValueError unless a state
+
+
+def nearest_separable_numeric(rho_ent, config: GilbertConfig | None = None) -> GilbertResult:
+    """Distance from a bipartite state to the separable set, from above.
+
+    Frank-Wolfe over the d^4 entries of the density matrix, with product
+    states |ab><ab| as atoms; the path for any input. Deterministic for a
+    given config seed. If the gap proxy does not reach ``config.tolerance``
+    within ``config.max_iterations``, the best iterate found so far is
+    returned with ``converged=False``. A plain array input must be a d (x) d density matrix
+    (finite, Hermitian, unit trace, PSD), else ``ValueError``; a
+    ``BipartiteState`` is taken as it is.
+    """
+    cfg = config or GilbertConfig()
+    target, d = _checked_state(rho_ent)
+    n = d * d
+    te = target.ravel()
+    rho, converged, iterations, gap = _frank_wolfe(te, _product_atom,
+                                                   lambda g: g.reshape(n, n), d, cfg)
     g = te - rho
     dist = float(np.sqrt(np.real(np.vdot(g, g))))
-    rho0 = BipartiteState(rho.reshape(n, n), d, validate=False)
-    return GilbertResult(rho0, dist, False, cfg.max_iterations, gap)
+    return GilbertResult(BipartiteState(rho.reshape(n, n), d, validate=False), dist,
+                         converged, iterations, gap)
+
+
+def nearest_separable_weyl(rho_ent, config: GilbertConfig | None = None) -> GilbertResult:
+    """:func:`nearest_separable_numeric` for a Weyl-diagonal state, on the
+    d^2 Weyl Bell populations instead of the d^4 matrix entries.
+
+    The input must be a mixture of the Weyl Bell projectors
+    |Phi_nk><Phi_nk|, |Phi_nk> = (U_nk (x) 1)|Phi_00>: every off-diagonal
+    <Phi_nk|rho|Phi_n'k'> at most ``WEYL_DIAGONAL_TOL`` in modulus, else
+    ``ValueError`` (as for a plain array that is not a state). The twirl over
+    {U_nk (x) U_nk^*} fixes such a state, maps separable states to
+    separable states and does not increase HS distance, so its nearest
+    separable state is Weyl-diagonal too. Frank-Wolfe then runs on
+    population vectors: the atom of a product pair is p_nk = |<Phi_nk|ab>|^2,
+    the twirl of |ab><ab|, and the seesaw maximizes over G = sum g_nk P_nk.
+    Each atom is a mixture of the product states (U_nk (x) U_nk^*)|ab>, so
+    ``rho0`` = sum p_nk P_nk is separable and ``distance``, computed as
+    ||rho - rho0|| on the matrices, is a certified upper bound as before.
+    """
+    cfg = config or GilbertConfig()
+    target, d = _checked_state(rho_ent)
+    n = d * d
+    frame = get_basis("wob", d).stacked.reshape(n, n) / math.sqrt(d)  # rows: |Phi_nk>
+    bell = frame.conj() @ target @ frame.T                             # <Phi_nk|rho|Phi_n'k'>
+    off = float(np.abs(bell - np.diag(np.diag(bell))).max())
+    if off > WEYL_DIAGONAL_TOL:
+        raise ValueError(f"state is not Weyl-diagonal: an off-diagonal Weyl Bell "
+                         f"element has modulus {off:.3e} > {WEYL_DIAGONAL_TOL}")
+
+    def operator(g):     # sum_nk g_nk |Phi_nk><Phi_nk|
+        return (frame.T * g) @ frame.conj()
+
+    def atom_of(a, b):
+        return np.abs(frame.conj() @ np.kron(a, b)) ** 2
+
+    p, converged, iterations, gap = _frank_wolfe(np.diag(bell).real, atom_of,
+                                                 operator, d, cfg)
+    rho0 = operator(p)
+    return GilbertResult(BipartiteState(rho0, d, validate=False),
+                         float(np.linalg.norm(target - rho0)), converged, iterations, gap)

@@ -163,3 +163,28 @@ def test_real_warm_kets_match_scalar_loop(complex_g):
     assert a.dtype == want_a.dtype and b.dtype == want_b.dtype
     assert val == want_val
     assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+
+
+def weyl_oracle_golden(state):
+    res = qb.nearest_separable_weyl(state)
+    return (repr(res.distance), res.iterations, repr(res.gap), res.converged,
+            _sha256(res.rho0.matrix))
+
+
+# recorded when nearest_separable_weyl was added, at the default GilbertConfig
+WEYL_ORACLE_GOLDENS = {
+    "iso(3, 0.85)": ("0.5656854249492381", 3, "1.5487364351600204e-16", True,
+                     "dfaa25bff85aa3d73239d566edd8d82fd0bee8f4bc44fe8c533327fac678c899"),
+    "iso(4, 0.9)": ("0.6777720875876073", 6, "1.0722497249468499e-08", True,
+                    "ffb323e6c74b38169122ed16d94ac059a866b15f9ef2e1af7bbfcd90f154e221"),
+    "qutrit(0, 0.6)": ("0.11785195024151551", 10, "3.3110641883244384e-07", True,
+                       "c308b75c32657f1fc326046817a59aa77fb9a66370da486c60a6cda752567e2c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_ORACLE_GOLDENS))
+def test_nearest_separable_weyl_golden(name):
+    state = {"iso(3, 0.85)": qb.isotropic_state(3, 0.85),
+             "iso(4, 0.9)": qb.isotropic_state(4, 0.9),
+             "qutrit(0, 0.6)": qb.two_param_qutrit(0.0, 0.6)}[name]   # Region II
+    assert weyl_oracle_golden(state) == WEYL_ORACLE_GOLDENS[name]

@@ -91,6 +91,8 @@ class TestMatrixJson:
 
 
 class TestOracleInputs:
+    oracle = staticmethod(qb.nearest_separable_numeric)
+
     @pytest.mark.parametrize("name,matrix", [
         ("nan", np.full((4, 4), np.nan)),
         ("inf", np.diag([np.inf, 0.0, 0.0, 0.0])),
@@ -103,16 +105,22 @@ class TestOracleInputs:
     ])
     def test_array_that_is_not_a_state_raises(self, name, matrix):
         with pytest.raises(ValueError):
-            qb.nearest_separable_numeric(matrix, qb.GilbertConfig(max_iterations=2))
+            self.oracle(matrix, qb.GilbertConfig(max_iterations=2))
 
     def test_array_and_state_give_the_same_bits(self):
         cfg = qb.GilbertConfig(max_iterations=20, seed=4)
         state = qb.isotropic_state(2, 0.9)
-        from_state = qb.nearest_separable_numeric(state, cfg)
-        from_array = qb.nearest_separable_numeric(np.array(state.matrix), cfg)
+        from_state = self.oracle(state, cfg)
+        from_array = self.oracle(np.array(state.matrix), cfg)
         assert from_array.distance == from_state.distance
         assert from_array.gap == from_state.gap
         assert from_array.rho0.matrix.tobytes() == from_state.rho0.matrix.tobytes()
+
+
+class TestWeylOracleInputs(TestOracleInputs):
+    """The same inputs through the symmetry-reduced entry point."""
+
+    oracle = staticmethod(qb.nearest_separable_weyl)
 
 
 class TestGilbertConfig:
