@@ -230,9 +230,9 @@ def nearest_separable_numeric(rho_ent, config: GilbertConfig | None = None) -> G
     states |ab><ab| as atoms; the path for any input. Deterministic for a
     given config seed. If the gap proxy does not reach ``config.tolerance``
     within ``config.max_iterations``, the best iterate found so far is
-    returned with ``converged=False``. A plain array input must be a d (x) d density matrix
-    (finite, Hermitian, unit trace, PSD), else ``ValueError``; a
-    ``BipartiteState`` is taken as it is.
+    returned with ``converged=False``. A plain array input must be a d (x) d
+    density matrix (finite, Hermitian, unit trace, PSD), else
+    ``ValueError``; a ``BipartiteState`` is taken as it is.
     """
     cfg = config or GilbertConfig()
     target, d = _checked_state(rho_ent)
