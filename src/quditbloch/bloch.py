@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisKind, get_basis
-from .linalg import _bipartite_matrix, as_matrix, is_psd, partial_trace
+from .linalg import _bipartite_matrix, as_matrix, is_psd
 
 
 class Convention(str, Enum):
@@ -131,7 +131,8 @@ class BipartiteBlochDecomposition:
               + sum c_ij A_i(x)A_j
 
     so a product state rho_A (x) rho_B has rank-one correlation
-    c_ij = n_i m_j.
+    c_ij = n_i m_j. Both directions change basis by F (rows: the flattened
+    A_i, A_0 = a_0 1) on each side of the realigned matrix R(rho).
     """
 
     kind: BasisKind
@@ -141,29 +142,29 @@ class BipartiteBlochDecomposition:
     correlation: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        basis = get_basis(self.kind, self.dim)
         d = self.dim
-        stack = basis.stacked[1:]
-        eye = np.eye(d, dtype=complex)
-        locs_a = np.einsum("i,iab->ab", self.local_a, stack)
-        locs_b = np.einsum("j,jce->ce", self.local_b, stack)
-        corr = np.einsum("ij,iab,jce->acbe", self.correlation, stack, stack)
-        out = np.einsum("ab,ce->acbe", eye / (d * d), eye)
-        out += np.einsum("ab,ce->acbe", locs_a / d, eye)
-        out += np.einsum("ab,ce->acbe", eye / d, locs_b)
-        out += corr
-        return out.reshape(d * d, d * d)
+        f = get_basis(self.kind, d).stacked.reshape(d * d, d * d)
+        s = d * f[0, 0].real                  # d a_0
+        k = np.block([[1 / (s * s), self.local_b / s],
+                      [self.local_a[:, None] / s, self.correlation]])
+        return _realign(f.T @ k @ f, d)
+
+
+def _realign(m: np.ndarray, d: int) -> np.ndarray:
+    """R(m)[(a b), (c e)] = m[(a c), (b e)]; realignment is its own inverse."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochDecomposition:
-    """Decompose a bipartite state into local Bloch vectors plus correlations."""
+    """Local Bloch vectors and correlations of a bipartite state, read-only views of
+    K = conj(F) R(rho) F^dag / N: a_0 n_i in column 0, a_0 m_j in row 0, N c_ij elsewhere."""
     kind = BasisKind(kind)
     mat, d = _bipartite_matrix(rho, subdim)
     basis = get_basis(kind, d)
-    stack = basis.stacked[1:]
-    n = basis.ortho_const
-    local_a = bloch_encode(partial_trace(mat, "B", d), kind).components
-    local_b = bloch_encode(partial_trace(mat, "A", d), kind).components
-    r = mat.reshape(d, d, d, d)
-    corr = np.einsum("iab,jce,acbe->ij", stack.conj(), stack.conj(), r) / (n * n)
-    return BipartiteBlochDecomposition(kind, d, local_a, local_b, corr)
+    fc = basis.stacked.reshape(d * d, d * d).conj()
+    k = fc @ _realign(mat, d) @ fc.T / basis.ortho_const
+    k[1:, 0] /= fc[0, 0].real
+    k[0, 1:] /= fc[0, 0].real
+    k[1:, 1:] /= basis.ortho_const
+    k.setflags(write=False)
+    return BipartiteBlochDecomposition(kind, d, k[1:, 0], k[0, 1:], k[1:, 1:])

@@ -100,7 +100,7 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
     return (diff - shift * np.eye(mt.shape[0])) / dist
 
 
-def _match_lemma(a: np.ndarray, identity_weight: int, ops, tol: float = TOL_WIT):
+def _match_lemma(a: np.ndarray, identity_weight: int, ops):
     """Fit A = s(k 1 + c1 X1 + c2 X2), k = identity_weight, (X1, X2) = ops.
 
     s = Tr A / (k n) and c_i = <X_i, A> / (||X_i||^2 s) for traceless,
@@ -109,11 +109,11 @@ def _match_lemma(a: np.ndarray, identity_weight: int, ops, tol: float = TOL_WIT)
     """
     n = a.shape[0]
     s = float(np.trace(a).real) / (identity_weight * n)
-    if s <= tol:
+    if s <= TOL_WIT:
         return None
     c1, c2 = (hs_inner(x, a).real / (hs_inner(x, x).real * s) for x in ops)
     form = s * (identity_weight * np.eye(n, dtype=complex) + c1 * ops[0] + c2 * ops[1])
-    if np.abs(a - form).max() > 1e-9 or abs(c1) > 1 + tol or abs(c2) > 1 + tol:
+    if np.abs(a - form).max() > 1e-9 or abs(c1) > 1 + TOL_WIT or abs(c2) > 1 + TOL_WIT:
         return None
     return s, c1, c2
 
@@ -124,8 +124,7 @@ _LEMMA_PLANES = {WitnessMethod.LEMMA_QUBIT: QUBIT_PLANE,
 _LEMMA_METHODS = {plane.subdim: method for method, plane in _LEMMA_PLANES.items()}
 
 
-def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
-                   restarts: int = 20, seed: int = 0) -> WitnessReport:
+def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW) -> WitnessReport:
     """Test whether a Hermitian operator witnesses the entanglement of rho_ent.
 
     The lemma methods certify nonnegativity on all separable states when the
@@ -151,8 +150,7 @@ def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW,
         sep_min = 0.0
     else:   # no lemma form matched: fall back to the one-sided numeric bound
         method = WitnessMethod.SEESAW
-        rng = np.random.default_rng(seed)
-        sep_min = min_product_expectation(a, d, rng, restarts=restarts)
+        sep_min = min_product_expectation(a, d, np.random.default_rng(0))
     if ent > TOL_WIT or sep_min < -TOL_WIT:
         verdict = WitnessVerdict.NOT_WITNESS
     elif fit is not None and ent < -TOL_WIT:
@@ -229,9 +227,10 @@ def hs_measure_plane(plane: PlaneFamily, alpha: float,
     label, distance = plane_distance(plane, alpha, beta)
     if distance is None:
         return label, None
-    nearest = plane.nearest_i if label is RegionLabel.ENTANGLED_I else plane.nearest_ii
+    nearest = ((plane.line_i(beta), beta) if label is RegionLabel.ENTANGLED_I
+               else plane.nearest_ii(alpha, beta))
     rho_ent = plane.state(alpha, beta)
-    rho0 = plane.state(*nearest(alpha, beta))
+    rho0 = plane.state(*nearest)
     a_opt = witness_candidate(rho0, rho_ent)
     report = verify_witness(a_opt, rho_ent, _LEMMA_METHODS[plane.subdim])
     return label, HSMeasureResult(distance, rho0, report, -report.ent_expectation)

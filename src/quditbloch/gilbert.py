@@ -43,7 +43,7 @@ WEYL_DIAGONAL_TOL = 1e-12
 @dataclass(frozen=True)
 class GilbertConfig:
     max_iterations: int = 5000
-    tolerance: float = 1e-6      # on the Frank-Wolfe duality-gap proxy
+    tolerance: float = 1e-6      # on the gap proxy of ||rho - sigma||^2 / 2, not of the distance
     restarts: int = 5            # random inits of the inner product-state search
     seed: int = 0
     inner_sweeps: int = 80
@@ -68,7 +68,9 @@ class GilbertResult:
     upper bound on the true measure. ``gap`` and ``converged`` rest on the
     seesaw's estimate of the Frank-Wolfe gap, a proxy rather than a
     certificate: the seesaw may miss the best product state, and then the
-    gap is underestimated.
+    gap is underestimated. The gap is that of ||rho - sigma||^2 / 2, so even
+    an exact gap <= tolerance leaves ``distance`` above the true D by up to
+    about 2 tolerance / (distance + D), which exceeds tolerance when D < 1.
     """
 
     rho0: BipartiteState
@@ -116,18 +118,14 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
         live = live[~done]
         if not live.size:
             break
-    best = 0
-    for r in range(1, len(val)):
-        if val[r] > val[best]:
-            best = r
+    best = np.argmax(val)
     return val[best], a[best], b[best]
 
 
 def min_product_expectation(a_op: np.ndarray, d: int, rng: np.random.Generator,
-                            restarts: int = 20, sweeps: int = 80) -> float:
+                            restarts: int = 20) -> float:
     """Smallest <a b| A |a b> found over product states (seesaw upper bound)."""
-    val, _, _ = best_product_state(-np.asarray(a_op, dtype=complex), d, rng,
-                                   restarts=restarts, sweeps=sweeps)
+    val, _, _ = best_product_state(-np.asarray(a_op, dtype=complex), d, rng, restarts=restarts)
     return -val
 
 

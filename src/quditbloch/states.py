@@ -80,10 +80,10 @@ class PlaneFamily:
     name: str               # CLI family name
     subdim: int
     physical: Callable      # (a, b) -> inside the positivity triangle
-    line_i: Callable        # b -> alpha on the line above which Region I lies
+    line_i: Callable        # b -> alpha on the line above which Region I lies; a Region I
+                            # point (a, b) is nearest to (line_i(b), b)
     line_ii: Callable       # b -> alpha on the line below which Region II lies
-    nearest_i: Callable     # (a, b) -> nearest separable point of a Region I point
-    nearest_ii: Callable
+    nearest_ii: Callable    # (a, b) -> nearest separable point of a Region II point
     distance_i: Callable    # (a, b) -> its Hilbert-Schmidt distance D
     distance_ii: Callable
     lemma_identity: int     # k: s(k 1 + c1 X1 + c2 X2) >= 0 on separable states
@@ -131,7 +131,6 @@ QUBIT_PLANE = PlaneFamily(
                            & (a <= b + 1 + 1e-12)),
     line_i=lambda b: b / 3 + 1 / 3,
     line_ii=lambda b: -b - 1,
-    nearest_i=lambda a, b: (1 / 3 + b / 3, b),
     nearest_ii=lambda a, b: ((-1 + 2 * a - b) / 3, (-2 - 2 * a + b) / 3),
     distance_i=lambda a, b: np.sqrt(3) / 2 * (a - 1 / 3 - b / 3),
     distance_ii=lambda a, b: (-a - 1 - b) / (2 * np.sqrt(3)),
@@ -145,7 +144,6 @@ QUTRIT_PLANE = PlaneFamily(
                            & (a >= b / 8 - 1 / 8 - 1e-12)),
     line_i=lambda b: b / 8 + 1 / 4,
     line_ii=lambda b: 5 * b / 4 - 1 / 2,
-    nearest_i=lambda a, b: (1 / 4 + b / 8, b),
     nearest_ii=lambda a, b: ((-2 + 20 * a + 5 * b) / 24, (2 + 4 * a + b) / 6),
     distance_i=lambda a, b: 2 * np.sqrt(2) / 3 * (a - 1 / 4 - b / 8),
     distance_ii=lambda a, b: (-4 * a - 2 + 5 * b) / (6 * np.sqrt(2)),

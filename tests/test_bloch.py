@@ -180,3 +180,62 @@ class TestBipartiteDecompose:
     def test_shape_error(self):
         with pytest.raises(ValueError):
             qb.bipartite_decompose(np.eye(6) / 6, "ggb")
+
+
+def _dense_decompose(mat, kind, d):
+    """Reference: the partial-trace and three-operand einsum formulas."""
+    basis = qb.get_basis(kind, d)
+    stack, n = basis.stacked[1:], basis.ortho_const
+    local_a = qb.bloch_encode(qb.partial_trace(mat, "B", d), kind).components
+    local_b = qb.bloch_encode(qb.partial_trace(mat, "A", d), kind).components
+    r = mat.reshape(d, d, d, d)
+    corr = np.einsum("iab,jce,acbe->ij", stack.conj(), stack.conj(), r) / (n * n)
+    return local_a, local_b, corr
+
+
+def _dense_reconstruct(dec):
+    """Reference: the four outer-product einsums of the expansion."""
+    d = dec.dim
+    stack = qb.get_basis(dec.kind, d).stacked[1:]
+    eye = np.eye(d, dtype=complex)
+    locs_a = np.einsum("i,iab->ab", dec.local_a, stack)
+    locs_b = np.einsum("j,jce->ce", dec.local_b, stack)
+    out = np.einsum("ab,ce->acbe", eye / (d * d), eye)
+    out += np.einsum("ab,ce->acbe", locs_a / d, eye)
+    out += np.einsum("ab,ce->acbe", eye / d, locs_b)
+    out += np.einsum("ij,iab,jce->acbe", dec.correlation, stack, stack)
+    return out.reshape(d * d, d * d)
+
+
+def _unit_trace_matrices(d, rng):
+    """A random state and a random non-Hermitian unit-trace matrix."""
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    return qb.random_density_matrix(d * d, rng).matrix, g / np.trace(g)
+
+
+class TestRealignedTransform:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_dense_reference(self, kind, d, rng):
+        for mat in _unit_trace_matrices(d, rng):
+            dec = qb.bipartite_decompose(mat, kind, subdim=d)
+            for got, want in zip((dec.local_a, dec.local_b, dec.correlation),
+                                 _dense_decompose(mat, kind, d)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            want = _dense_reconstruct(dec)
+            assert np.abs(dec.reconstruct() - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_trip_to_d8(self, kind, rng):
+        for d in range(2, 9):
+            for mat in _unit_trace_matrices(d, rng):
+                dec = qb.bipartite_decompose(mat, kind, subdim=d)
+                assert np.abs(dec.reconstruct() - mat).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_read_only(self, kind, rng):
+        dec = qb.bipartite_decompose(qb.random_density_matrix(9, rng), kind)
+        for field in (dec.local_a, dec.local_b, dec.correlation):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 0

@@ -68,3 +68,39 @@ class TestNearestSeparableNumeric:
     def test_shape_error(self):
         with pytest.raises(ValueError):
             qb.nearest_separable_numeric(np.eye(6) / 6)
+
+
+
+def _check_full_oracle_certificate(state, closed):
+    """rho0 is a mixture of product states after any number of iterations,
+    so the closed-form D never exceeds the distance, even when capped at 3."""
+    res = qb.nearest_separable_numeric(state, GilbertConfig(max_iterations=3))
+    rho0 = res.rho0.matrix
+    assert closed - 1e-12 <= res.distance
+    assert abs(res.distance - np.linalg.norm(state.matrix - rho0)) <= 1e-12
+    hermitian = (rho0 + rho0.conj().T) / 2
+    assert np.linalg.eigvalsh(hermitian)[0] >= -1e-9
+    assert np.linalg.eigvalsh(qb.partial_transpose(hermitian, subdim=state.subdim))[0] >= -1e-9
+
+
+@pytest.mark.parametrize("family,alpha,beta,region", [
+    ("qubit2p", 0.8, 0.1, "EntangledRegionI"),
+    ("qubit2p", 0.5, -0.3, "EntangledRegionI"),
+    ("qubit2p", -0.7, -1.5, "EntangledRegionII"),
+    ("qubit2p", -0.2, -0.9, "EntangledRegionII"),
+    ("qutrit2p", 0.6, 0.0, "EntangledRegionI"),
+    ("qutrit2p", 0.4, 0.3, "EntangledRegionI"),
+    ("qutrit2p", 0.1, 0.7, "EntangledRegionII"),
+    ("qutrit2p", 0.0, 0.6, "EntangledRegionII"),
+])
+def test_full_oracle_certificate_planes(family, alpha, beta, region):
+    plane = qb.PLANES[family]
+    label, closed = qb.plane_distance(plane, alpha, beta)
+    assert label.value == region
+    _check_full_oracle_certificate(plane.state(alpha, beta), closed)
+
+
+@pytest.mark.parametrize("d,alpha", [(2, 0.9), (3, 0.85), (4, 0.6)])
+def test_full_oracle_certificate_isotropic(d, alpha):
+    _check_full_oracle_certificate(qb.isotropic_state(d, alpha),
+                                   qb.hs_measure_isotropic(d, alpha).distance)
