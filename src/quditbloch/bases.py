@@ -88,6 +88,14 @@ def _check_dim(d: int) -> int:
     return int(d)
 
 
+def _check_indices(d: int, first: int, j, k) -> None:
+    """Standard-matrix indices are integers in first..first + d - 1."""
+    for x in (j, k):
+        if not isinstance(x, (int, np.integer)) or not first <= x < first + d:
+            raise ValueError(f"standard-matrix indices must be integers in "
+                             f"{first}..{first + d - 1}, got ({j!r}, {k!r})")
+
+
 @lru_cache(maxsize=None)
 def ggb_basis(d: int) -> OperatorBasis:
     """Generalized Gell-Mann basis in dimension d (N = 2)."""
@@ -134,18 +142,25 @@ def pob_basis(d: int) -> OperatorBasis:
     T_LM = sqrt((2L+1)/d) * sum_{k,l} <s m_l; L M | s m_k> |k><l| with
     s = (d-1)/2, m_k = s - k, L = 0..2s, M = -L..L. The selection rule
     m_l + M = m_k puts every T_LM on one diagonal, l = k + M, so the build
-    fills T_LM = sum_k <k|T_LM|k+M> |k><k+M| with d - |M| entries.
+    fills T_LM = sum_k <k|T_LM|k+M> |k><k+M| with d - M entries for M >= 0
+    only. The entries are real, so T_{L,-M} = (-1)^M T_LM^dag is the mirror
+    (-1)^M T_LM^T, and the negative-M half needs no Clebsch-Gordan lookup.
+    The entries themselves come from exact integer arithmetic, one correctly
+    rounded division and one square root (see ``cg``).
     """
     d = _check_dim(d)
     elements = []
     labels: list[Label] = []
     for L in range(0, d):
-        for M in range(-L, L + 1):
+        upper = []
+        for M in range(0, L + 1):
             m = np.zeros((d, d), dtype=complex)
-            for k in range(max(0, -M), min(d, d - M)):
+            for k in range(d - M):
                 m[k, k + M] = _pob_entry(d, L, M, k)
-            elements.append(m)
-            labels.append((L, M))
+            upper.append(m)
+        # + 0.0 turns the -0.0 of a negated zero back into +0.0
+        elements += [(-1) ** M * upper[M].T + 0.0 for M in range(L, 0, -1)] + upper
+        labels += [(L, M) for M in range(-L, L + 1)]
     return OperatorBasis(BasisKind.POB, d, elements, labels, 1.0)
 
 
@@ -204,8 +219,7 @@ def expand_standard_ggb(d: int, j: int, k: int) -> dict[Label, complex]:
     the recurrence-derived formula.
     """
     d = _check_dim(d)
-    if not (1 <= j <= d and 1 <= k <= d):
-        raise ValueError(f"standard-matrix index out of range 1..{d}: ({j}, {k})")
+    _check_indices(d, 1, j, k)
     if j < k:
         return {("s", j, k): 0.5, ("a", j, k): 0.5j}
     if j > k:
@@ -225,8 +239,7 @@ def expand_standard_pob(d: int, i: int, j: int) -> dict[Label, complex]:
     real, orthonormal T_LM: |i><j| = sum_L <i|T_LM|j> T_LM.
     """
     d = _check_dim(d)
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise ValueError(f"standard-matrix index out of range 1..{d}: ({i}, {j})")
+    _check_indices(d, 1, i, j)
     M = j - i
     out: dict[Label, complex] = {}
     for L in range(abs(M), d):
@@ -243,8 +256,7 @@ def expand_standard_wob(d: int, j: int, k: int) -> dict[Label, complex]:
     coefficient has modulus 1/d.
     """
     d = _check_dim(d)
-    if not (0 <= j < d and 0 <= k < d):
-        raise ValueError(f"standard-matrix index out of range 0..{d - 1}: ({j}, {k})")
+    _check_indices(d, 0, j, k)
     m = (k - j) % d
     return {
         (l, m): cmath.exp(-2j * cmath.pi * l * j / d) / d

@@ -1,20 +1,23 @@
 """Clebsch-Gordan coefficients in the Condon-Shortley convention.
 
-Coefficients are evaluated from the Racah closed-form sum with exact integer
-factorial arithmetic (``fractions.Fraction``), followed by a single floating
-square root. No table lookup is involved, so any half-integer key is
-supported.
+Coefficients are evaluated from the Racah closed-form sum in exact integer
+arithmetic, followed by one correctly rounded division and one square root:
+the square of a coefficient is the rational num * S^2 / (den * P^2), where
+num / den is the factorial prefactor and S / P the alternating sum over a
+common integer scale P. No table lookup is involved, so any half-integer key
+is supported.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
 def _twice(x, name: str) -> int:
     two = 2 * x
+    if not math.isfinite(two):
+        raise ValueError(f"{name}={x} is not finite")
     n = int(round(float(two)))
     if abs(two - n) > 1e-9:
         raise ValueError(f"{name}={x} is not a half-integer")
@@ -28,7 +31,8 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     are half-integers (``0.5`` steps are exact in binary floating point).
     Returns 0 when ``m1 + m2 != m``, when the triangle inequality
     ``|j1 - j2| <= j <= j1 + j2`` fails, or when a projection is not in the
-    lattice of its angular momentum. Negative ``j`` raises ``ValueError``.
+    lattice of its angular momentum. Negative ``j`` and non-finite or
+    non-half-integer arguments raise ``ValueError``.
     """
     tj1 = _twice(j1, "j1")
     tj2 = _twice(j2, "j2")
@@ -56,35 +60,31 @@ def _cg_cached(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> floa
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
         return 0.0
 
-    def h(x: int) -> int:
-        return x // 2
-
     f = math.factorial
-    pre = Fraction(tj + 1) * Fraction(
-        f(h(tj1 + tj2 - tj)) * f(h(tj1 - tj2 + tj)) * f(h(-tj1 + tj2 + tj)),
-        f(h(tj1 + tj2 + tj) + 1),
+    a = (tj1 + tj2 - tj) // 2
+    b = (tj1 - tm1) // 2
+    c = (tj2 + tm2) // 2
+    e = (tj - tj2 + tm1) // 2
+    g = (tj - tj1 - tm2) // 2
+    num = (
+        (tj + 1) * f(a) * f((tj1 - tj2 + tj) // 2) * f((tj2 - tj1 + tj) // 2)
+        * f((tj + tm) // 2) * f((tj - tm) // 2)
+        * f((tj1 + tm1) // 2) * f(b) * f(c) * f((tj2 - tm2) // 2)
     )
-    pre *= (
-        f(h(tj + tm)) * f(h(tj - tm))
-        * f(h(tj1 + tm1)) * f(h(tj1 - tm1))
-        * f(h(tj2 + tm2)) * f(h(tj2 - tm2))
-    )
+    den = f((tj1 + tj2 + tj) // 2 + 1)
 
-    kmin = max(0, -h(tj - tj2 + tm1), -h(tj - tj1 - tm2))
-    kmax = min(h(tj1 + tj2 - tj), h(tj1 - tm1), h(tj2 + tm2))
-    total = Fraction(0)
+    # sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (e+k)! (g+k)!) = S / P, with P
+    # the product of the largest factorial of each slot, which every
+    # denominator divides
+    kmin = max(0, -e, -g)
+    kmax = min(a, b, c)
+    scale = f(kmax) * f(a - kmin) * f(b - kmin) * f(c - kmin) * f(e + kmax) * f(g + kmax)
+    total = 0
     for k in range(kmin, kmax + 1):
-        total += Fraction(
-            (-1) ** k,
-            f(k)
-            * f(h(tj1 + tj2 - tj) - k)
-            * f(h(tj1 - tm1) - k)
-            * f(h(tj2 + tm2) - k)
-            * f(h(tj - tj2 + tm1) + k)
-            * f(h(tj - tj1 - tm2) + k),
-        )
+        term = scale // (f(k) * f(a - k) * f(b - k) * f(c - k) * f(e + k) * f(g + k))
+        total += -term if k % 2 else term
     if total == 0:
         return 0.0
-    # one rounding step: the square of the result is an exact rational
-    value = math.sqrt(float(pre * total * total))
+    # int / int is correctly rounded: the one rounding before the square root
+    value = math.sqrt((num * total * total) / (den * scale * scale))
     return value if total > 0 else -value

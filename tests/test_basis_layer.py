@@ -87,9 +87,39 @@ POB_EXPANSIONS = {
 }
 
 
+# recorded with the Fraction Racah sum and every T_LM filled from its own
+# Clebsch-Gordan lookups, before the integer sum and the T_{L,-M} mirror;
+# d = 13..16 is the range the dim_scan benchmark builds cold
+POB_STACKED_LARGE = {
+    13: "31967dffff367a6a0fdfbcda11b74e6bedb91bb6e4087ca83315b945930e8976",
+    14: "8620d0b37b07a55e8a537aa4b1242001b2d098dccc2dc964783a5f71d521e317",
+    15: "da207ed0528bcf1001eb12cfdcf10f784496e6c2a75ec6861d4467018ef82acc",
+    16: "a3874ef8bfe5d2f3b16e10f3b5dd54c89485d0d4805355a96867a26e89a3affa",
+    20: "8386b2843d2f218773328a6375377c38055eb08b5dae759b0707dd5a6df8bc5d",
+}
+
+
 @pytest.mark.parametrize("kind,d", sorted(STACKED))
 def test_stacked_bytes(kind, d):
     assert sha256(qb.get_basis(kind, d).stacked.tobytes()) == STACKED[(kind, d)]
+
+
+@pytest.mark.parametrize("d", sorted(POB_STACKED_LARGE))
+def test_pob_stacked_bytes_large_d(d):
+    assert sha256(pob_basis(d).stacked.tobytes()) == POB_STACKED_LARGE[d]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 12, 16])
+def test_pob_negative_m_is_the_signed_transpose(d):
+    # T_{L,-M} = (-1)^M T_LM^T exactly, and no entry is a negative zero
+    basis = pob_basis(d)
+    stack = basis.stacked
+    assert not np.signbit(stack.real[stack.real == 0]).any()
+    assert not np.signbit(stack.imag).any()
+    for L in range(d):
+        for M in range(1, L + 1):
+            plus, minus = basis.element((L, M)), basis.element((L, -M))
+            assert np.array_equal(minus, (-1) ** M * plus.T)
 
 
 @pytest.mark.parametrize("kind,d", sorted(COMPOSITE))
@@ -109,6 +139,16 @@ def test_pob_build_needs_at_most_d_cubed_clebsch_gordan_entries(d):
     cg._cg_cached.cache_clear()
     pob_basis.__wrapped__(d)
     assert cg._cg_cached.cache_info().currsize <= d ** 3
+
+
+@pytest.mark.parametrize("d", [2, 5, 9, 16])
+def test_pob_build_looks_up_only_nonnegative_m(d):
+    # T_{L,-M} is mirrored from T_LM, so only the d - M entries of each
+    # M >= 0 diagonal reach the Clebsch-Gordan engine
+    cg._cg_cached.cache_clear()
+    pob_basis.__wrapped__(d)
+    bound = sum(d - M for L in range(d) for M in range(L + 1))
+    assert cg._cg_cached.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize("kind", ["ggb", "pob", "wob"])

@@ -1,7 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from quditbloch import clebsch_gordan
+from quditbloch import cg, clebsch_gordan
 
 
 def half_range(two_j):
@@ -109,3 +112,91 @@ def test_against_sympy_sample():
                        Rational(2 * j2, 2), Rational(2 * m2, 2),
                        Rational(2 * j, 2), Rational(2 * m, 2)).doit().evalf(20))
         assert clebsch_gordan(j1, m1, j2, m2, j, m) == pytest.approx(ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, float("nan")])
+def test_non_finite_argument_raises(position, bad):
+    args = [1, 0, 1, 0, 1, 0]
+    args[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        clebsch_gordan(*args)
+
+
+def _cg_fraction(tj1, tm1, tj2, tm2, tj, tm):
+    """The Racah sum in ``fractions.Fraction`` arithmetic, as cg computed it
+    before the integer sum; the reference the integer kernel must match bit
+    for bit."""
+    if tm1 + tm2 != tm:
+        return 0.0
+    if not (abs(tj1 - tj2) <= tj <= tj1 + tj2):
+        return 0.0
+    if (tj1 + tj2 + tj) % 2 != 0:
+        return 0.0
+    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
+        return 0.0
+    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
+        return 0.0
+
+    def h(x):
+        return x // 2
+
+    f = math.factorial
+    pre = Fraction(tj + 1) * Fraction(
+        f(h(tj1 + tj2 - tj)) * f(h(tj1 - tj2 + tj)) * f(h(-tj1 + tj2 + tj)),
+        f(h(tj1 + tj2 + tj) + 1),
+    )
+    pre *= (
+        f(h(tj + tm)) * f(h(tj - tm))
+        * f(h(tj1 + tm1)) * f(h(tj1 - tm1))
+        * f(h(tj2 + tm2)) * f(h(tj2 - tm2))
+    )
+    kmin = max(0, -h(tj - tj2 + tm1), -h(tj - tj1 - tm2))
+    kmax = min(h(tj1 + tj2 - tj), h(tj1 - tm1), h(tj2 + tm2))
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        total += Fraction(
+            (-1) ** k,
+            f(k)
+            * f(h(tj1 + tj2 - tj) - k)
+            * f(h(tj1 - tm1) - k)
+            * f(h(tj2 + tm2) - k)
+            * f(h(tj - tj2 + tm1) + k)
+            * f(h(tj - tj1 - tm2) + k),
+        )
+    if total == 0:
+        return 0.0
+    value = math.sqrt(float(pre * total * total))
+    return value if total > 0 else -value
+
+
+def _pob_keys(dims):
+    # the twice-value keys _pob_entry asks for: <s m_{k+M}; L M | s m_k>
+    for d in dims:
+        for L in range(d):
+            for M in range(-L, L + 1):
+                for k in range(max(0, -M), min(d, d - M)):
+                    yield (d - 1, d - 1 - 2 * (k + M), 2 * L, 2 * M, d - 1, d - 1 - 2 * k)
+
+
+def _lattice_keys(max_tj12, max_tj):
+    for tj1 in range(max_tj12 + 1):
+        for tj2 in range(max_tj12 + 1):
+            for tj in range(max_tj + 1):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in range(-tj2, tj2 + 1, 2):
+                        yield (tj1, tm1, tj2, tm2, tj, tm1 + tm2)
+
+
+@pytest.mark.parametrize("keys,count", [
+    pytest.param(lambda: _pob_keys(range(2, 17)), 12375, id="pob-d2-16"),
+    pytest.param(lambda: _lattice_keys(8, 16), 34425, id="lattice-2j12-le-8-2j-le-16"),
+])
+def test_integer_racah_sum_matches_fraction_reference(keys, count):
+    n = 0
+    for key in keys():
+        got = cg._cg_cached.__wrapped__(*key)
+        ref = _cg_fraction(*key)
+        assert got == ref and np.signbit(got) == np.signbit(ref), key
+        n += 1
+    assert n == count

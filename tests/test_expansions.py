@@ -104,3 +104,31 @@ class TestWOBExpansion:
             qb.expand_standard_wob(3, -1, 0)
         with pytest.raises(ValueError):
             qb.expand_standard_wob(3, 0, 3)
+
+
+@pytest.mark.parametrize("expand,j,k", [
+    (qb.expand_standard_ggb, 1.5, 2),
+    (qb.expand_standard_ggb, 2, 2.0),
+    (qb.expand_standard_pob, 2.0, 2.0),
+    (qb.expand_standard_pob, 1, 2.5),
+    (qb.expand_standard_wob, 0.5, 1),
+    (qb.expand_standard_wob, 0, 1.0),
+    (qb.expand_standard_wob, np.float64(1), 0),
+])
+def test_non_integer_indices_raise(expand, j, k):
+    with pytest.raises(ValueError, match="integers"):
+        expand(3, j, k)
+
+
+@pytest.mark.parametrize("kind,expand,first", [
+    ("ggb", qb.expand_standard_ggb, 1),
+    ("pob", qb.expand_standard_pob, 1),
+    ("wob", qb.expand_standard_wob, 0),
+])
+def test_numpy_integer_indices_are_accepted(kind, expand, first):
+    j, k = np.int64(first), np.int64(first + 1)
+    coeffs = expand(3, j, k)
+    assert coeffs == expand(3, int(j), int(k))
+    want = np.zeros((3, 3))
+    want[0, 1] = 1
+    assert np.abs(qb.reconstruct(qb.get_basis(kind, 3), coeffs) - want).max() < 1e-14
