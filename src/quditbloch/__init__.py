@@ -9,7 +9,7 @@ independent Frank-Wolfe numeric oracle for the nearest separable state.
 """
 
 from .linalg import (
-    TOL_EIG, TOL_HERM, TOL_NUM, TOL_PSD, TOL_TRACE,
+    TOL_EIG, TOL_HERM, TOL_PSD, TOL_TRACE,
     BipartiteState, DensityMatrix,
     as_hermitian, as_matrix, dag, hermitian_eigen, hs_inner, hs_norm, is_hermitian, is_psd,
     matrix_from_json, matrix_to_json, min_eigenvalue,

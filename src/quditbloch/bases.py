@@ -88,12 +88,12 @@ def _check_dim(d: int) -> int:
     return int(d)
 
 
-def _check_indices(d: int, first: int, j, k) -> None:
-    """Standard-matrix indices are integers in first..first + d - 1."""
-    for x in (j, k):
+def _check_indices(d: int, first: int, what: str, *indices) -> None:
+    """Matrix or operator indices are integers in first..first + d - 1."""
+    for x in indices:
         if not isinstance(x, (int, np.integer)) or not first <= x < first + d:
-            raise ValueError(f"standard-matrix indices must be integers in "
-                             f"{first}..{first + d - 1}, got ({j!r}, {k!r})")
+            raise ValueError(f"{what} indices must be integers in "
+                             f"{first}..{first + d - 1}, got {indices!r}")
 
 
 @lru_cache(maxsize=None)
@@ -199,16 +199,15 @@ def weyl_product(d: int, nm: tuple[int, int], lk: tuple[int, int]) -> tuple[comp
     """Composition rule of Weyl operators.
 
     ``U_nm U_lk = phase * U_index`` with ``phase = exp(2 pi i m l / d)`` and
-    ``index = ((n + l) mod d, (m + k) mod d)``.
+    ``index = ((n + l) mod d, (m + k) mod d)``. The four indices must be
+    integers in 0..d - 1, else ``ValueError``.
     """
     d = _check_dim(d)
     n, m = nm
     l, k = lk
-    for x in (n, m, l, k):
-        if not 0 <= x < d:
-            raise ValueError(f"Weyl index {x} out of range 0..{d - 1}")
+    _check_indices(d, 0, "Weyl", n, m, l, k)
     phase = cmath.exp(2j * cmath.pi * m * l / d)
-    return phase, ((n + l) % d, (m + k) % d)
+    return phase, ((int(n) + int(l)) % d, (int(m) + int(k)) % d)
 
 
 def expand_standard_ggb(d: int, j: int, k: int) -> dict[Label, complex]:
@@ -219,7 +218,7 @@ def expand_standard_ggb(d: int, j: int, k: int) -> dict[Label, complex]:
     the recurrence-derived formula.
     """
     d = _check_dim(d)
-    _check_indices(d, 1, j, k)
+    _check_indices(d, 1, "standard-matrix", j, k)
     if j < k:
         return {("s", j, k): 0.5, ("a", j, k): 0.5j}
     if j > k:
@@ -239,7 +238,7 @@ def expand_standard_pob(d: int, i: int, j: int) -> dict[Label, complex]:
     real, orthonormal T_LM: |i><j| = sum_L <i|T_LM|j> T_LM.
     """
     d = _check_dim(d)
-    _check_indices(d, 1, i, j)
+    _check_indices(d, 1, "standard-matrix", i, j)
     M = j - i
     out: dict[Label, complex] = {}
     for L in range(abs(M), d):
@@ -256,7 +255,7 @@ def expand_standard_wob(d: int, j: int, k: int) -> dict[Label, complex]:
     coefficient has modulus 1/d.
     """
     d = _check_dim(d)
-    _check_indices(d, 0, j, k)
+    _check_indices(d, 0, "standard-matrix", j, k)
     m = (k - j) % d
     return {
         (l, m): cmath.exp(-2j * cmath.pi * l * j / d) / d

@@ -16,7 +16,11 @@ from functools import lru_cache
 
 def _twice(x, name: str) -> int:
     two = 2 * x
-    if not math.isfinite(two):
+    try:
+        finite = math.isfinite(two)
+    except OverflowError:       # an integer beyond the float range
+        raise ValueError(f"{name} is beyond the float range") from None
+    if not finite:
         raise ValueError(f"{name}={x} is not finite")
     n = int(round(float(two)))
     if abs(two - n) > 1e-9:

@@ -196,15 +196,25 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     return HSMeasureResult(float(distance), rho0, report, -report.ent_expectation)
 
 
+# plane regions by the codes _plane_region returns
+_PLANE_REGIONS = (RegionLabel.UNPHYSICAL, RegionLabel.SEPARABLE,
+                  RegionLabel.ENTANGLED_I, RegionLabel.ENTANGLED_II)
+
+
+def _plane_region(plane: PlaneFamily, alpha, beta):
+    """Region codes of plane points: physical ones above line I are in Region
+    I, else those below line II in Region II, else separable, boundaries
+    included. Plain operators only, so floats and arrays alike; ``^`` removes
+    Region I, as ``~`` does not negate a Python bool."""
+    physical = plane.physical(alpha, beta)
+    region_i = physical & (alpha > plane.line_i(beta) + _EDGE)
+    region_ii = (physical ^ region_i) & (alpha < plane.line_ii(beta) - _EDGE)
+    return 1 * physical + region_i + 2 * region_ii
+
+
 def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel:
     """Region of a point of a two-parameter plane; boundaries count as separable."""
-    if not plane.physical(alpha, beta):
-        return RegionLabel.UNPHYSICAL
-    if alpha > plane.line_i(beta) + _EDGE:
-        return RegionLabel.ENTANGLED_I
-    if alpha < plane.line_ii(beta) - _EDGE:
-        return RegionLabel.ENTANGLED_II
-    return RegionLabel.SEPARABLE
+    return _PLANE_REGIONS[_plane_region(plane, alpha, beta)]
 
 
 def plane_distance(plane: PlaneFamily, alpha: float,

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 # Absolute tolerances for matrices of dimension <= 16 in double precision.
-TOL_NUM = 1e-12      # algebraic identities
 TOL_HERM = 1e-10     # Hermiticity of density matrices
 TOL_TRACE = 1e-10    # unit-trace check
 TOL_PSD = 1e-9       # eigenvalue slack for positivity verdicts

@@ -168,3 +168,20 @@ class TestWeylProduct:
     def test_range_error(self):
         with pytest.raises(ValueError):
             qb.weyl_product(3, (3, 0), (0, 0))
+
+    @pytest.mark.parametrize("nm,lk", [((0.5, 0), (1, 1.5)), ((1.0, 0), (0, 1)),
+                                       ((0, 0), (np.float64(2), 0)), ((0, 1), (1, 1 + 0j))])
+    def test_non_integer_indices_raise(self, nm, lk):
+        with pytest.raises(ValueError, match="Weyl indices must be integers"):
+            qb.weyl_product(3, nm, lk)
+
+    @pytest.mark.parametrize("nm,lk", [((3, 0), (0, 0)), ((0, -1), (0, 0)),
+                                       ((0, 0), (np.int64(3), 0)), ((0, 0), (1, 7))])
+    def test_out_of_range_indices_raise(self, nm, lk):
+        with pytest.raises(ValueError, match=r"integers in 0\.\.2"):
+            qb.weyl_product(3, nm, lk)
+
+    def test_numpy_integer_indices_are_accepted(self):
+        phase, idx = qb.weyl_product(3, (np.int64(1), np.int32(2)), (np.int8(2), np.uint8(2)))
+        assert (phase, idx) == qb.weyl_product(3, (1, 2), (2, 2))
+        assert all(type(x) is int for x in idx)

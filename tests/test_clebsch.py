@@ -123,6 +123,15 @@ def test_non_finite_argument_raises(position, bad):
         clebsch_gordan(*args)
 
 
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("huge", [10**400, -10**400])
+def test_integer_beyond_float_range_raises(position, huge):
+    args = [1, 0, 1, 0, 1, 0]
+    args[position] = huge
+    with pytest.raises(ValueError, match="float range"):
+        clebsch_gordan(*args)
+
+
 def _cg_fraction(tj1, tm1, tj2, tm2, tj, tm):
     """The Racah sum in ``fractions.Fraction`` arithmetic, as cg computed it
     before the integer sum; the reference the integer kernel must match bit

@@ -1,12 +1,16 @@
 """The two-parameter plane table: the batched sweep against the scalar path."""
 
+import contextlib
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quditbloch as qb
-from quditbloch.cli import SweepSpec, run_sweep
+from quditbloch.cli import SweepSpec, _csv_text, _float_cells, _json_dumps, cli_main, run_sweep
 
 # bounding box of each positivity triangle, widened so unphysical points are drawn too
 _WIDEN = 0.25
@@ -56,3 +60,74 @@ def test_operators_built_once_and_read_only():
         ops = plane.operators()
         assert plane.operators() is ops
         assert all(not op.flags.writeable for op in ops)
+
+
+# sweep output name -> column name, in column order
+_OUTPUTS = {"region": "region", "hs_measure": "D", "min_eigenvalue": "min_eig",
+            "ppt_min_eigenvalue": "ppt_min_eig"}
+
+
+def _reference_rows(family, alpha_range, beta_range, outputs):
+    """The sweep table one point at a time, from the scalar functions."""
+    _, _, classify, measure, make = FAMILIES[family]
+    rows = []
+    for beta in np.linspace(*beta_range).tolist():
+        for alpha in np.linspace(*alpha_range).tolist():
+            _, res = measure(alpha, beta)
+            mat = make(alpha, beta, checked=False).matrix
+            values = {"region": classify(alpha, beta).value,
+                      "D": None if res is None else res.distance,
+                      "min_eig": float(np.linalg.eigvalsh(mat)[0]),
+                      "ppt_min_eig": float(np.linalg.eigvalsh(qb.partial_transpose(mat))[0])}
+            row = {"alpha": alpha, "beta": beta}
+            row.update((col, values[col]) for o, col in _OUTPUTS.items() if o in outputs)
+            rows.append(row)
+    return rows
+
+
+def _reference_csv(header, records):
+    """The row-by-row CSV writer: 17 significant digits, empty cells for None."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for rec in records:
+        writer.writerow(["" if v is None else format(float(v), ".17g") if isinstance(v, float)
+                         else v for v in rec])
+    return out.getvalue()
+
+
+def _sweep_stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["sweep", *argv]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sweep_bytes_match_row_by_row_reference(family):
+    below_zero = st.floats(-2.5, 0.0, allow_subnormal=False)
+    above_zero = st.floats(0.0, 2.5, allow_subnormal=False, exclude_min=True)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(below_zero, above_zero, st.integers(2, 6), below_zero, above_zero, st.integers(2, 6),
+           st.lists(st.sampled_from(sorted(_OUTPUTS)), min_size=1, max_size=4, unique=True))
+    def check(alo, ahi, asteps, blo, bhi, bsteps, outputs):
+        alpha_range, beta_range = (alo, ahi, asteps), (blo, bhi, bsteps)
+        rows = _reference_rows(family, alpha_range, beta_range, outputs)
+        columns = list(rows[0])
+        argv = ["--family", family, "--alpha", *map(repr, alpha_range),
+                "--beta", *map(repr, beta_range), "--outputs", *outputs]
+        assert _sweep_stdout(*argv, "--format", "csv") == _reference_csv(
+            columns, ([row[col] for col in columns] for row in rows))
+        doc = {"family": family, "columns": columns, "rows": rows}
+        assert _sweep_stdout(*argv, "--format", "json") == _json_dumps(doc) + "\n"
+
+    check()
+
+
+def test_signed_zeros_keep_their_sign_in_csv():
+    # 0.0 == -0.0, so a formatter cached by value would write one for the other
+    column = [0.0, -0.0, None, -0.0, 0.0]
+    # a row of one empty cell is quoted, so it is not read as a blank line
+    assert _csv_text(["x"], [_float_cells(column)]) == 'x\n0\n-0\n""\n-0\n0\n'
+    assert _csv_text(["x"], [_float_cells(column)]) == _reference_csv(["x"], ([v] for v in column))
