@@ -260,7 +260,7 @@ _SWEEP_COLUMNS = {
 
 # run_sweep holds every row in memory and the writers build the whole output
 # before emitting it: the resident set grew by about 0.6 kB per point for CSV
-# and 0.75 kB for JSON on a 200,000-point qutrit grid, so grids are capped.
+# and 0.73 kB for JSON on a 200,000-point qutrit grid, so grids are capped.
 MAX_SWEEP_POINTS = 1_000_000
 
 
