@@ -5,13 +5,19 @@ arithmetic, followed by one correctly rounded division and one square root:
 the square of a coefficient is the rational num * S^2 / (den * P^2), where
 num / den is the factorial prefactor and S / P the alternating sum over a
 common integer scale P. No table lookup is involved, so any half-integer key
-is supported.
+up to ``MAX_J`` is supported.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+# bound on every angular momentum: pob_basis at dimension d needs j <= d - 1,
+# and d = 100 already takes about 1.6 GB, while the slowest coefficient at the
+# bound, (MAX_J, 0, MAX_J, 0, MAX_J, 0), takes about 0.05 s (one core of a
+# 2-core x86-64 host; about 1.8 s at j = 1000)
+MAX_J = 300
 
 
 def _twice(x, name: str) -> int:
@@ -35,14 +41,16 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     are half-integers (``0.5`` steps are exact in binary floating point).
     Returns 0 when ``m1 + m2 != m``, when the triangle inequality
     ``|j1 - j2| <= j <= j1 + j2`` fails, or when a projection is not in the
-    lattice of its angular momentum. Negative ``j`` and non-finite or
-    non-half-integer arguments raise ``ValueError``.
+    lattice of its angular momentum. Negative ``j``, ``j`` above ``MAX_J`` and
+    non-finite or non-half-integer arguments raise ``ValueError``.
     """
     tj1 = _twice(j1, "j1")
     tj2 = _twice(j2, "j2")
     tj = _twice(j, "j")
     if tj1 < 0 or tj2 < 0 or tj < 0:
         raise ValueError("angular momenta must be nonnegative")
+    if max(tj1, tj2, tj) > 2 * MAX_J:
+        raise ValueError(f"angular momenta above MAX_J={MAX_J} are not supported")
     tm1 = _twice(m1, "m1")
     tm2 = _twice(m2, "m2")
     tm = _twice(m, "m")

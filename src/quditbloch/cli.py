@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -25,7 +24,7 @@ import numpy as np
 
 from .bases import BasisKind, get_basis
 from .bloch import Convention, bloch_encode, purity
-from .entanglement import (_PLANE_REGIONS, RegionLabel, _plane_region, classify_isotropic,
+from .entanglement import (_PLANE_REGIONS, RegionLabel, _plane_distances, classify_isotropic,
                            hs_measure_isotropic, hs_measure_plane)
 from .gilbert import GilbertConfig, nearest_separable_weyl
 from .linalg import (as_hermitian, is_psd, matrix_from_json, matrix_to_json,
@@ -68,40 +67,22 @@ def _csv_text(header, columns) -> str:
 
 def _json_dumps(obj) -> str:
     """JSON with fixed 17-significant-digit float formatting."""
-    out = io.StringIO()
-    _write_json(obj, out)
-    return out.getvalue()
-
-
-def _write_json(obj, out) -> None:
     if obj is None:
-        out.write("null")
-    elif obj is True or obj is False:
-        out.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(_fmt(obj))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.write(", ")
-            out.write(json.dumps(str(k)))
-            out.write(": ")
-            _write_json(v, out)
-        out.write("}")
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.write(", ")
-            _write_json(v, out)
-        out.write("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_dumps(v)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json_dumps, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _label_str(label) -> str:
@@ -155,24 +136,30 @@ def _cmd_basis_dump(args) -> int:
     return 0
 
 
+# the parameters each family needs besides --dim
+_FAMILY_PARAMS = {"bell": (), "isotropic": ("alpha",),
+                  **{fam: ("alpha", "beta") for fam in PLANES}, "weylproj": ("n", "k")}
+
+
+def _require_params(args) -> None:
+    needed = _FAMILY_PARAMS[args.family]
+    if any(getattr(args, name) is None for name in needed):
+        flags = " and ".join(f"--{name}" for name in needed)
+        raise _UsageError(f"{flags} {'is' if len(needed) == 1 else 'are'} "
+                          f"required for {args.family}")
+
+
 def _make_state(args):
+    _require_params(args)
     fam = args.family
     checked = not args.unchecked
     if fam == "bell":
         return bell_state(args.dim)
     if fam == "isotropic":
-        if args.alpha is None:
-            raise _UsageError("--alpha is required for isotropic states")
         return isotropic_state(args.dim, args.alpha, checked=checked)
-    if fam in PLANES:
-        if args.alpha is None or args.beta is None:
-            raise _UsageError(f"--alpha and --beta are required for {fam}")
-        return PLANES[fam].state(args.alpha, args.beta, checked=checked)
     if fam == "weylproj":
-        if args.n is None or args.k is None:
-            raise _UsageError("--n and --k are required for weylproj")
         return weyl_bell_projector(args.dim, args.n, args.k)
-    raise _UsageError(f"unknown family {fam!r}")
+    return PLANES[fam].state(args.alpha, args.beta, checked=checked)
 
 
 def _cmd_state_make(args) -> int:
@@ -213,20 +200,14 @@ def _witness_json(report) -> dict:
 
 
 def _cmd_measure(args) -> int:
+    _require_params(args)
     fam = args.family
     if fam == "isotropic":
-        if args.alpha is None:
-            raise _UsageError("--alpha is required")
         label = classify_isotropic(args.dim, args.alpha)
         entangled = label is RegionLabel.ENTANGLED
         result = hs_measure_isotropic(args.dim, args.alpha) if entangled else None
-        make_state = functools.partial(isotropic_state, args.dim, args.alpha)
     else:
-        if args.alpha is None or args.beta is None:
-            raise _UsageError("--alpha and --beta are required")
-        plane = PLANES[fam]
-        label, result = hs_measure_plane(plane, args.alpha, args.beta)
-        make_state = functools.partial(plane.state, args.alpha, args.beta)
+        label, result = hs_measure_plane(PLANES[fam], args.alpha, args.beta)
 
     doc = {"family": fam, "alpha": args.alpha, "region": label.value}
     if fam != "isotropic":
@@ -239,7 +220,7 @@ def _cmd_measure(args) -> int:
         doc["rho0"] = matrix_to_json(result.nearest_separable.matrix)
         doc["witness"] = _witness_json(result.witness)
         if args.oracle:
-            oracle = nearest_separable_weyl(make_state(), GilbertConfig(seed=args.seed))
+            oracle = nearest_separable_weyl(_make_state(args), GilbertConfig(seed=args.seed))
             doc["oracle_D"] = oracle.distance
             doc["oracle_iterations"] = oracle.iterations
             doc["oracle_converged"] = oracle.converged
@@ -294,17 +275,18 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     ``D`` is None for separable and unphysical points; eigenvalue columns are
     computed from the unchecked construction so unphysical points are probed
-    too. The grid is one pair of flat beta-major arrays: the regions and D
-    come from one array pass of the plane's formulas, and each beta row of
-    states and of their partial transposes is diagonalized as one stack.
-    Every value equals the one of the single-point functions bit for bit.
+    too. The grid is one pair of flat beta-major arrays that takes its
+    regions and D from the rule ``plane_distance`` applies to one point, and
+    each beta row of states and of their partial transposes is diagonalized
+    as one stack. Every value equals the one of the single-point functions
+    bit for bit.
     """
     plane = PLANES[spec.family]
     alphas = np.linspace(*spec.alpha_range[:2], spec.alpha_range[2])
     betas = np.linspace(*spec.beta_range[:2], spec.beta_range[2])
     alpha = np.tile(alphas, len(betas))
     beta = np.repeat(betas, len(alphas))
-    region = _plane_region(plane, alpha, beta)
+    region, distance = _plane_distances(plane, alpha, beta)
     # lazy columns, so rows are built without a list per column; one float
     # object per grid coordinate, shared by the rows that hold it
     alpha_list, beta_list = alphas.tolist(), betas.tolist()
@@ -314,11 +296,6 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         labels = np.array([label.value for label in _PLANE_REGIONS], dtype=object)
         columns["region"] = iter(labels[region])
     if "hs_measure" in spec.outputs:
-        distance = np.full(region.shape, None, dtype=object)
-        for label, formula in ((RegionLabel.ENTANGLED_I, plane.distance_i),
-                               (RegionLabel.ENTANGLED_II, plane.distance_ii)):
-            mask = region == _PLANE_REGIONS.index(label)
-            distance[mask] = formula(alpha[mask], beta[mask]).tolist()
         columns["D"] = iter(distance)
     ops = plane.operators()[:3]
     pt_ops = [partial_transpose(op, "B", plane.subdim) for op in ops]
@@ -385,18 +362,15 @@ def _selftest_checks(seed: int):
 
     def expansions():
         worst = 0.0
-        for d in range(2, 5):
-            for j in range(1, d + 1):
-                for k in range(1, d + 1):
-                    target = np.zeros((d, d), dtype=complex)
-                    target[j - 1, k - 1] = 1
-                    for kind, expand in ((BasisKind.GGB, expand_standard_ggb),
-                                         (BasisKind.POB, expand_standard_pob)):
-                        got = reconstruct(get_basis(kind, d), expand(d, j, k))
-                        worst = max(worst, float(np.abs(got - target).max()))
-                    got = reconstruct(get_basis(BasisKind.WOB, d),
-                                      expand_standard_wob(d, j - 1, k - 1))
-                    worst = max(worst, float(np.abs(got - target).max()))
+        # the GGB and POB expansions count matrix indices from 1, the WOB one from 0
+        for kind, expand, first in ((BasisKind.GGB, expand_standard_ggb, 1),
+                                    (BasisKind.POB, expand_standard_pob, 1),
+                                    (BasisKind.WOB, expand_standard_wob, 0)):
+            for d in range(2, 5):
+                for j, k in np.ndindex(d, d):
+                    got = reconstruct(get_basis(kind, d), expand(d, j + first, k + first))
+                    got[j, k] -= 1          # less the target, the matrix unit |j><k|
+                    worst = max(worst, float(np.abs(got).max()))
         return worst, 1e-12
 
     def round_trip():
@@ -482,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the numeric nearest-separable oracle")
     p_meas.add_argument("--seed", type=int, default=0)
     p_meas.add_argument("--out", default=None, metavar="FILE")
-    p_meas.set_defaults(fn=_cmd_measure)
+    p_meas.set_defaults(fn=_cmd_measure, unchecked=False)
 
     p_sweep = sub.add_parser("sweep", help="parameter-plane sweep dataset")
     p_sweep.add_argument("--family", required=True, choices=list(PLANES))
@@ -511,10 +485,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

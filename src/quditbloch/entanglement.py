@@ -21,11 +21,10 @@ import numpy as np
 from .gilbert import min_product_expectation
 from .linalg import (BipartiteState, _bipartite_matrix, as_hermitian, as_matrix, hs_inner,
                      hs_norm, min_eigenvalue, partial_transpose, TOL_PSD)
-from .states import (QUBIT_PLANE, QUTRIT_PLANE, CompositeKind, PlaneFamily,
+from .states import (QUBIT_PLANE, QUTRIT_PLANE, TOL_EDGE, CompositeKind, PlaneFamily,
                      composite_operator, isotropic_physical, isotropic_state)
 
 TOL_WIT = 1e-9
-_EDGE = 1e-12   # boundary points count as separable
 
 
 class RegionLabel(str, Enum):
@@ -169,7 +168,7 @@ def classify_isotropic(d: int, alpha: float) -> RegionLabel:
     boundary counts as separable. Raises ``ValueError`` for d < 2."""
     if not isotropic_physical(d, alpha):
         return RegionLabel.UNPHYSICAL
-    if alpha > _isotropic_threshold(d) + _EDGE:
+    if alpha > _isotropic_threshold(d) + TOL_EDGE:
         return RegionLabel.ENTANGLED
     return RegionLabel.SEPARABLE
 
@@ -207,8 +206,8 @@ def _plane_region(plane: PlaneFamily, alpha, beta):
     included. Plain operators only, so floats and arrays alike; ``^`` removes
     Region I, as ``~`` does not negate a Python bool."""
     physical = plane.physical(alpha, beta)
-    region_i = physical & (alpha > plane.line_i(beta) + _EDGE)
-    region_ii = (physical ^ region_i) & (alpha < plane.line_ii(beta) - _EDGE)
+    region_i = physical & (alpha > plane.line_i(beta) + TOL_EDGE)
+    region_ii = (physical ^ region_i) & (alpha < plane.line_ii(beta) - TOL_EDGE)
     return 1 * physical + region_i + 2 * region_ii
 
 
@@ -217,16 +216,23 @@ def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel
     return _PLANE_REGIONS[_plane_region(plane, alpha, beta)]
 
 
+def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: np.ndarray):
+    """Region codes of plane points given as arrays, and their closed-form D
+    as an object array: a float in Regions I and II, None elsewhere."""
+    region = _plane_region(plane, alpha, beta)
+    distance = np.full(region.shape, None, dtype=object)
+    for code, formula in ((2, plane.distance_i), (3, plane.distance_ii)):
+        mask = region == code
+        distance[mask] = formula(alpha[mask], beta[mask]).tolist()
+    return region, distance
+
+
 def plane_distance(plane: PlaneFamily, alpha: float,
                    beta: float) -> tuple[RegionLabel, float | None]:
     """Region label and, for entangled points, the closed-form distance D;
     builds no state."""
-    label = classify_plane(plane, alpha, beta)
-    if label is RegionLabel.ENTANGLED_I:
-        return label, float(plane.distance_i(alpha, beta))
-    if label is RegionLabel.ENTANGLED_II:
-        return label, float(plane.distance_ii(alpha, beta))
-    return label, None
+    region, distance = _plane_distances(plane, np.array([alpha]), np.array([beta]))
+    return _PLANE_REGIONS[region[0]], distance[0]
 
 
 def hs_measure_plane(plane: PlaneFamily, alpha: float,

@@ -28,6 +28,10 @@ PAULI = {
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# slack of every family boundary: points on a positivity boundary count as
+# physical, and points on a separability boundary as separable
+TOL_EDGE = 1e-12
+
 
 def bell_state(d: int) -> BipartiteState:
     """Projector onto the maximally entangled state (1/sqrt d) sum_j |jj>."""
@@ -45,7 +49,7 @@ def isotropic_physical(d: int, alpha: float) -> bool:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return -1.0 / (d * d - 1) - 1e-12 <= alpha <= 1 + 1e-12
+    return -1.0 / (d * d - 1) - TOL_EDGE <= alpha <= 1 + TOL_EDGE
 
 
 def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteState:
@@ -127,8 +131,8 @@ def _qutrit_plane_operators() -> tuple[np.ndarray, ...]:
 
 QUBIT_PLANE = PlaneFamily(
     name="qubit2p", subdim=2,
-    physical=lambda a, b: ((a <= -b + 1 + 1e-12) & (a >= b / 3 - 1 / 3 - 1e-12)
-                           & (a <= b + 1 + 1e-12)),
+    physical=lambda a, b: ((a <= -b + 1 + TOL_EDGE) & (a >= b / 3 - 1 / 3 - TOL_EDGE)
+                           & (a <= b + 1 + TOL_EDGE)),
     line_i=lambda b: b / 3 + 1 / 3,
     line_ii=lambda b: -b - 1,
     nearest_ii=lambda a, b: ((-1 + 2 * a - b) / 3, (-2 - 2 * a + b) / 3),
@@ -140,8 +144,8 @@ QUBIT_PLANE = PlaneFamily(
 
 QUTRIT_PLANE = PlaneFamily(
     name="qutrit2p", subdim=3,
-    physical=lambda a, b: ((a <= 3.5 * b + 1 + 1e-12) & (a <= -b + 1 + 1e-12)
-                           & (a >= b / 8 - 1 / 8 - 1e-12)),
+    physical=lambda a, b: ((a <= 3.5 * b + 1 + TOL_EDGE) & (a <= -b + 1 + TOL_EDGE)
+                           & (a >= b / 8 - 1 / 8 - TOL_EDGE)),
     line_i=lambda b: b / 8 + 1 / 4,
     line_ii=lambda b: 5 * b / 4 - 1 / 2,
     nearest_ii=lambda a, b: ((-2 + 20 * a + 5 * b) / 24, (2 + 4 * a + b) / 6),

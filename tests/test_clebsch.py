@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,29 @@ def test_domain_errors():
         clebsch_gordan(-0.5, 0.5, 1, 0, 0.5, 0.5)
     with pytest.raises(ValueError):
         clebsch_gordan(0.3, 0.3, 1, 0, 1, 0.3)
+
+
+@pytest.mark.parametrize("args", [
+    (2 ** 1000, 0, 1, 0, 2 ** 1000, 0),
+    (cg.MAX_J + 1, 0, 1, 0, cg.MAX_J + 1, 0),
+    (1, 0, cg.MAX_J + 0.5, 0.5, cg.MAX_J + 0.5, 0.5),
+    (cg.MAX_J, 0, cg.MAX_J, 0, 2 * cg.MAX_J, 0),
+    (1, 0, 1, 0, 3e4, 0),
+])
+def test_angular_momenta_beyond_bound_fail_fast(args):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_J"):
+        clebsch_gordan(*args)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_slowest_coefficient_at_bound_is_computed():
+    # j1 = j2 = j = MAX_J is the slowest case of the Racah sum within the bound
+    j = cg.MAX_J
+    start = time.perf_counter()
+    value = cg._cg_cached.__wrapped__(2 * j, 0, 2 * j, 0, 2 * j, 0)
+    assert time.perf_counter() - start < 1.0
+    assert value == clebsch_gordan(j, 0, j, 0, j, 0) and value != 0.0
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
