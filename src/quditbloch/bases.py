@@ -82,6 +82,14 @@ class OperatorBasis:
         return f"OperatorBasis({self.kind.value}, dim={self.dim}, N={self.ortho_const})"
 
 
+def _frame(basis: OperatorBasis) -> np.ndarray:
+    """F, the stack as a read-only (d^2, d^2) view with row i = vec(A_i): the
+    change of basis behind every Bloch transform, Tr(A_i^dag M) =
+    conj(F conj(vec M))_i and sum_i c_i A_i = unvec(c F)."""
+    n = basis.dim * basis.dim
+    return basis.stacked.reshape(n, n)
+
+
 def _check_dim(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"basis dimension must be an integer >= 2, got {d!r}")
@@ -154,9 +162,14 @@ def pob_basis(d: int) -> OperatorBasis:
     for L in range(0, d):
         upper = []
         for M in range(0, L + 1):
+            # exchanging j1 and j (both s) gives <k|T_LM|k+M> as (-1)^(L+M) times
+            # entry n - 1 - k of the same diagonal (n = d - M), with the same exact
+            # rational square: only the first half is looked up
+            n = d - M
+            half = [_pob_entry(d, L, M, k) for k in range((n + 1) // 2)]
+            half += [(-1) ** (L + M) * x + 0.0 for x in reversed(half[:n // 2])]
             m = np.zeros((d, d), dtype=complex)
-            for k in range(d - M):
-                m[k, k + M] = _pob_entry(d, L, M, k)
+            m[range(n), range(M, d)] = half
             upper.append(m)
         # + 0.0 turns the -0.0 of a negated zero back into +0.0
         elements += [(-1) ** M * upper[M].T + 0.0 for M in range(L, 0, -1)] + upper
@@ -171,16 +184,14 @@ def wob_basis(d: int) -> OperatorBasis:
     U_nm = sum_k exp(2 pi i k n / d) |k><(k+m) mod d|.
     """
     d = _check_dim(d)
-    elements = []
-    labels: list[Label] = []
-    for n in range(d):
-        for m in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            for k in range(d):
-                u[k, (k + m) % d] = cmath.exp(2j * cmath.pi * k * n / d)
-            elements.append(u)
-            labels.append((n, m))
-    return OperatorBasis(BasisKind.WOB, d, elements, labels, float(d))
+    # row n of the phases exp(2 pi i k n / d) is shared by U_n0 .. U_n,d-1
+    phase = np.array([[cmath.exp(2j * cmath.pi * k * n / d) for k in range(d)]
+                      for n in range(d)])
+    n, m, k = np.ogrid[:d, :d, :d]
+    stack = np.zeros((d, d, d, d), dtype=complex)
+    stack[n, m, k, (k + m) % d] = phase[n, k]
+    labels = [(n, m) for n in range(d) for m in range(d)]
+    return OperatorBasis(BasisKind.WOB, d, stack.reshape(d * d, d, d), labels, float(d))
 
 
 _BUILDERS = {
@@ -283,7 +294,8 @@ def expand_matrix(basis: OperatorBasis, mat: np.ndarray) -> np.ndarray:
     mat = as_matrix(mat)
     if mat.shape != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {mat.shape} does not match basis dim {basis.dim}")
-    stack = basis.stacked
-    raw = np.einsum("kab,ab->k", stack.conj(), mat)
-    norms = np.einsum("kab,kab->k", stack.conj(), stack).real
-    return raw / norms
+    f = _frame(basis)
+    # Tr(A_i^dag A_i) is N by orthogonality, and d a_0^2 for A_0 = a_0 1
+    norms = np.full(len(f), basis.ortho_const)
+    norms[0] = basis.dim * f[0, 0].real ** 2
+    return (f @ mat.reshape(-1).conj()).conj() / norms

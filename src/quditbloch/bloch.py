@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import BasisKind, get_basis
+from .bases import BasisKind, _frame, get_basis
 from .linalg import _bipartite_matrix, as_matrix, is_psd
 
 
@@ -75,8 +75,9 @@ def bloch_encode(rho, kind, convention=Convention.EXPANSION) -> BlochVector:
     convention = Convention(convention)
     mat = as_matrix(rho)
     basis = get_basis(kind, mat.shape[0])
-    stack = basis.stacked[1:]
-    comp = np.einsum("kab,ab->k", stack.conj(), mat)   # Tr(A_i^dag rho)
+    # Tr(A_i^dag rho) without a conjugated copy of the stack; + 0.0 turns the
+    # -0.0 that conjugating a zero imaginary part leaves back into +0.0
+    comp = (_frame(basis)[1:] @ mat.reshape(-1).conj()).conj() + 0.0
     if convention is Convention.EXPANSION:
         comp = comp / basis.ortho_const
     elif kind is BasisKind.WOB:
@@ -106,10 +107,9 @@ def bloch_decode(b: BlochVector) -> DecodeResult:
     ``is_physical`` flag reports whether the smallest eigenvalue of the
     Hermitian part is >= -TOL_PSD. Non-physical vectors are legal input.
     """
-    basis = get_basis(b.kind, b.dim)
-    coeff = _expansion_components(b)
-    mat = np.eye(b.dim, dtype=complex) / b.dim
-    mat += np.einsum("k,kab->ab", coeff, basis.stacked[1:])
+    d = b.dim
+    f = _frame(get_basis(b.kind, d))
+    mat = np.eye(d, dtype=complex) / d + (_expansion_components(b) @ f[1:]).reshape(d, d)
     return DecodeResult(mat, is_psd(mat))
 
 
@@ -143,7 +143,7 @@ class BipartiteBlochDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         d = self.dim
-        f = get_basis(self.kind, d).stacked.reshape(d * d, d * d)
+        f = _frame(get_basis(self.kind, d))
         s = d * f[0, 0].real                  # d a_0
         k = np.block([[1 / (s * s), self.local_b / s],
                       [self.local_a[:, None] / s, self.correlation]])
@@ -161,7 +161,7 @@ def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochD
     kind = BasisKind(kind)
     mat, d = _bipartite_matrix(rho, subdim)
     basis = get_basis(kind, d)
-    fc = basis.stacked.reshape(d * d, d * d).conj()
+    fc = _frame(basis).conj()
     k = fc @ _realign(mat, d) @ fc.T / basis.ortho_const
     k[1:, 0] /= fc[0, 0].real
     k[0, 1:] /= fc[0, 0].real

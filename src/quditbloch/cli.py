@@ -27,7 +27,7 @@ from .bloch import Convention, bloch_encode, purity
 from .entanglement import (_PLANE_REGIONS, RegionLabel, _plane_distances, classify_isotropic,
                            hs_measure_isotropic, hs_measure_plane)
 from .gilbert import GilbertConfig, nearest_separable_weyl
-from .linalg import (as_hermitian, is_psd, matrix_from_json, matrix_to_json,
+from .linalg import (TOL_TRACE, as_hermitian, is_psd, matrix_from_json, matrix_to_json,
                      partial_transpose)
 from .states import PLANES, bell_state, isotropic_state, weyl_bell_projector
 
@@ -51,9 +51,9 @@ class _Parser(argparse.ArgumentParser):
 _fmt = "%.17g".__mod__
 
 
-def _float_cells(column):
-    """Lazy CSV cells of a column of floats: 17 significant digits, "" for None."""
-    return ("" if v is None else _fmt(v) for v in column)
+def _float_cells(column, none=""):
+    """Lazy cells of a column of floats: 17 significant digits, ``none`` for None."""
+    return (none if v is None else _fmt(v) for v in column)
 
 
 def _csv_text(header, columns) -> str:
@@ -171,7 +171,7 @@ def _cmd_state_make(args) -> int:
 def _cmd_decompose(args) -> int:
     mat = as_hermitian(_read_matrix(args.infile), "input state")
     tr = np.trace(mat)
-    if abs(tr - 1.0) > 1e-8:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise ValueError(f"input state trace {tr} is not 1")
     vec = bloch_encode(mat, args.kind, Convention(args.convention))
     doc = {
@@ -322,18 +322,31 @@ def _cmd_sweep(args) -> int:
                      tuple(args.outputs))
     rows = run_sweep(spec)
     columns = list(rows[0])
-    if args.format == "json":
-        doc = {"family": spec.family, "columns": columns, "rows": rows}
-        _emit(_json_dumps(doc) + "\n", args.out)
+    # cells as the JSON or CSV document writes them: null or empty for None,
+    # region labels quoted or bare
+    as_json = args.format == "json"
+    none = "null" if as_json else ""
+    quoted = {label.value: json.dumps(label.value) for label in RegionLabel}
+    # beta-major grid: format each coordinate once and repeat it by position
+    steps = spec.alpha_range[2]
+    alpha = list(_float_cells((row["alpha"] for row in rows[:steps]), none))
+    beta = list(_float_cells((row["beta"] for row in rows[::steps]), none))
+    cells = [alpha * spec.beta_range[2], [b for b in beta for _ in range(steps)]]
+    for name in columns[2:]:
+        column = map(operator.itemgetter(name), rows)
+        if name != "region":
+            column = _float_cells(column, none)
+        elif as_json:
+            column = map(quoted.__getitem__, column)
+        cells.append(column)
+    if as_json:
+        # the bytes of _json_dumps({"family": ..., "columns": ..., "rows": rows}),
+        # with one row template filled per grid point
+        head = _json_dumps({"family": spec.family, "columns": columns})[:-1]
+        row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in columns) + "}"
+        body = ", ".join(map(row.__mod__, zip(*cells)))
+        _emit(f'{head}, "rows": [{body}]}}\n', args.out)
     else:
-        # beta-major grid: format each coordinate once and repeat it by position
-        steps = spec.alpha_range[2]
-        alpha = list(_float_cells(row["alpha"] for row in rows[:steps]))
-        beta = list(_float_cells(row["beta"] for row in rows[::steps]))
-        cells = [alpha * spec.beta_range[2], [b for b in beta for _ in range(steps)]]
-        for name in columns[2:]:
-            column = map(operator.itemgetter(name), rows)
-            cells.append(column if name == "region" else _float_cells(column))
         _emit(_csv_text(columns, cells), args.out)
     return 0
 

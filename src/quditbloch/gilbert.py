@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import get_basis
+from .bases import _frame, get_basis
 from .linalg import BipartiteState, as_hermitian
 from .states import random_ket
 
@@ -263,8 +263,7 @@ def nearest_separable_weyl(rho_ent, config: GilbertConfig | None = None) -> Gilb
     """
     cfg = config or GilbertConfig()
     target, d = _checked_state(rho_ent)
-    n = d * d
-    frame = get_basis("wob", d).stacked.reshape(n, n) / math.sqrt(d)  # rows: |Phi_nk>
+    frame = _frame(get_basis("wob", d)) / math.sqrt(d)                 # rows: |Phi_nk>
     bell = frame.conj() @ target @ frame.T                             # <Phi_nk|rho|Phi_n'k'>
     off = float(np.abs(bell - np.diag(np.diag(bell))).max())
     if off > WEYL_DIAGONAL_TOL:

@@ -239,3 +239,64 @@ class TestRealignedTransform:
             assert not field.flags.writeable
             with pytest.raises(ValueError):
                 field[0] = 0
+
+
+def _dense_encode(mat, kind, convention):
+    """Reference: Tr(A_i^dag M) as an einsum against the conjugated stack."""
+    basis = qb.get_basis(kind, mat.shape[0])
+    comp = np.einsum("kab,ab->k", basis.stacked[1:].conj(), mat)
+    if convention == "coeff":
+        return comp / basis.ortho_const
+    return comp.conj() if kind == "wob" else comp
+
+
+def _dense_decode(vec):
+    """Reference: 1/d + sum_i c_i A_i as an einsum over the stack."""
+    d = vec.dim
+    basis = qb.get_basis(vec.kind, d)
+    comp = np.asarray(vec.components)
+    if vec.convention is Convention.EXPECTATION:
+        comp = comp.conj() / d if vec.kind is qb.BasisKind.WOB else comp / basis.ortho_const
+    return np.eye(d) / d + np.einsum("k,kab->ab", comp, basis.stacked[1:])
+
+
+def _dense_expand(basis, mat):
+    stack = basis.stacked
+    return (np.einsum("kab,ab->k", stack.conj(), mat)
+            / np.einsum("kab,kab->k", stack.conj(), stack).real)
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestFrameTransforms:
+    """The frame products of encode, decode and expand_matrix against the
+    dense einsum contraction they replaced."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_match_dense_reference(self, kind, d, rng):
+        basis = qb.get_basis(kind, d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for mat in (qb.random_density_matrix(d, rng).matrix, g):
+            assert _close(qb.expand_matrix(basis, mat), _dense_expand(basis, mat))
+            for conv in ("coeff", "expval"):
+                vec = qb.bloch_encode(mat, kind, conv)
+                assert _close(vec.components, _dense_encode(mat, kind, conv))
+                assert _close(qb.bloch_decode(vec).matrix, _dense_decode(vec))
+                # a random complex Bloch vector, not the image of any matrix
+                c = rng.normal(size=d * d - 1) + 1j * rng.normal(size=d * d - 1)
+                other = qb.BlochVector(vec.kind, d, vec.convention, c, vec.labels)
+                assert _close(qb.bloch_decode(other).matrix, _dense_decode(other))
+
+    @pytest.mark.parametrize("kind,conv", [(k, c) for k in KINDS for c in ("coeff", "expval")
+                                           if (k, c) != ("wob", "expval")])
+    def test_encode_leaves_no_negative_zero(self, kind, conv, rng):
+        # conjugating a product whose imaginary part is exactly 0 gives -0.0;
+        # encode turns it back into +0.0, as the einsum gave (WOB expval
+        # components are conjugated once more by definition)
+        for d in (2, 3, 5, 8):
+            comp = qb.bloch_encode(qb.random_density_matrix(d, rng), kind, conv).components
+            assert not np.signbit(comp.real[comp.real == 0]).any()
+            assert not np.signbit(comp.imag[comp.imag == 0]).any()

@@ -89,6 +89,22 @@ class TestStateMakeAndDecompose:
         code, _, err = run_cli(capsys, "decompose", "--kind", "ggb", "--in", "/nonexistent.json")
         assert code == 2 and "/nonexistent.json" in err
 
+    @pytest.mark.parametrize("excess,code", [(5e-11, 0), (-5e-11, 0), (5e-10, 2), (-5e-10, 2),
+                                             (5e-9, 2)])
+    def test_trace_bound_is_tol_trace(self, capsys, tmp_path, excess, code):
+        # decompose accepts |tr - 1| <= TOL_TRACE (1e-10), the bound of every
+        # other unit-trace check; 5e-9 passed the looser 1e-8 it used to have
+        mat = np.diag([0.5 + excess, 0.5])
+        assert (abs(np.trace(mat) - 1) <= qb.TOL_TRACE) == (code == 0)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(qb.matrix_to_json(mat)))
+        got, out, err = run_cli(capsys, "decompose", "--kind", "ggb", "--in", str(path))
+        assert got == code
+        if code:
+            assert out == "" and "trace" in err
+        else:
+            assert json.loads(out)["dim"] == 2
+
 
 class TestMeasure:
     def test_isotropic(self, capsys):

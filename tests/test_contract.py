@@ -31,6 +31,18 @@ def test_sweep_csv_demo_grid(tmp_path, family, alpha, beta, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family,alpha,beta,digest", [
+    ("qubit2p", ("-1.3", "1.3", "105"), ("-2.2", "1.3", "141"),
+     "351df04e226f382599913ec29e41a0e556a6ffc4067581997f5db76bfac2e812"),
+    ("qutrit2p", ("-0.4", "1.1", "121"), ("-0.6", "1.2", "145"),
+     "1b74669b789378936f09e8858c75db583294e4a5c03999a2845827e1859e9389"),
+])
+def test_sweep_json_demo_grid(capsys, family, alpha, beta, digest):
+    # recorded when the JSON sweep was written value by value by _json_dumps
+    assert _sha256_stdout(capsys, "sweep", "--family", family, "--alpha", *alpha,
+                          "--beta", *beta, "--format", "json") == digest
+
+
 @pytest.mark.parametrize("argv,digest", [
     (("--family", "qutrit2p", "--alpha", "-0.4", "1.1", "7", "--beta", "-0.6", "1.2", "9"),
      "4f1b1910a42541a0a883aec62d564b426ce7f2951065d2ab13bf68c23ff9f4f7"),
