@@ -75,14 +75,17 @@ def bloch_encode(rho, kind, convention=Convention.EXPANSION) -> BlochVector:
     convention = Convention(convention)
     mat = as_matrix(rho)
     basis = get_basis(kind, mat.shape[0])
-    # Tr(A_i^dag rho) without a conjugated copy of the stack; + 0.0 turns the
-    # -0.0 that conjugating a zero imaginary part leaves back into +0.0
-    comp = (_frame(basis)[1:] @ mat.reshape(-1).conj()).conj() + 0.0
+    # conj(Tr(A_i^dag rho)) without a conjugated copy of the stack
+    comp = _frame(basis)[1:] @ mat.reshape(-1).conj()
+    # WOB expectation values are Tr(U_nm rho) of a Hermitian rho, the product
+    # itself; all other components are Tr(A_i^dag rho) (GGB Hermitian). The
+    # + 0.0 comes last: it turns the -0.0 that conjugating a zero imaginary
+    # part leaves back into +0.0
+    if not (kind is BasisKind.WOB and convention is Convention.EXPECTATION):
+        comp = comp.conj()
+    comp = comp + 0.0
     if convention is Convention.EXPANSION:
         comp = comp / basis.ortho_const
-    elif kind is BasisKind.WOB:
-        comp = comp.conj()        # Tr(U_nm rho) for Hermitian-input symmetry
-    # GGB/POB expectation values are Tr(A_i^dag rho) already (GGB Hermitian)
     return BlochVector(kind, basis.dim, convention, comp, basis.labels[1:])
 
 

@@ -10,12 +10,9 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import numbers
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -57,12 +54,14 @@ def _float_cells(column, none=""):
 
 
 def _csv_text(header, columns) -> str:
-    """CSV of columns of cells (strings or ints), written row by row."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    return out.getvalue()
+    """CSV of columns of cells (strings or ints), one row template per row. No
+    cell holds a comma, quote or line break; as csv.writer does, a row of one
+    empty cell is written ``""``, so that it is not read as a blank line."""
+    row = ",".join(["%s"] * len(header)) + "\n"
+    rows = zip(*columns)
+    if len(header) == 1:
+        rows = (('""',) if cells == ("",) else cells for cells in rows)
+    return row % tuple(header) + "".join(map(row.__mod__, rows))
 
 
 def _json_dumps(obj) -> str:
@@ -239,9 +238,9 @@ _SWEEP_COLUMNS = {
     "ppt_min_eigenvalue": "ppt_min_eig",
 }
 
-# run_sweep holds every row in memory and the writers build the whole output
-# before emitting it: the resident set grew by about 0.6 kB per point for CSV
-# and 0.73 kB for JSON on a 200,000-point qutrit grid, so grids are capped.
+# the sweep command builds its whole output, but no row dicts, before emitting
+# it: on a 200,000-point qutrit grid its resident set grew by about 0.34 kB per
+# point for CSV and 0.58 kB for JSON, so grids are capped
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -271,30 +270,35 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per grid point, beta-major order.
+    """One row dict per grid point, beta-major order, zipped from the columns
+    of ``_sweep_columns`` (the ``sweep`` command writes those without rows).
 
     ``D`` is None for separable and unphysical points; eigenvalue columns are
     computed from the unchecked construction so unphysical points are probed
-    too. The grid is one pair of flat beta-major arrays that takes its
-    regions and D from the rule ``plane_distance`` applies to one point, and
-    each beta row of states and of their partial transposes is diagonalized
-    as one stack. Every value equals the one of the single-point functions
-    bit for bit.
+    too. Every value equals the one of the single-point functions bit for bit.
     """
+    names, alphas, betas, columns = _sweep_columns(spec)
+    # one float object per grid coordinate, shared by the rows that hold it
+    alpha = (a for _ in betas for a in alphas)
+    beta = (b for b in betas for _ in alphas)
+    return [dict(zip(names, row)) for row in zip(alpha, beta, *columns)]
+
+
+def _sweep_columns(spec: SweepSpec):
+    """Column names, the alpha and beta coordinates as lists, and a lazy
+    beta-major column per output. Regions and D take the rule ``plane_distance``
+    applies to one point; each beta row of states and of their partial
+    transposes is diagonalized as one stack."""
     plane = PLANES[spec.family]
     alphas = np.linspace(*spec.alpha_range[:2], spec.alpha_range[2])
     betas = np.linspace(*spec.beta_range[:2], spec.beta_range[2])
-    alpha = np.tile(alphas, len(betas))
-    beta = np.repeat(betas, len(alphas))
-    region, distance = _plane_distances(plane, alpha, beta)
-    # lazy columns, so rows are built without a list per column; one float
-    # object per grid coordinate, shared by the rows that hold it
-    alpha_list, beta_list = alphas.tolist(), betas.tolist()
-    columns = {"alpha": (a for _ in beta_list for a in alpha_list),
-               "beta": (b for b in beta_list for _ in alpha_list)}
+    region, distance = _plane_distances(plane, np.tile(alphas, len(betas)),
+                                        np.repeat(betas, len(alphas)))
+    beta_list = betas.tolist()
+    columns = {}
     if "region" in spec.outputs:
-        labels = np.array([label.value for label in _PLANE_REGIONS], dtype=object)
-        columns["region"] = iter(labels[region])
+        columns["region"] = map([label.value for label in _PLANE_REGIONS].__getitem__,
+                                region.tolist())
     if "hs_measure" in spec.outputs:
         columns["D"] = iter(distance)
     ops = plane.operators()[:3]
@@ -302,8 +306,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     for output, stack_ops in (("min_eigenvalue", ops), ("ppt_min_eigenvalue", pt_ops)):
         if output in spec.outputs:
             columns[_SWEEP_COLUMNS[output]] = _min_eigenvalues(plane, alphas, beta_list, stack_ops)
-    names = ["alpha", "beta"] + [col for o, col in _SWEEP_COLUMNS.items() if o in spec.outputs]
-    return [dict(zip(names, row)) for row in zip(*(columns[name] for name in names))]
+    names = [col for o, col in _SWEEP_COLUMNS.items() if o in spec.outputs]
+    return ["alpha", "beta", *names], alphas.tolist(), beta_list, [columns[n] for n in names]
 
 
 def _min_eigenvalues(plane, alphas, betas, ops):
@@ -320,34 +324,28 @@ def _cmd_sweep(args) -> int:
 
     spec = SweepSpec(args.family, grid_range(*args.alpha), grid_range(*args.beta),
                      tuple(args.outputs))
-    rows = run_sweep(spec)
-    columns = list(rows[0])
+    names, alphas, betas, columns = _sweep_columns(spec)
     # cells as the JSON or CSV document writes them: null or empty for None,
     # region labels quoted or bare
     as_json = args.format == "json"
     none = "null" if as_json else ""
     quoted = {label.value: json.dumps(label.value) for label in RegionLabel}
     # beta-major grid: format each coordinate once and repeat it by position
-    steps = spec.alpha_range[2]
-    alpha = list(_float_cells((row["alpha"] for row in rows[:steps]), none))
-    beta = list(_float_cells((row["beta"] for row in rows[::steps]), none))
-    cells = [alpha * spec.beta_range[2], [b for b in beta for _ in range(steps)]]
-    for name in columns[2:]:
-        column = map(operator.itemgetter(name), rows)
-        if name != "region":
-            column = _float_cells(column, none)
-        elif as_json:
-            column = map(quoted.__getitem__, column)
-        cells.append(column)
+    cells = [list(map(_fmt, alphas)) * len(betas), [b for b in map(_fmt, betas) for _ in alphas]]
+    for name, column in zip(names[2:], columns):
+        if name == "region":
+            cells.append(map(quoted.__getitem__, column) if as_json else column)
+        else:       # of the float columns only D holds None
+            cells.append(_float_cells(column, none) if name == "D" else map(_fmt, column))
     if as_json:
         # the bytes of _json_dumps({"family": ..., "columns": ..., "rows": rows}),
         # with one row template filled per grid point
-        head = _json_dumps({"family": spec.family, "columns": columns})[:-1]
-        row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in columns) + "}"
+        head = _json_dumps({"family": spec.family, "columns": names})[:-1]
+        row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in names) + "}"
         body = ", ".join(map(row.__mod__, zip(*cells)))
         _emit(f'{head}, "rows": [{body}]}}\n', args.out)
     else:
-        _emit(_csv_text(columns, cells), args.out)
+        _emit(_csv_text(names, cells), args.out)
     return 0
 
 

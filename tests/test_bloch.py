@@ -290,13 +290,13 @@ class TestFrameTransforms:
                 other = qb.BlochVector(vec.kind, d, vec.convention, c, vec.labels)
                 assert _close(qb.bloch_decode(other).matrix, _dense_decode(other))
 
-    @pytest.mark.parametrize("kind,conv", [(k, c) for k in KINDS for c in ("coeff", "expval")
-                                           if (k, c) != ("wob", "expval")])
+    @pytest.mark.parametrize("kind,conv", [(k, c) for k in KINDS for c in ("coeff", "expval")])
     def test_encode_leaves_no_negative_zero(self, kind, conv, rng):
         # conjugating a product whose imaginary part is exactly 0 gives -0.0;
-        # encode turns it back into +0.0, as the einsum gave (WOB expval
-        # components are conjugated once more by definition)
-        for d in (2, 3, 5, 8):
-            comp = qb.bloch_encode(qb.random_density_matrix(d, rng), kind, conv).components
+        # encode turns it back into +0.0, as the einsum gave; diag(0.7, 0.3)
+        # has components whose imaginary part is exactly 0
+        states = [qb.random_density_matrix(d, rng) for d in (2, 3, 5, 8)]
+        for rho in (*states, np.diag([0.7, 0.3])):
+            comp = qb.bloch_encode(rho, kind, conv).components
             assert not np.signbit(comp.real[comp.real == 0]).any()
             assert not np.signbit(comp.imag[comp.imag == 0]).any()

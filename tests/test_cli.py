@@ -1,16 +1,18 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quditbloch as qb
-from quditbloch.cli import SweepSpec, cli_main, run_sweep
+from quditbloch.cli import SweepSpec, _csv_text, _fmt, _label_str, cli_main, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +211,56 @@ class TestSweep:
             elif row["region"] == "Separable":
                 assert a <= b / 3 + 1 / 3 + cell
                 assert a >= -b - 1 - cell
+
+    def test_csv_sweep_holds_no_rows(self, tmp_path):
+        # the CSV is written from columns: the peak is about 5.1 MB on this
+        # grid, and a dict per point takes it to about 10.7 MB
+        def sweep(alpha_steps, beta_steps):
+            return cli_main(["sweep", "--family", "qutrit2p",
+                             "--alpha", "-0.4", "1.1", alpha_steps,
+                             "--beta", "-0.6", "1.2", beta_steps, "--format", "csv",
+                             "--out", str(tmp_path / "plane.csv")])
+
+        assert sweep("3", "3") == 0       # fills the caches before tracing
+        tracemalloc.start()
+        try:
+            assert sweep("121", "145") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5e6
+
+
+class TestCsvWriter:
+    # _csv_text fills one row template and quotes nothing, so no cell it is
+    # given may hold a character that csv.writer would quote
+    QUOTED = set(',"\r\n')
+
+    def test_no_cell_needs_quoting(self):
+        cells = [label.value for label in qb.RegionLabel]
+        for kind in qb.BasisKind:
+            for d in range(2, 7):
+                cells += [_label_str(lab) for lab in qb.get_basis(kind, d).labels]
+        tiny = np.finfo(float).smallest_subnormal
+        floats = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 2.2e-308,
+                  np.finfo(float).tiny, np.finfo(float).max, np.finfo(float).min,
+                  np.finfo(float).eps, np.float64(-tiny)]
+        cells += [_fmt(v) for v in floats]
+        assert not [c for c in cells if self.QUOTED & set(c)]
+
+    @pytest.mark.parametrize("header,columns", [
+        (["x"], [["1.5", "", "-0", "", "nan"]]),
+        (["x"], [[0, 3, -2]]),
+        (["x"], [[""]]),
+        (["label", "row", "re", "im"],
+         [["I", "s:0:1", "0:2"], [0, 1, 12], ["", "-inf", ""], ["", "", ""]]),
+    ])
+    def test_matches_csv_writer(self, header, columns):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+        assert _csv_text(header, columns) == out.getvalue()
 
 
 class TestExitCodes:
