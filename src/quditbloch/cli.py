@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -421,7 +422,9 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process."""
     parser = _Parser(prog="quditbloch",
                      description="Operator bases, Bloch vectors, and entanglement geometry for qudits.")
     sub = parser.add_subparsers(dest="command", required=True)

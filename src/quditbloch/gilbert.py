@@ -38,12 +38,16 @@ from .states import random_ket
 # largest off-diagonal Weyl Bell element |<Phi_nk|rho|Phi_n'k'>| that
 # nearest_separable_weyl accepts
 WEYL_DIAGONAL_TOL = 1e-12
+# reduced-gradient slack at which the simplex weights count as optimal
+KKT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class GilbertConfig:
     max_iterations: int = 5000
-    tolerance: float = 1e-6      # on the gap proxy of ||rho - sigma||^2 / 2, not of the distance
+    # on the gap proxy of ||rho - sigma||^2 / 2, not of the distance; a seesaw
+    # run also stops once a sweep gains less than tolerance / 1000
+    tolerance: float = 1e-6
     restarts: int = 5            # random inits of the inner product-state search
     seed: int = 0
     inner_sweeps: int = 80
@@ -81,7 +85,7 @@ class GilbertResult:
 
 
 def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
-                       restarts: int = 5, warm=None, sweeps: int = 80):
+                       restarts: int = 5, warm=None, sweeps: int = 80, stop: float = 1e-15):
     """Approximately maximize <a b| G |a b> over product vectors.
 
     Alternating eigenvector ascent: with one factor fixed the objective is a
@@ -91,9 +95,9 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
 
     All runs advance together: each half-sweep is one einsum and one stacked
     ``eigh`` over the runs still live, and a run leaves the stack once its
-    top eigenvalue rises by less than 1e-15. Each run's arithmetic is the
-    same as when the runs went one at a time, so the result is too, bit for bit.
-    ``g`` must be finite and Hermitian, else ``ValueError``.
+    top eigenvalue rises by less than ``stop`` in a sweep. Each run's
+    arithmetic is the same as when the runs went one at a time, so the result
+    is too, bit for bit. ``g`` must be finite and Hermitian, else ``ValueError``.
     """
     as_hermitian(g, "operator")   # checks only: a real g stays real below
     gr = g.reshape(d, d, d, d)
@@ -105,19 +109,23 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
     kets = kets.astype(np.result_type(gr, kets), copy=False)
     a, b = kets[:, 0], kets[:, 1]
     val = np.full(len(kets), -np.inf)
-    live = np.arange(len(kets))
+    # the live runs, compacted: their indices, b factors and last values; a
+    # run is written back to a, b and val only when it stops
+    live, al, bl, vl = np.arange(len(kets)), a, b, val
     for _ in range(sweeps):
-        bl = b[live]
         w, v = np.linalg.eigh(np.einsum("ijkl,rj,rl->rik", gr, bl.conj(), bl))
         al = v[:, :, -1]
         w, v = np.linalg.eigh(np.einsum("ijkl,ri,rk->rjl", gr, al.conj(), al))
-        a[live], b[live] = al, v[:, :, -1]
-        top = w[:, -1]
-        done = top - val[live] < 1e-15
-        val[live] = top
-        live = live[~done]
-        if not live.size:
-            break
+        done = w[:, -1] - vl < stop
+        bl, vl = v[:, :, -1], w[:, -1]
+        if done.any():
+            out = live[done]
+            a[out], b[out], val[out] = al[done], bl[done], vl[done]
+            keep = ~done
+            live, al, bl, vl = live[keep], al[keep], bl[keep], vl[keep]
+            if not live.size:
+                break
+    a[live], b[live], val[live] = al, bl, vl
     best = np.argmax(val)
     return val[best], a[best], b[best]
 
@@ -129,35 +137,51 @@ def min_product_expectation(a_op: np.ndarray, d: int, rng: np.random.Generator,
     return -val
 
 
-def _solve_simplex_weights(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _face_minimizer(k: np.ndarray, c: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The minimizer of w'Kw - 2c'w over the weights on ``idx`` with sum 1."""
+    nk = len(idx)
+    kkt = np.ones((nk + 1, nk + 1))
+    kkt[:nk, :nk] = k[np.ix_(idx, idx)]
+    kkt[nk, nk] = 0.0
+    rhs = np.append(c[idx], 1.0)
+    try:
+        return np.linalg.solve(kkt, rhs)[:nk]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nk]
+
+
+def _solve_simplex_weights(k: np.ndarray, c: np.ndarray, w0: np.ndarray) -> np.ndarray:
     """Minimize w'Kw - 2c'w subject to w >= 0, sum w = 1.
 
-    Active-set iteration on the support: solve the equality-constrained KKT
-    system, drop the most negative weight, repeat.
+    Primal active-set method from the feasible weights ``w0``. Each step minimizes over the weights on the support. If that
+    minimizer leaves the simplex, the weights move toward it only until the
+    first of them reaches 0 (the ratio test), and that atom leaves the
+    support. Otherwise they move onto it, and the atom off the support with
+    the most negative reduced gradient r = (Kw - c) - w'(Kw - c) joins it.
+    The loop ends when no r is below -``KKT_TOL``, the KKT conditions of the
+    problem, and the objective never rises on the way.
     """
-    m = len(c)
-    active = np.ones(m, dtype=bool)
-    for _ in range(3 * m + 10):
-        idx = np.flatnonzero(active)
-        nk = len(idx)
-        kkt = np.zeros((nk + 1, nk + 1))
-        kkt[:nk, :nk] = 2 * k[np.ix_(idx, idx)]
-        kkt[nk, :nk] = 1.0
-        kkt[:nk, nk] = 1.0
-        rhs = np.concatenate([2 * c[idx], [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        w = sol[:nk]
-        if (w >= -1e-12).all():
-            out = np.zeros(m)
-            out[idx] = np.maximum(w, 0.0)
-            return out / out.sum()
-        active[idx[np.argmin(w)]] = False
-    out = np.zeros(m)
-    out[np.argmax(c)] = 1.0
-    return out
+    w = np.array(w0, dtype=float)
+    free = w > 0
+    for _ in range(4 * len(c) + 10):
+        idx = np.flatnonzero(free)
+        z = _face_minimizer(k, c, idx)
+        neg = z < 0
+        if neg.any():
+            wi = w[idx]
+            ratios = wi[neg] / (wi[neg] - z[neg])
+            w[idx] = np.maximum(wi + ratios.min() * (z - wi), 0.0)
+            w[idx[neg][np.argmin(ratios)]] = 0.0
+            free = w > 0
+            continue
+        w[idx] = z
+        grad = k @ w - c
+        r = np.where(free, np.inf, grad - w @ grad)
+        j = np.argmin(r)
+        if r[j] >= -KKT_TOL:
+            break
+        free[j] = True
+    return w
 
 
 def _product_atom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,8 +199,12 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
     ``(iterate, converged, iterations, gap)``.
     """
     rng = np.random.default_rng(cfg.seed)
+    # a seesaw run stops once a sweep gains less than this: a run whose gain
+    # shrinks by a ratio q <= 0.99 per sweep then ends within tolerance / 10
+    # of its limit, so the gap proxy keeps the precision it is compared at
+    stop = max(1e-15, cfg.tolerance * 1e-3)
     _, a, b = best_product_state(operator(target), d, rng, restarts=max(cfg.restarts, 5),
-                                 sweeps=cfg.inner_sweeps)
+                                 sweeps=cfg.inner_sweeps, stop=stop)
     atoms = [atom_of(a, b)]
     weights = np.array([1.0])
     warm = [(a, b)]
@@ -186,7 +214,7 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
         g = target - rho
         gmat = operator(g)
         _, a, b = best_product_state(gmat, d, rng, restarts=cfg.restarts,
-                                     warm=warm, sweeps=cfg.inner_sweeps)
+                                     warm=warm, sweeps=cfg.inner_sweeps, stop=stop)
         warm = [(a, b)]
         atom = atom_of(a, b)
         gap = float(np.real(np.vdot(atom - rho, g)))
@@ -194,7 +222,7 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
             # confirm with fresh restarts before trusting the inner search
             _, a2, b2 = best_product_state(gmat, d, rng,
                                            restarts=cfg.confirm_restarts,
-                                           sweeps=cfg.inner_sweeps)
+                                           sweeps=cfg.inner_sweeps, stop=stop)
             atom2 = atom_of(a2, b2)
             gap2 = float(np.real(np.vdot(atom2 - rho, g)))
             if gap2 <= cfg.tolerance:
@@ -204,7 +232,7 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
         mat = np.stack(atoms)
         gram = np.real(mat.conj() @ mat.T)
         overlap = np.real(mat.conj() @ target)
-        weights = _solve_simplex_weights(gram, overlap)
+        weights = _solve_simplex_weights(gram, overlap, np.append(weights, 0.0))
         keep = weights > 1e-14
         if keep.sum() < len(weights):
             atoms = [at for at, kp in zip(atoms, keep) if kp]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditbloch as qb
 from quditbloch import GilbertConfig
+from quditbloch.gilbert import _solve_simplex_weights
 
 
 class TestBestProductState:
@@ -69,6 +72,76 @@ class TestNearestSeparableNumeric:
         with pytest.raises(ValueError):
             qb.nearest_separable_numeric(np.eye(6) / 6)
 
+    def test_separable_input_converges_quickly(self):
+        # with a corrective step that could end on a non-optimal support, this
+        # state cycled through all 5000 iterations without converging
+        res = qb.nearest_separable_numeric(qb.sample_separable(2, seed=7, mixture_count=3))
+        assert res.converged
+        assert res.iterations <= 300
+
+    @pytest.mark.parametrize("state", [
+        pytest.param(qb.isotropic_state(3, 0.85), id="iso(3, 0.85)", marks=pytest.mark.xfail(
+            strict=True, reason="the residual's product maximizers nearly fill the manifold "
+                                "b = conj(a), which the seesaw samples rather than climbs: "
+                                "the converged gap is 0.4-0.95 of a 200-restart one, with "
+                                "the 1e-15 stop too")),
+        pytest.param(qb.sample_separable(2, seed=7, mixture_count=3),
+                     id="sample_separable(2, seed=7)")])
+    def test_converged_gap_matches_a_thorough_seesaw(self, state):
+        res, gap_of = _final_residual(state)
+        assert res.converged
+        gap = gap_of(1e-15)
+        assert abs(res.gap - gap) <= 0.1 * gap
+
+    @pytest.mark.parametrize("state", [qb.isotropic_state(3, 0.85),
+                                       qb.sample_separable(2, seed=7, mixture_count=3)],
+                             ids=["iso(3, 0.85)", "sample_separable(2, seed=7)"])
+    def test_seesaw_stop_keeps_the_gap(self, state):
+        # the oracle's seesaw stops at a sweep gain of tolerance / 1000; on the
+        # final residual a 200-restart search with that stop finds the gap it
+        # finds with the 1e-15 stop, to 1%
+        res, gap_of = _final_residual(state)
+        assert res.converged
+        gap = gap_of(1e-15)
+        assert abs(gap_of(GilbertConfig().tolerance * 1e-3) - gap) <= 0.01 * gap
+
+
+def _final_residual(state):
+    """A default oracle run on ``state``, and the gap that a 200-restart
+    seesaw with a given stop finds on its final residual."""
+    res = qb.nearest_separable_numeric(state)
+    rho0 = res.rho0.matrix
+    g = state.matrix - rho0
+
+    def gap_of(stop):
+        _, a, b = qb.best_product_state(g, state.subdim, np.random.default_rng(1),
+                                        restarts=200, stop=stop)
+        ab = np.kron(a, b)
+        return np.real(ab.conj() @ g @ ab) - np.real(np.vdot(rho0, g))
+
+    return res, gap_of
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(atoms=st.integers(1, 20), dim=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       warm=st.booleans())
+def test_simplex_weights_meet_kkt(atoms, dim, seed, warm):
+    # nearest point of the hull of random atoms: K is their Gram matrix
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, atoms)) / np.sqrt(dim)
+    target = rng.standard_normal(dim) / np.sqrt(dim)
+    w0 = np.eye(atoms)[0]
+    if warm:     # any feasible start
+        w0 = rng.dirichlet(np.ones(atoms)) * (rng.random(atoms) < 0.5)
+        w0 = w0 / w0.sum() if w0.sum() > 0 else np.eye(atoms)[0]
+    k, c = m.T @ m, m.T @ target
+    w = _solve_simplex_weights(k, c, w0)
+    assert (w >= 0).all()
+    assert abs(w.sum() - 1) <= 1e-12
+    grad = k @ w - c
+    reduced = grad - w @ grad
+    assert reduced.min() >= -1e-10
+    assert np.abs(reduced[w > 0]).max() <= 1e-10
 
 
 def _check_full_oracle_certificate(state, closed):

@@ -1,7 +1,8 @@
 """Bit-identity goldens of the seesaw and of the Frank-Wolfe oracle.
 
-The values were recorded with the per-restart seesaw loop that preceded the
-batched one. Running the restarts as one stacked eigensolve must not move a
+The seesaw values were recorded with the per-restart seesaw loop that
+preceded the batched one, the oracle values with the oracle's seesaw stop at
+tolerance / 1000. Running the restarts as one stacked eigensolve must not move a
 single bit: the CLI prints the seesaw's ``sep_min_estimate`` to 17 digits and
 the benchmark compares oracle iterates at equal seeds. The property test at
 the end compares the batched seesaw with a copy of that scalar loop.
@@ -111,10 +112,10 @@ SEESAW_GOLDENS = [
 MIN_PRODUCT_GOLDEN = "-8.326672684689078e-17"
 
 ORACLE_GOLDENS = {
-    "iso(3, 0.85)": ("0.565685482109942", 56, "9.011846259346939e-07", True,
-                     "df3aff00cc9d2ff231d7d8be7fc6d2e8d0c5d0f9dceb02adee98eb7cc3c64922"),
-    "sample_separable(3)": ("0.007015101190437215", 60, "0.00021716651041219317", False,
-                            "1fc3a36c9ccdaa2d969740b50f54dde068e2a6a101a07693f8aad11fb0169fae"),
+    "iso(3, 0.85)": ("0.5656854525110614", 54, "7.238480655884949e-07", True,
+                     "b9b2217a8e0d3d66cee85d44ed4730f0ec0f358168269e056de65a25199ecc72"),
+    "sample_separable(3)": ("0.006859061125559661", 60, "0.00014477066736255726", False,
+                            "c0c5ce2b18c559b4490d6ba36d25d80209e536105a0326c9e43eda1b0870f655"),
 }
 
 
@@ -171,14 +172,14 @@ def weyl_oracle_golden(state):
             _sha256(res.rho0.matrix))
 
 
-# recorded when nearest_separable_weyl was added, at the default GilbertConfig
+# recorded at the default GilbertConfig, with the seesaw stopped at tolerance / 1000
 WEYL_ORACLE_GOLDENS = {
-    "iso(3, 0.85)": ("0.5656854249492381", 3, "1.5487364351600204e-16", True,
-                     "dfaa25bff85aa3d73239d566edd8d82fd0bee8f4bc44fe8c533327fac678c899"),
-    "iso(4, 0.9)": ("0.6777720875876073", 6, "1.0722497249468499e-08", True,
-                    "ffb323e6c74b38169122ed16d94ac059a866b15f9ef2e1af7bbfcd90f154e221"),
-    "qutrit(0, 0.6)": ("0.11785195024151551", 10, "3.3110641883244384e-07", True,
-                       "c308b75c32657f1fc326046817a59aa77fb9a66370da486c60a6cda752567e2c"),
+    "iso(3, 0.85)": ("0.5656854249855957", 3, "4.5289241836005086e-11", True,
+                     "aeb6a59296fa0e9d4e71212eaf68182ee689618d201a0b76baa22e237c602167"),
+    "iso(4, 0.9)": ("0.6777720876193918", 6, "1.0779584020542687e-08", True,
+                    "c3f41e19417e59171e22b41b3a6f17edc9a293218b7685a902b867a0b3c6b02f"),
+    "qutrit(0, 0.6)": ("0.1178528166590282", 10, "3.577636277446289e-07", True,
+                       "22e46335e2ac4986ea8c5dcd11a6d2f0bdc359ae1ae0591d721336aaa2a25f04"),
 }
 
 
