@@ -11,7 +11,7 @@ independent Frank-Wolfe numeric oracle for the nearest separable state.
 from .linalg import (
     TOL_EIG, TOL_HERM, TOL_PSD, TOL_TRACE,
     BipartiteState, DensityMatrix,
-    as_hermitian, as_matrix, dag, hermitian_eigen, hs_inner, hs_norm, is_hermitian, is_psd,
+    as_hermitian, as_matrix, hermitian_eigen, hs_inner, hs_norm, is_hermitian, is_psd,
     matrix_from_json, matrix_to_json, min_eigenvalue,
     partial_trace, partial_transpose, tensor,
 )
@@ -28,9 +28,7 @@ from .bloch import (
 from .states import (
     PAULI, PLANES, QUBIT_PLANE, QUTRIT_PLANE, CompositeKind, COMPOSITE_NORMS, PlaneFamily,
     bell_state, composite_operator, isotropic_physical, isotropic_state,
-    qubit_plane_physical, qutrit_plane_physical,
-    random_density_matrix, random_ket, random_product_state,
-    sample_separable, two_param_qubit, two_param_qubit_pauli,
+    random_density_matrix, random_ket, sample_separable, two_param_qubit, two_param_qubit_pauli,
     two_param_qutrit, weyl_bell_projector,
 )
 from .entanglement import (

@@ -40,6 +40,10 @@ from .states import random_ket
 WEYL_DIAGONAL_TOL = 1e-12
 # reduced-gradient slack at which the simplex weights count as optimal
 KKT_TOL = 1e-13
+# random inits of each product-state search of the oracle, and of the burst
+# that must confirm an apparent convergence
+RESTARTS = 5
+CONFIRM_RESTARTS = 25
 
 
 @dataclass(frozen=True)
@@ -48,17 +52,12 @@ class GilbertConfig:
     # on the gap proxy of ||rho - sigma||^2 / 2, not of the distance; a seesaw
     # run also stops once a sweep gains less than tolerance / 1000
     tolerance: float = 1e-6
-    restarts: int = 5            # random inits of the inner product-state search
     seed: int = 0
-    inner_sweeps: int = 80
-    confirm_restarts: int = 25   # extra inits before accepting convergence
 
     def __post_init__(self):
-        for name, low in (("max_iterations", 0), ("restarts", 0), ("inner_sweeps", 1),
-                          ("confirm_restarts", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
+            raise ValueError(f"max_iterations must be an integer >= 0, "
+                             f"got {self.max_iterations!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
 
@@ -130,10 +129,10 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
     return val[best], a[best], b[best]
 
 
-def min_product_expectation(a_op: np.ndarray, d: int, rng: np.random.Generator,
-                            restarts: int = 20) -> float:
-    """Smallest <a b| A |a b> found over product states (seesaw upper bound)."""
-    val, _, _ = best_product_state(-np.asarray(a_op, dtype=complex), d, rng, restarts=restarts)
+def min_product_expectation(a_op: np.ndarray, d: int, rng: np.random.Generator) -> float:
+    """Smallest <a b| A |a b> found over product states by a 20-restart
+    seesaw (an upper bound on the separable minimum)."""
+    val, _, _ = best_product_state(-np.asarray(a_op, dtype=complex), d, rng, restarts=20)
     return -val
 
 
@@ -203,41 +202,36 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
     # shrinks by a ratio q <= 0.99 per sweep then ends within tolerance / 10
     # of its limit, so the gap proxy keeps the precision it is compared at
     stop = max(1e-15, cfg.tolerance * 1e-3)
-    _, a, b = best_product_state(operator(target), d, rng, restarts=max(cfg.restarts, 5),
-                                 sweeps=cfg.inner_sweeps, stop=stop)
-    atoms = [atom_of(a, b)]
+    _, a, b = best_product_state(operator(target), d, rng, restarts=RESTARTS, stop=stop)
+    atoms = atom_of(a, b)[None, :]        # one row per atom, C-contiguous
     weights = np.array([1.0])
     warm = [(a, b)]
     gap = np.inf
     for it in range(cfg.max_iterations):
-        rho = np.stack(atoms).T @ weights
+        rho = atoms.T @ weights
         g = target - rho
         gmat = operator(g)
-        _, a, b = best_product_state(gmat, d, rng, restarts=cfg.restarts,
-                                     warm=warm, sweeps=cfg.inner_sweeps, stop=stop)
+        _, a, b = best_product_state(gmat, d, rng, restarts=RESTARTS, warm=warm, stop=stop)
         warm = [(a, b)]
         atom = atom_of(a, b)
         gap = float(np.real(np.vdot(atom - rho, g)))
         if gap <= cfg.tolerance:
             # confirm with fresh restarts before trusting the inner search
-            _, a2, b2 = best_product_state(gmat, d, rng,
-                                           restarts=cfg.confirm_restarts,
-                                           sweeps=cfg.inner_sweeps, stop=stop)
+            _, a2, b2 = best_product_state(gmat, d, rng, restarts=CONFIRM_RESTARTS, stop=stop)
             atom2 = atom_of(a2, b2)
             gap2 = float(np.real(np.vdot(atom2 - rho, g)))
             if gap2 <= cfg.tolerance:
                 return rho, True, it, gap2
             atom, gap, warm = atom2, gap2, [(a2, b2)]
-        atoms.append(atom)
-        mat = np.stack(atoms)
-        gram = np.real(mat.conj() @ mat.T)
-        overlap = np.real(mat.conj() @ target)
+        atoms = np.vstack((atoms, atom))
+        gram = np.real(atoms.conj() @ atoms.T)
+        overlap = np.real(atoms.conj() @ target)
         weights = _solve_simplex_weights(gram, overlap, np.append(weights, 0.0))
         keep = weights > 1e-14
         if keep.sum() < len(weights):
-            atoms = [at for at, kp in zip(atoms, keep) if kp]
+            atoms = atoms[keep]
             weights = weights[keep] / weights[keep].sum()
-    return np.stack(atoms).T @ weights, False, cfg.max_iterations, gap
+    return atoms.T @ weights, False, cfg.max_iterations, gap
 
 
 def _checked_state(rho_ent) -> tuple[np.ndarray, int]:

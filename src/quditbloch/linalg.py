@@ -26,11 +26,6 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(a^dag b)."""
     a = _as_square(a)
@@ -123,9 +118,9 @@ def is_psd(a: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh((a + a.conj().T) / 2)[0] >= -TOL_PSD)
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol)
+    return bool(np.abs(a - a.conj().T).max() <= TOL_HERM)
 
 
 def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

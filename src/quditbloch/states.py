@@ -158,11 +158,6 @@ QUTRIT_PLANE = PlaneFamily(
 PLANES = {plane.name: plane for plane in (QUBIT_PLANE, QUTRIT_PLANE)}
 
 
-def qubit_plane_physical(alpha: float, beta: float) -> bool:
-    """Positivity constraints of the two-parameter two-qubit family."""
-    return QUBIT_PLANE.physical(alpha, beta)
-
-
 def two_param_qubit(alpha: float, beta: float, checked: bool = True) -> BipartiteState:
     """Two-qubit mixture (1-a-b)/4 * 1 + a phi+ + (b/2)(psi+ + psi-).
 
@@ -179,11 +174,6 @@ def two_param_qubit_pauli(alpha: float, beta: float) -> np.ndarray:
     mat += alpha * (tensor(PAULI[1], PAULI[1]) - tensor(PAULI[2], PAULI[2]))
     mat += (alpha - beta) * tensor(PAULI[3], PAULI[3])
     return mat / 4
-
-
-def qutrit_plane_physical(alpha: float, beta: float) -> bool:
-    """Positivity constraints of the two-parameter two-qutrit family."""
-    return QUTRIT_PLANE.physical(alpha, beta)
 
 
 def two_param_qutrit(alpha: float, beta: float, checked: bool = True) -> BipartiteState:
@@ -265,14 +255,6 @@ def random_ket(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_product_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Projector onto a Haar-random pure product state |a> (x) |b>."""
-    a = random_ket(d, rng)
-    b = random_ket(d, rng)
-    ab = np.kron(a, b)
-    return np.outer(ab, ab.conj())
-
-
 def sample_separable(d: int, seed, mixture_count: int = 4) -> BipartiteState:
     """Random separable state: a convex mixture of Haar-random pure product
     states with flat-Dirichlet weights.
@@ -286,5 +268,6 @@ def sample_separable(d: int, seed, mixture_count: int = 4) -> BipartiteState:
     weights = rng.dirichlet(np.ones(mixture_count))
     mat = np.zeros((d * d, d * d), dtype=complex)
     for w in weights:
-        mat += w * random_product_state(d, rng)
+        ab = np.kron(random_ket(d, rng), random_ket(d, rng))   # draws a, then b
+        mat += w * np.outer(ab, ab.conj())
     return BipartiteState(mat, d, validate=False)

@@ -125,10 +125,8 @@ class TestWeylOracleInputs(TestOracleInputs):
 
 class TestGilbertConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"inner_sweeps": 0}, {"inner_sweeps": -3}, {"inner_sweeps": 2.5},
-        {"restarts": -1}, {"confirm_restarts": -1}, {"max_iterations": -1},
-        {"max_iterations": 10.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
-        {"tolerance": -1e-9},
+        {"max_iterations": -1}, {"max_iterations": 10.0}, {"tolerance": math.nan},
+        {"tolerance": math.inf}, {"tolerance": -1e-9},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -136,8 +134,7 @@ class TestGilbertConfig:
 
     def test_accepts_defaults_and_edges(self):
         qb.GilbertConfig()
-        qb.GilbertConfig(max_iterations=0, tolerance=0.0, restarts=0, inner_sweeps=1,
-                         confirm_restarts=0)
+        qb.GilbertConfig(max_iterations=0, tolerance=0.0)
         qb.GilbertConfig(max_iterations=np.int64(3), tolerance=1)
 
     def test_zero_iterations_returns_first_atom(self):
