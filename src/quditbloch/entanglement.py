@@ -13,6 +13,7 @@ violation of the witness inequality over separable states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -235,10 +236,29 @@ def plane_distance(plane: PlaneFamily, alpha: float,
     return _PLANE_REGIONS[region[0]], distance[0]
 
 
+@functools.cache
+def _region_witness(plane: PlaneFamily, label: RegionLabel) -> np.ndarray:
+    """The optimal witness of an entangled plane region, one read-only
+    operator for all its points (the region's nearest-point map projects onto
+    its line). Built a unit beyond the line at beta = 0, outside the triangle,
+    so no D close to 0 divides rounding into it."""
+    if label is RegionLabel.ENTANGLED_I:
+        alpha = plane.line_i(0.0)
+        ent, sep = (alpha + 1, 0.0), (alpha, 0.0)
+    else:
+        alpha = plane.line_ii(0.0) - 1
+        ent, sep = (alpha, 0.0), plane.nearest_ii(alpha, 0.0)
+    a_opt = witness_candidate(plane.state(*sep, checked=False),
+                              plane.state(*ent, checked=False))
+    a_opt.setflags(write=False)
+    return a_opt
+
+
 def hs_measure_plane(plane: PlaneFamily, alpha: float,
                      beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
     """Region label and, for entangled points, the closed-form measure: the
-    nearest separable state, D, and the optimal witness certified by the
+    nearest separable state, D, and the region's optimal witness (the same
+    read-only operator at every point of the region) certified by the
     plane's separable-expectation lemma."""
     label, distance = plane_distance(plane, alpha, beta)
     if distance is None:
@@ -247,8 +267,8 @@ def hs_measure_plane(plane: PlaneFamily, alpha: float,
                else plane.nearest_ii(alpha, beta))
     rho_ent = plane.state(alpha, beta)
     rho0 = plane.state(*nearest)
-    a_opt = witness_candidate(rho0, rho_ent)
-    report = verify_witness(a_opt, rho_ent, _LEMMA_METHODS[plane.subdim])
+    report = verify_witness(_region_witness(plane, label), rho_ent,
+                            _LEMMA_METHODS[plane.subdim])
     return label, HSMeasureResult(distance, rho0, report, -report.ent_expectation)
 
 

@@ -374,20 +374,16 @@ class TestMissingFamilyParameters:
 
 class TestWitnessNearRegionLines:
     """Entangled plane points within rounding of a region line have D below
-    TOL_WIT, so the one verdict rule gives Inconclusive. The witness built by
-    dividing two nearly equal states by D does not reach it yet; the exact
-    region witnesses of ROADMAP item 3 would."""
+    TOL_WIT, so the one verdict rule gives Inconclusive. Each region's one
+    witness operator is built a unit away from its line, so no point divides
+    rounding by its D."""
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the qutrit candidate witness "
-                       "is not Hermitian within TOL_HERM, so measure exits 2")
     def test_qutrit_plane_point_near_line_i(self, capsys):
         code, out, _ = run_cli(capsys, "measure", "--family", "qutrit2p",
                                "--alpha=0.2706632663061225", "--beta=0.16530612244897958")
         assert code == 0
         assert json.loads(out)["witness"]["verdict"] == "Inconclusive"
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the qubit candidate witness "
-                       "misses the lemma form and the seesaw refutes it (NotWitness)")
     def test_qubit_plane_point_near_line_ii(self, capsys):
         code, out, _ = run_cli(capsys, "measure", "--family", "qubit2p",
                                "--alpha=-0.25000000001", "--beta=-0.75")

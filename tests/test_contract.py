@@ -67,12 +67,12 @@ def test_basis_dump_csv(capsys, kind, digest):
 @pytest.mark.parametrize("family,alpha,beta,digest", [
     ("qubit2p", 2.0, 0.0, "a677a5ddb1e392df7c5d0032d4ca45ddeae0026b644519737eef296d2de511ac"),
     ("qubit2p", 0.0, 0.0, "c48c98e71056adab0c96adcc4ee6d5dcd54dabb75654b75e39852dc4bb7b7638"),
-    ("qubit2p", 0.8, 0.1, "38e9db7d42316cb243353b138823af5cfc905077dfe66b0d5f00df2ef7bd1c57"),
-    ("qubit2p", -0.7, -1.5, "319c8e0042514fddcfa205197aeb490f6947ae5a893b75e1a916a844473311d9"),
+    ("qubit2p", 0.8, 0.1, "af299bf95a14379af1b678f2a24cbf1ea133a20264683a2c82225e6810cbdea0"),
+    ("qubit2p", -0.7, -1.5, "29037752a35755f5021b3c5086839a3b8aaaf7b0afa687af3efa1e98b3bb37e6"),
     ("qutrit2p", -0.4, 0.9, "f4876704c38e8145a96ba7cb916c81cc65018a9d26c8286ca49d08a063c27c8f"),
     ("qutrit2p", 0.0, 0.0, "e388f85291de512d0bddc22fbc382cd5d8b66df3f96ea89d564300c9e02386b0"),
-    ("qutrit2p", 0.6, 0.0, "20e3ab0fe575381d61d891a8b11a9d26ab000d2220d2ff6ab15521379a8e3f4f"),
-    ("qutrit2p", 0.1, 0.7, "62a9c91d8e313740a377daf948c2b319f9ded59643dbcf1b5dd824cb6260374a"),
+    ("qutrit2p", 0.6, 0.0, "2321ed0a089e08332f601c6631241850a30461a09ca2438cd445b59a1d2cceaf"),
+    ("qutrit2p", 0.1, 0.7, "6f3238a43811e47d5f652cab19f5e443ff3b58507152092609940fa62c9138e9"),
 ])
 def test_measure_plane_regions(capsys, family, alpha, beta, digest):
     assert _sha256_stdout(capsys, "measure", "--family", family, "--alpha", repr(alpha),

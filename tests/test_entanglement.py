@@ -390,3 +390,31 @@ class TestVerdictNearZero:
             assert qb.cli_main(base + [alpha]) == 0
             verdicts.append(json.loads(capsys.readouterr().out)["witness"]["verdict"])
         assert verdicts == ["Inconclusive", "Witness"]
+
+
+class TestRegionWitnessNearLines:
+    """Points 1e-11, 1e-9 and 1e-6 into each entangled region, along the
+    whole of its line inside the triangle, get the region's one witness
+    operator, certified by the plane's lemma: no verdict is NotWitness and
+    none raises, though D there is close to 0."""
+
+    # beta range of each region line inside the triangle, and the direction
+    # of alpha into the region
+    SEGMENTS = {("qubit2p", "I"): (-1.0, 0.5, 1.0), ("qubit2p", "II"): (-1.0, -0.5, -1.0),
+                ("qutrit2p", "I"): (-2 / 9, 2 / 3, 1.0), ("qutrit2p", "II"): (1 / 3, 2 / 3, -1.0)}
+    LEMMAS = {"qubit2p": WitnessMethod.LEMMA_QUBIT, "qutrit2p": WitnessMethod.LEMMA_QUTRIT}
+
+    @pytest.mark.parametrize("family,region", sorted(SEGMENTS))
+    def test_one_lemma_witness_along_the_line(self, family, region):
+        plane = qb.PLANES[family]
+        lo, hi, into = self.SEGMENTS[family, region]
+        line = plane.line_i if region == "I" else plane.line_ii
+        witnesses = []
+        for beta in np.linspace(lo, hi, 11)[1:-1]:
+            for offset in (1e-11, 1e-9, 1e-6):
+                label, res = qb.hs_measure_plane(plane, line(beta) + into * offset, beta)
+                assert label.value == "EntangledRegion" + region
+                assert res.witness.method is self.LEMMAS[family]
+                assert res.witness.verdict is not WitnessVerdict.NOT_WITNESS
+                witnesses.append(res.witness.operator.tobytes())
+        assert set(witnesses) == {witnesses[0]}
