@@ -125,8 +125,10 @@ class TestWeylOracleInputs(TestOracleInputs):
 
 class TestGilbertConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"max_iterations": -1}, {"max_iterations": 10.0}, {"tolerance": math.nan},
-        {"tolerance": math.inf}, {"tolerance": -1e-9},
+        {"max_iterations": -7}, {"max_iterations": None}, {"max_iterations": "10"},
+        {"tolerance": -math.inf}, {"tolerance": -1.0}, {"max_iterations": -1},
+        {"max_iterations": 10.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
+        {"tolerance": -1e-9},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
