@@ -4,7 +4,8 @@ Sweeps the (alpha, beta) planes of the two-qubit and two-qutrit families with
 the ``sweep`` subcommand, which writes figure-ready CSV files with the region
 label, the Hilbert-Schmidt measure, and the eigenvalue diagnostics at every
 grid point (17 significant digits, as every CLI output). Also spot-checks
-the closed-form witnesses in both entangled regions.
+the closed-form witnesses in both entangled regions, and exits non-zero
+unless each of them is certified as a ``Witness``.
 """
 
 import collections
@@ -35,17 +36,23 @@ for family, a_rng, b_rng in (("qubit2p", (-1.3, 1.3, 105), (-2.2, 1.3, 141)),
 # ---------------------------------------------------------------------------
 # Closed forms at one representative point per region
 # ---------------------------------------------------------------------------
+verdicts = []
 print("\nqubit plane:")
 for alpha, beta in ((0.8, 0.1), (-0.7, -1.5)):
     label, res = qb.hs_measure_qubit_plane(alpha, beta)
+    verdicts.append(res.witness.verdict)
     print(f"  ({alpha:+.2f}, {beta:+.2f}): {label.value:<18} D = {res.distance:.6f} "
           f"witness {res.witness.verdict.value}")
 
 print("qutrit plane:")
 for alpha, beta in ((0.6, 0.0), (0.1, 0.7)):
     label, res = qb.hs_measure_qutrit_plane(alpha, beta)
+    verdicts.append(res.witness.verdict)
     print(f"  ({alpha:+.2f}, {beta:+.2f}): {label.value:<18} D = {res.distance:.6f} "
           f"witness {res.witness.verdict.value}")
+if any(verdict is not qb.WitnessVerdict.WITNESS for verdict in verdicts):
+    raise SystemExit("expected a Witness verdict at every region point, got "
+                     + ", ".join(verdict.value for verdict in verdicts))
 
 # the nearest separable state always sits on the PPT boundary
 label, res = qb.hs_measure_qutrit_plane(0.6, 0.0)

@@ -3,8 +3,8 @@
 Closed-form nearest separable states, distances and optimal witnesses for the
 isotropic and two-parameter families, the witness-candidate construction and
 its verification (analytically through the qubit/qutrit separable-expectation
-lemmas, or numerically through a seesaw over product states), and PPT
-verdicts.
+lemmas or a positive semidefinite partial transpose, or numerically through a
+seesaw over product states), and PPT verdicts.
 
 For every closed-form result the optimal-witness identities hold:
 D = B = -<rho_ent, A_opt> and <rho_0, A_opt> = 0, where B is the maximal
@@ -45,6 +45,7 @@ class WitnessVerdict(str, Enum):
 class WitnessMethod(str, Enum):
     LEMMA_QUBIT = "LemmaQubit"
     LEMMA_QUTRIT = "LemmaQutrit"
+    PARTIAL_TRANSPOSE = "PartialTranspose"
     SEESAW = "SeesawNumeric"
 
 
@@ -52,9 +53,10 @@ class WitnessMethod(str, Enum):
 class WitnessReport:
     """Outcome of testing a Hermitian operator against one entangled state.
 
-    ``sep_min_estimate`` is 0 when a lemma certifies nonnegativity on all
-    separable states, otherwise the smallest product-state expectation found
-    by the seesaw (an upper bound on the true separable minimum).
+    ``sep_min_estimate`` is 0 when a certificate (a lemma or a positive
+    semidefinite partial transpose) proves nonnegativity on all separable
+    states, otherwise the smallest product-state expectation found by the
+    seesaw (an upper bound on the true separable minimum).
     """
 
     operator: np.ndarray
@@ -93,6 +95,9 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
     if mt.shape != me.shape:
         raise ValueError(f"dimension mismatch: {mt.shape} vs {me.shape}")
     diff = mt - me
+    # the Hermitian part: rounding in two nearly equal states, divided by a
+    # small distance, would otherwise leave C visibly non-Hermitian
+    diff = (diff + diff.conj().T) / 2
     dist = hs_norm(diff)
     if dist <= 1e-14:
         raise ValueError("witness candidate undefined for coinciding states")
@@ -124,36 +129,45 @@ _LEMMA_PLANES = {WitnessMethod.LEMMA_QUBIT: QUBIT_PLANE,
 _LEMMA_METHODS = {plane.subdim: method for method, plane in _LEMMA_PLANES.items()}
 
 
+def _certifies(method: WitnessMethod, a: np.ndarray, d: int) -> bool:
+    """Whether ``method`` proves <ab|A|ab> >= 0 for every product state: a
+    lemma when A matches its closed form, the partial transpose when
+    lambda_min(A^Gamma) >= -TOL_WIT ||A||, as <ab|A|ab> = <a b*|A^Gamma|a b*>."""
+    if method is WitnessMethod.PARTIAL_TRANSPOSE:
+        return ppt_verdict(a, d)[1] >= -TOL_WIT * hs_norm(a)
+    plane = _LEMMA_PLANES.get(method)
+    return (plane is not None and d == plane.subdim
+            and _match_lemma(a, plane.lemma_identity, plane.operators()[3:]) is not None)
+
+
 def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW) -> WitnessReport:
     """Test whether a Hermitian operator witnesses the entanglement of rho_ent.
 
     The lemma methods certify nonnegativity on all separable states when the
-    operator matches the corresponding closed form; the seesaw only produces
-    an upper bound on the separable minimum, so it can refute but never
-    certify. One rule gives the verdict: ``NotWitness`` if
-    <rho_ent, A> > TOL_WIT or the seesaw finds a product state below
-    -TOL_WIT; ``Witness`` if a lemma certifies and <rho_ent, A> < -TOL_WIT;
-    otherwise ``Inconclusive`` (an expectation within TOL_WIT of 0 decides
-    nothing).
+    operator matches the corresponding closed form, ``PartialTranspose`` when
+    the operator's partial transpose is positive semidefinite (Horodecki,
+    Horodecki & Horodecki, PLA 223, 1 (1996)); a method that does not certify
+    falls back to the seesaw. The seesaw only produces an upper bound on the
+    separable minimum, so it can refute but never certify. One rule gives the
+    verdict: ``NotWitness`` if <rho_ent, A> > TOL_WIT or the seesaw finds a
+    product state below -TOL_WIT; ``Witness`` if a certificate holds and
+    <rho_ent, A> < -TOL_WIT; otherwise ``Inconclusive`` (an expectation
+    within TOL_WIT of 0 decides nothing).
     """
     a = as_hermitian(a, "witness operator")
     method = WitnessMethod(method)
     me, d = _bipartite_matrix(rho_ent, None)
     ent = hs_inner(me, a).real   # raises ValueError unless a and rho_ent have one shape
 
-    plane = _LEMMA_PLANES.get(method)
-    fit = None
-    if plane is not None and d == plane.subdim:
-        fit = _match_lemma(a, plane.lemma_identity, plane.operators()[3:])
-
-    if fit is not None:
+    certified = _certifies(method, a, d)
+    if certified:
         sep_min = 0.0
-    else:   # no lemma form matched: fall back to the one-sided numeric bound
+    else:   # no certificate holds: fall back to the one-sided numeric bound
         method = WitnessMethod.SEESAW
         sep_min = min_product_expectation(a, d, np.random.default_rng(0))
     if ent > TOL_WIT or sep_min < -TOL_WIT:
         verdict = WitnessVerdict.NOT_WITNESS
-    elif fit is not None and ent < -TOL_WIT:
+    elif certified and ent < -TOL_WIT:
         verdict = WitnessVerdict.WITNESS
     else:
         verdict = WitnessVerdict.INCONCLUSIVE
@@ -174,13 +188,28 @@ def classify_isotropic(d: int, alpha: float) -> RegionLabel:
     return RegionLabel.SEPARABLE
 
 
+@functools.cache
+def _isotropic_witness(d: int) -> np.ndarray:
+    """The optimal witness of the entangled isotropic states of dimension d,
+    one read-only operator for every alpha, built in the GGB form
+    (1/d) sqrt((d-1)/(d+1)) 1x1 - LAMBDA / (2 sqrt(d^2-1))."""
+    lam = composite_operator(CompositeKind.LAMBDA, d)
+    a_opt = (np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d, dtype=complex)
+             - lam / (2 * np.sqrt(d * d - 1.0)))
+    a_opt.setflags(write=False)
+    return a_opt
+
+
 def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     """Closed-form measure for the entangled isotropic state (alpha > 1/(d+1)).
 
     The nearest separable state sits on the separability boundary
     alpha0 = 1/(d+1); the distance is sqrt(d^2-1)/d * (alpha - alpha0) and
-    the optimal witness is
-    (1/d) sqrt((d-1)/(d+1)) 1x1 - LAMBDA / (2 sqrt(d^2-1)).
+    the optimal witness is A_opt = (1x1 - d P+)/sqrt(d^2-1), the same
+    read-only operator for every alpha. Its partial transpose
+    2 P_antisym/sqrt(d^2-1) is positive semidefinite (Bertlmann, Narnhofer &
+    Thirring, PRA 66, 032319 (2002)), which certifies it at every d without
+    a lemma; d = 2 and 3 keep their lemmas.
     """
     if classify_isotropic(d, alpha) is not RegionLabel.ENTANGLED:
         raise ValueError(f"isotropic alpha={alpha} is not in the entangled range "
@@ -188,11 +217,9 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     threshold = _isotropic_threshold(d)
     rho_ent = isotropic_state(d, alpha)
     rho0 = isotropic_state(d, threshold)
-    lam = composite_operator(CompositeKind.LAMBDA, d)
-    a_opt = (np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d, dtype=complex)
-             - lam / (2 * np.sqrt(d * d - 1.0)))
     distance = np.sqrt(d * d - 1.0) / d * (alpha - threshold)
-    report = verify_witness(a_opt, rho_ent, _LEMMA_METHODS.get(d, WitnessMethod.SEESAW))
+    report = verify_witness(_isotropic_witness(d), rho_ent,
+                            _LEMMA_METHODS.get(d, WitnessMethod.PARTIAL_TRANSPOSE))
     return HSMeasureResult(float(distance), rho0, report, -report.ent_expectation)
 
 

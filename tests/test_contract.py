@@ -72,7 +72,7 @@ def test_basis_dump_csv(capsys, kind, digest):
     ("qutrit2p", -0.4, 0.9, "f4876704c38e8145a96ba7cb916c81cc65018a9d26c8286ca49d08a063c27c8f"),
     ("qutrit2p", 0.0, 0.0, "e388f85291de512d0bddc22fbc382cd5d8b66df3f96ea89d564300c9e02386b0"),
     ("qutrit2p", 0.6, 0.0, "2321ed0a089e08332f601c6631241850a30461a09ca2438cd445b59a1d2cceaf"),
-    ("qutrit2p", 0.1, 0.7, "6f3238a43811e47d5f652cab19f5e443ff3b58507152092609940fa62c9138e9"),
+    ("qutrit2p", 0.1, 0.7, "6a28a3aa1eb882164f356c200c61132868e56ae86485f4990f4a60c37eeec48d"),
 ])
 def test_measure_plane_regions(capsys, family, alpha, beta, digest):
     assert _sha256_stdout(capsys, "measure", "--family", family, "--alpha", repr(alpha),
@@ -82,7 +82,7 @@ def test_measure_plane_regions(capsys, family, alpha, beta, digest):
 @pytest.mark.parametrize("dim,alpha,digest", [
     (2, 0.9, "eede6e6f5ff1eba1361c8eb656341f9bf98eadbcc8eaacaba84552b8d58ff169"),
     (3, 0.85, "3c85eae3b5c4ed311e79b4d868880ca2f1c11754e39ec5e95d87c06db52482af"),
-    (4, 0.9, "cd0ad5a809fc45e0f9ab182b8fd8eb5ecc56bfdb46b0f7a33121c00d404d1c22"),
+    (4, 0.9, "8c23fc118812e56ff6f28d1453609515913f4537d546e36da66ff62d9b830a9f"),
     (3, 0.2, "bc4e1e44646d7dfddb1904784d9324548db58622db3731df48f25a319036bd2f"),
     (3, -0.5, "9ae441c8b1d115aa48e98fc56dd17b3d137a51b0c2fd72ce3b7e0cc6fe8f06a1"),
 ])

@@ -5,7 +5,7 @@ import pytest
 
 import quditbloch as qb
 from quditbloch import RegionLabel, WitnessMethod, WitnessVerdict
-from quditbloch.entanglement import TOL_WIT
+from quditbloch.entanglement import TOL_WIT, _isotropic_witness, _region_witness
 
 QUBIT_REGION_I = [(0.5, 0.0), (0.7, 0.0), (0.9, 0.0), (0.6, 0.2), (0.7, 0.25),
                   (0.6, -0.2), (0.8, -0.1), (0.5, 0.3), (0.55, -0.35), (0.95, 0.02)]
@@ -115,6 +115,17 @@ class TestWitnessCandidate:
         with pytest.raises(ValueError):
             qb.witness_candidate(rho, rho)
 
+    def test_hermitian_for_nearly_equal_states(self):
+        # D ~ 9.4e-10: the states' rounding, divided by D, used to leave the
+        # candidate non-Hermitian by 1.5e-8, and verify_witness raised
+        plane = qb.QUTRIT_PLANE
+        alpha, beta = 0.2706632663061225, 0.16530612244897958
+        rho = plane.state(alpha, beta)
+        c = qb.witness_candidate(plane.state(plane.line_i(beta), beta), rho)
+        assert qb.is_hermitian(c)
+        report = qb.verify_witness(c, rho, WitnessMethod.LEMMA_QUTRIT)
+        assert isinstance(report, qb.WitnessReport)
+
 
 class TestVerifyWitness:
     def test_qubit_region_i_witness(self):
@@ -167,6 +178,52 @@ class TestVerifyWitness:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             qb.verify_witness(np.diag([1j, 0, 0, 0]), qb.two_param_qubit(0.9, 0.0))
+
+
+class TestPartialTransposeCertificate:
+    """A^Gamma >= 0 certifies A on every product state; where it fails the
+    method falls back to the seesaw, which can still refute."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_isotropic_witness_certified(self, d):
+        res = qb.hs_measure_isotropic(d, 0.9)
+        assert res.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
+        assert res.witness.verdict is WitnessVerdict.WITNESS
+        assert res.witness.sep_min_estimate == 0.0
+
+    @pytest.mark.parametrize("family,alpha,beta", [("qubit2p", 0.8, 0.1), ("qubit2p", -0.7, -1.5),
+                                                   ("qutrit2p", 0.6, 0.0), ("qutrit2p", 0.1, 0.7)])
+    def test_region_witnesses_certified(self, family, alpha, beta):
+        plane = qb.PLANES[family]
+        label = qb.classify_plane(plane, alpha, beta)
+        report = qb.verify_witness(_region_witness(plane, label), plane.state(alpha, beta),
+                                   WitnessMethod.PARTIAL_TRANSPOSE)
+        assert report.method is WitnessMethod.PARTIAL_TRANSPOSE
+        assert report.verdict is WitnessVerdict.WITNESS
+
+    def test_negative_partial_transpose_falls_back_to_seesaw(self):
+        a = -qb.tensor(qb.PAULI[3], qb.PAULI[3])
+        report = qb.verify_witness(a, qb.two_param_qubit(0.9, 0.0),
+                                   WitnessMethod.PARTIAL_TRANSPOSE)
+        assert report.method is WitnessMethod.SEESAW
+        assert report.verdict is WitnessVerdict.NOT_WITNESS
+        assert report.sep_min_estimate == pytest.approx(-1.0, abs=1e-9)
+
+    def test_near_threshold_is_inconclusive(self):
+        # D ~ 1e-11 < TOL_WIT: certified, but the expectation decides nothing
+        res = qb.hs_measure_isotropic(4, 0.2 + 1e-11)
+        assert 0 < res.distance < TOL_WIT
+        assert res.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
+        assert res.witness.verdict is WitnessVerdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_cached_isotropic_witness(self, d):
+        op = _isotropic_witness(d)
+        assert not op.flags.writeable
+        assert qb.hs_measure_isotropic(d, 0.9).witness.operator is op
+        inline = (np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d, dtype=complex)
+                  - qb.composite_operator("lambda", d) / (2 * np.sqrt(d * d - 1.0)))
+        assert op.tobytes() == inline.tobytes()
 
 
 class TestIsotropicMeasure:
