@@ -5,7 +5,7 @@ import pytest
 
 import quditbloch as qb
 from quditbloch import RegionLabel, WitnessMethod, WitnessVerdict
-from quditbloch.entanglement import TOL_WIT, _isotropic_witness, _region_witness
+from quditbloch.entanglement import TOL_WIT
 
 QUBIT_REGION_I = [(0.5, 0.0), (0.7, 0.0), (0.9, 0.0), (0.6, 0.2), (0.7, 0.25),
                   (0.6, -0.2), (0.8, -0.1), (0.5, 0.3), (0.55, -0.35), (0.95, 0.02)]
@@ -195,8 +195,8 @@ class TestPartialTransposeCertificate:
                                                    ("qutrit2p", 0.6, 0.0), ("qutrit2p", 0.1, 0.7)])
     def test_region_witnesses_certified(self, family, alpha, beta):
         plane = qb.PLANES[family]
-        label = qb.classify_plane(plane, alpha, beta)
-        report = qb.verify_witness(_region_witness(plane, label), plane.state(alpha, beta),
+        _, res = qb.hs_measure_plane(plane, alpha, beta)
+        report = qb.verify_witness(res.witness.operator, plane.state(alpha, beta),
                                    WitnessMethod.PARTIAL_TRANSPOSE)
         assert report.method is WitnessMethod.PARTIAL_TRANSPOSE
         assert report.verdict is WitnessVerdict.WITNESS
@@ -218,9 +218,9 @@ class TestPartialTransposeCertificate:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_cached_isotropic_witness(self, d):
-        op = _isotropic_witness(d)
+        op = qb.hs_measure_isotropic(d, 0.9).witness.operator
         assert not op.flags.writeable
-        assert qb.hs_measure_isotropic(d, 0.9).witness.operator is op
+        assert qb.hs_measure_isotropic(d, 0.7).witness.operator is op
         inline = (np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d, dtype=complex)
                   - qb.composite_operator("lambda", d) / (2 * np.sqrt(d * d - 1.0)))
         assert op.tobytes() == inline.tobytes()
