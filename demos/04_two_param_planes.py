@@ -59,6 +59,6 @@ label, res = qb.hs_measure_qutrit_plane(0.6, 0.0)
 _, pt_min = qb.ppt_verdict(res.nearest_separable)
 print(f"\nnearest separable state of (0.6, 0.0): PT min eigenvalue {pt_min:+.2e}")
 
-# and the oracle agrees with the closed form away from the lemma machinery
+# and the numeric oracle, which uses no closed form or witness, agrees with it
 res_num = qb.nearest_separable_numeric(qb.two_param_qutrit(0.6, 0.0))
 print(f"oracle distance {res_num.distance:.8f} vs closed form {res.distance:.8f}")

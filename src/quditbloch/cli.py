@@ -302,7 +302,7 @@ def _sweep_columns(spec: SweepSpec):
                                 region.tolist())
     if "hs_measure" in spec.outputs:
         columns["D"] = iter(distance)
-    ops = plane.operators()[:3]
+    ops = plane.operators()
     pt_ops = [partial_transpose(op, "B", plane.subdim) for op in ops]
     for output, stack_ops in (("min_eigenvalue", ops), ("ppt_min_eigenvalue", pt_ops)):
         if output in spec.outputs:

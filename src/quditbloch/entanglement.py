@@ -2,9 +2,8 @@
 
 Closed-form nearest separable states, distances and optimal witnesses for the
 isotropic and two-parameter families, the witness-candidate construction and
-its verification (analytically through the qubit/qutrit separable-expectation
-lemmas or a positive semidefinite partial transpose, or numerically through a
-seesaw over product states), and PPT verdicts.
+its verification (certified by a positive semidefinite partial transpose, or
+refuted numerically through a seesaw over product states), and PPT verdicts.
 
 For every closed-form result the optimal-witness identities hold:
 D = B = -<rho_ent, A_opt> and <rho_0, A_opt> = 0, where B is the maximal
@@ -43,8 +42,8 @@ class WitnessVerdict(str, Enum):
 
 
 class WitnessMethod(str, Enum):
-    LEMMA_QUBIT = "LemmaQubit"
-    LEMMA_QUTRIT = "LemmaQutrit"
+    """Provenance of a verdict: which test produced ``sep_min_estimate``."""
+
     PARTIAL_TRANSPOSE = "PartialTranspose"
     SEESAW = "SeesawNumeric"
 
@@ -53,10 +52,10 @@ class WitnessMethod(str, Enum):
 class WitnessReport:
     """Outcome of testing a Hermitian operator against one entangled state.
 
-    ``sep_min_estimate`` is 0 when a certificate (a lemma or a positive
-    semidefinite partial transpose) proves nonnegativity on all separable
-    states, otherwise the smallest product-state expectation found by the
-    seesaw (an upper bound on the true separable minimum).
+    ``sep_min_estimate`` is 0 when a positive semidefinite partial transpose
+    proves nonnegativity on all separable states, otherwise the smallest
+    product-state expectation found by the seesaw (an upper bound on the true
+    separable minimum).
     """
 
     operator: np.ndarray
@@ -89,6 +88,12 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
     C = (rho_tilde - rho_ent - <rho_tilde, rho_tilde - rho_ent> 1) / ||rho_tilde - rho_ent||.
     By construction <rho_ent, C> = -||rho_tilde - rho_ent|| < 0; C is a
     genuine witness iff rho_tilde is the nearest separable state.
+
+    Its error grows like rounding/D: at qutrit2p (0.2706632663061225,
+    0.16530612244897958) and its line-I point, D = 9.4e-10, C misses the
+    partial-transpose certificate and the seesaw says ``NotWitness`` where
+    ``hs_measure_plane`` says ``Inconclusive``. Near a region line, use the
+    closed-form measures (``hs_measure_plane``, ``hs_measure_isotropic``).
     """
     mt = as_matrix(rho_tilde)
     me = as_matrix(rho_ent)
@@ -105,63 +110,27 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
     return (diff - shift * np.eye(mt.shape[0])) / dist
 
 
-def _match_lemma(a: np.ndarray, identity_weight: int, ops):
-    """Fit A = s(k 1 + c1 X1 + c2 X2), k = identity_weight, (X1, X2) = ops.
-
-    s = Tr A / (k n) and c_i = <X_i, A> / (||X_i||^2 s) for traceless,
-    mutually orthogonal X_i; None if A is not of that form with s > 0 and
-    |c1|, |c2| <= 1.
-    """
-    n = a.shape[0]
-    s = float(np.trace(a).real) / (identity_weight * n)
-    if s <= TOL_WIT:
-        return None
-    c1, c2 = (hs_inner(x, a).real / (hs_inner(x, x).real * s) for x in ops)
-    form = s * (identity_weight * np.eye(n, dtype=complex) + c1 * ops[0] + c2 * ops[1])
-    if np.abs(a - form).max() > 1e-9 or abs(c1) > 1 + TOL_WIT or abs(c2) > 1 + TOL_WIT:
-        return None
-    return s, c1, c2
-
-
-# the plane whose lemma each lemma method fits; the method for each subsystem dimension
-_LEMMA_PLANES = {WitnessMethod.LEMMA_QUBIT: QUBIT_PLANE,
-                 WitnessMethod.LEMMA_QUTRIT: QUTRIT_PLANE}
-_LEMMA_METHODS = {plane.subdim: method for method, plane in _LEMMA_PLANES.items()}
-
-
-def _certifies(method: WitnessMethod, a: np.ndarray, d: int) -> bool:
-    """Whether ``method`` proves <ab|A|ab> >= 0 for every product state: a
-    lemma when A matches its closed form, the partial transpose when
-    lambda_min(A^Gamma) >= -TOL_WIT ||A||, as <ab|A|ab> = <a b*|A^Gamma|a b*>."""
-    if method is WitnessMethod.PARTIAL_TRANSPOSE:
-        return ppt_verdict(a, d)[1] >= -TOL_WIT * hs_norm(a)
-    plane = _LEMMA_PLANES.get(method)
-    return (plane is not None and d == plane.subdim
-            and _match_lemma(a, plane.lemma_identity, plane.operators()[3:]) is not None)
-
-
-def verify_witness(a: np.ndarray, rho_ent, method=WitnessMethod.SEESAW) -> WitnessReport:
+def verify_witness(a: np.ndarray, rho_ent) -> WitnessReport:
     """Test whether a Hermitian operator witnesses the entanglement of rho_ent.
 
-    The lemma methods certify nonnegativity on all separable states when the
-    operator matches the corresponding closed form, ``PartialTranspose`` when
-    the operator's partial transpose is positive semidefinite (Horodecki,
-    Horodecki & Horodecki, PLA 223, 1 (1996)); a method that does not certify
-    falls back to the seesaw. The seesaw only produces an upper bound on the
+    A positive semidefinite partial transpose certifies nonnegativity on all
+    separable states, as <ab|A|ab> = <a b*|A^Gamma|a b*> (Horodecki,
+    Horodecki & Horodecki, PLA 223, 1 (1996)): ``PartialTranspose`` when
+    lambda_min(A^Gamma) >= -TOL_WIT ||A||. Otherwise the report falls back to
+    the seesaw (``SeesawNumeric``), which only produces an upper bound on the
     separable minimum, so it can refute but never certify. One rule gives the
     verdict: ``NotWitness`` if <rho_ent, A> > TOL_WIT or the seesaw finds a
-    product state below -TOL_WIT; ``Witness`` if a certificate holds and
+    product state below -TOL_WIT; ``Witness`` if the certificate holds and
     <rho_ent, A> < -TOL_WIT; otherwise ``Inconclusive`` (an expectation
     within TOL_WIT of 0 decides nothing).
     """
     a = as_hermitian(a, "witness operator")
-    method = WitnessMethod(method)
     me, d = _bipartite_matrix(rho_ent, None)
     ent = hs_inner(me, a).real   # raises ValueError unless a and rho_ent have one shape
 
-    certified = _certifies(method, a, d)
+    certified = ppt_verdict(a, d)[1] >= -TOL_WIT * hs_norm(a)
     if certified:
-        sep_min = 0.0
+        method, sep_min = WitnessMethod.PARTIAL_TRANSPOSE, 0.0
     else:   # no certificate holds: fall back to the one-sided numeric bound
         method = WitnessMethod.SEESAW
         sep_min = min_product_expectation(a, d, np.random.default_rng(0))
@@ -208,8 +177,7 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     the optimal witness is A_opt = (1x1 - d P+)/sqrt(d^2-1), the same
     read-only operator for every alpha. Its partial transpose
     2 P_antisym/sqrt(d^2-1) is positive semidefinite (Bertlmann, Narnhofer &
-    Thirring, PRA 66, 032319 (2002)), which certifies it at every d without
-    a lemma; d = 2 and 3 keep their lemmas.
+    Thirring, PRA 66, 032319 (2002)), which certifies it at every d.
     """
     if classify_isotropic(d, alpha) is not RegionLabel.ENTANGLED:
         raise ValueError(f"isotropic alpha={alpha} is not in the entangled range "
@@ -218,8 +186,7 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     rho_ent = isotropic_state(d, alpha)
     rho0 = isotropic_state(d, threshold)
     distance = np.sqrt(d * d - 1.0) / d * (alpha - threshold)
-    report = verify_witness(_isotropic_witness(d), rho_ent,
-                            _LEMMA_METHODS.get(d, WitnessMethod.PARTIAL_TRANSPOSE))
+    report = verify_witness(_isotropic_witness(d), rho_ent)
     return HSMeasureResult(float(distance), rho0, report, -report.ent_expectation)
 
 
@@ -285,8 +252,8 @@ def hs_measure_plane(plane: PlaneFamily, alpha: float,
                      beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
     """Region label and, for entangled points, the closed-form measure: the
     nearest separable state, D, and the region's optimal witness (the same
-    read-only operator at every point of the region) certified by the
-    plane's separable-expectation lemma."""
+    read-only operator at every point of the region) certified by its
+    positive semidefinite partial transpose."""
     label, distance = plane_distance(plane, alpha, beta)
     if distance is None:
         return label, None
@@ -294,8 +261,7 @@ def hs_measure_plane(plane: PlaneFamily, alpha: float,
                else plane.nearest_ii(alpha, beta))
     rho_ent = plane.state(alpha, beta)
     rho0 = plane.state(*nearest)
-    report = verify_witness(_region_witness(plane, label), rho_ent,
-                            _LEMMA_METHODS[plane.subdim])
+    report = verify_witness(_region_witness(plane, label), rho_ent)
     return label, HSMeasureResult(distance, rho0, report, -report.ent_expectation)
 
 

@@ -90,11 +90,10 @@ class PlaneFamily:
     nearest_ii: Callable    # (a, b) -> nearest separable point of a Region II point
     distance_i: Callable    # (a, b) -> its Hilbert-Schmidt distance D
     distance_ii: Callable
-    lemma_identity: int     # k: s(k 1 + c1 X1 + c2 X2) >= 0 on separable states
-    operators: Callable     # () -> (1, P, Q + R, X1, X2), built on first use
+    operators: Callable     # () -> (1, P, Q + R), built on first use
 
     def mix(self, alpha, beta, ops) -> np.ndarray:
-        """rho(alpha, beta) for ops = operators()[:3], its partial transpose for
+        """rho(alpha, beta) for ops = operators(), its partial transpose for
         theirs; an alpha column (m, 1, 1) stacks m points, bit for bit alike."""
         ident, p, qr = ops
         return (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
@@ -103,8 +102,7 @@ class PlaneFamily:
         """rho(alpha, beta); ``checked`` rejects points outside the triangle."""
         if checked and not self.physical(alpha, beta):
             raise ValueError(f"{self.name} plane point ({alpha}, {beta}) is unphysical")
-        return BipartiteState(self.mix(alpha, beta, self.operators()[:3]), self.subdim,
-                              validate=False)
+        return BipartiteState(self.mix(alpha, beta, self.operators()), self.subdim, validate=False)
 
 
 def _read_only(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -117,16 +115,13 @@ def _read_only(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
 def _qubit_plane_operators() -> tuple[np.ndarray, ...]:
     kets = 1 / np.sqrt(2) * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
     phi_p, psi_p, psi_m = (np.outer(v, v.conj()) for v in kets)
-    s11, s22, s33 = (tensor(PAULI[i], PAULI[i]) for i in (1, 2, 3))
-    return _read_only(np.eye(4, dtype=complex), phi_p, psi_p + psi_m, s11 - s22, s33)
+    return _read_only(np.eye(4, dtype=complex), phi_p, psi_p + psi_m)
 
 
 @functools.cache
 def _qutrit_plane_operators() -> tuple[np.ndarray, ...]:
     p00, p10, p20 = (weyl_bell_projector(3, n, 0).matrix for n in range(3))
-    return _read_only(np.eye(9, dtype=complex), p00, p10 + p20,
-                      composite_operator(CompositeKind.U1, 3),
-                      composite_operator(CompositeKind.U2, 3))
+    return _read_only(np.eye(9, dtype=complex), p00, p10 + p20)
 
 
 QUBIT_PLANE = PlaneFamily(
@@ -138,7 +133,6 @@ QUBIT_PLANE = PlaneFamily(
     nearest_ii=lambda a, b: ((-1 + 2 * a - b) / 3, (-2 - 2 * a + b) / 3),
     distance_i=lambda a, b: np.sqrt(3) / 2 * (a - 1 / 3 - b / 3),
     distance_ii=lambda a, b: (-a - 1 - b) / (2 * np.sqrt(3)),
-    lemma_identity=1,               # s(1 + c1 (s1s1 - s2s2) + c2 s3s3)
     operators=_qubit_plane_operators,
 )
 
@@ -151,7 +145,6 @@ QUTRIT_PLANE = PlaneFamily(
     nearest_ii=lambda a, b: ((-2 + 20 * a + 5 * b) / 24, (2 + 4 * a + b) / 6),
     distance_i=lambda a, b: 2 * np.sqrt(2) / 3 * (a - 1 / 4 - b / 8),
     distance_ii=lambda a, b: (-4 * a - 2 + 5 * b) / (6 * np.sqrt(2)),
-    lemma_identity=2,               # s(2 + c1 U1 + c2 U2)
     operators=_qutrit_plane_operators,
 )
 

@@ -67,12 +67,12 @@ def test_basis_dump_csv(capsys, kind, digest):
 @pytest.mark.parametrize("family,alpha,beta,digest", [
     ("qubit2p", 2.0, 0.0, "a677a5ddb1e392df7c5d0032d4ca45ddeae0026b644519737eef296d2de511ac"),
     ("qubit2p", 0.0, 0.0, "c48c98e71056adab0c96adcc4ee6d5dcd54dabb75654b75e39852dc4bb7b7638"),
-    ("qubit2p", 0.8, 0.1, "af299bf95a14379af1b678f2a24cbf1ea133a20264683a2c82225e6810cbdea0"),
-    ("qubit2p", -0.7, -1.5, "29037752a35755f5021b3c5086839a3b8aaaf7b0afa687af3efa1e98b3bb37e6"),
+    ("qubit2p", 0.8, 0.1, "fc66509ffc3d39a1527d20c8f9016b0f7bf4b11a872cf9c44c07300dd03983f7"),
+    ("qubit2p", -0.7, -1.5, "065161499e8d158cf2bef6baf633312b44444a2c053d557351ce8212414aea04"),
     ("qutrit2p", -0.4, 0.9, "f4876704c38e8145a96ba7cb916c81cc65018a9d26c8286ca49d08a063c27c8f"),
     ("qutrit2p", 0.0, 0.0, "e388f85291de512d0bddc22fbc382cd5d8b66df3f96ea89d564300c9e02386b0"),
-    ("qutrit2p", 0.6, 0.0, "2321ed0a089e08332f601c6631241850a30461a09ca2438cd445b59a1d2cceaf"),
-    ("qutrit2p", 0.1, 0.7, "6a28a3aa1eb882164f356c200c61132868e56ae86485f4990f4a60c37eeec48d"),
+    ("qutrit2p", 0.6, 0.0, "7bbb2996e619b1e867b3d1be5a4badb903d6ed89695ee1cc0cacc4e5fef1f008"),
+    ("qutrit2p", 0.1, 0.7, "5a1813b8bba74fa9b5823e1f2338d993def4e1b4955b142c51d2b17f7a1478e3"),
 ])
 def test_measure_plane_regions(capsys, family, alpha, beta, digest):
     assert _sha256_stdout(capsys, "measure", "--family", family, "--alpha", repr(alpha),
@@ -80,8 +80,8 @@ def test_measure_plane_regions(capsys, family, alpha, beta, digest):
 
 
 @pytest.mark.parametrize("dim,alpha,digest", [
-    (2, 0.9, "eede6e6f5ff1eba1361c8eb656341f9bf98eadbcc8eaacaba84552b8d58ff169"),
-    (3, 0.85, "3c85eae3b5c4ed311e79b4d868880ca2f1c11754e39ec5e95d87c06db52482af"),
+    (2, 0.9, "b66400bcc2cd001b4a67aef5ea01d5f78d87bda36a99f05510ec9e3accc9ddb2"),
+    (3, 0.85, "b28ad6a1174c2f7743542c6fa203c76c6957431407cffb25ccecbe3bb41776f9"),
     (4, 0.9, "8c23fc118812e56ff6f28d1453609515913f4537d546e36da66ff62d9b830a9f"),
     (3, 0.2, "bc4e1e44646d7dfddb1904784d9324548db58622db3731df48f25a319036bd2f"),
     (3, -0.5, "9ae441c8b1d115aa48e98fc56dd17b3d137a51b0c2fd72ce3b7e0cc6fe8f06a1"),

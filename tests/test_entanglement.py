@@ -123,7 +123,7 @@ class TestWitnessCandidate:
         rho = plane.state(alpha, beta)
         c = qb.witness_candidate(plane.state(plane.line_i(beta), beta), rho)
         assert qb.is_hermitian(c)
-        report = qb.verify_witness(c, rho, WitnessMethod.LEMMA_QUTRIT)
+        report = qb.verify_witness(c, rho)
         assert isinstance(report, qb.WitnessReport)
 
 
@@ -132,15 +132,15 @@ class TestVerifyWitness:
         alpha, beta = 0.8, 0.1
         sigma = qb.composite_operator("sigma", 2)
         c = (np.eye(4) - sigma) / (2 * np.sqrt(3))
-        report = qb.verify_witness(c, qb.two_param_qubit(alpha, beta), WitnessMethod.LEMMA_QUBIT)
+        report = qb.verify_witness(c, qb.two_param_qubit(alpha, beta))
+        assert report.method is WitnessMethod.PARTIAL_TRANSPOSE
         assert report.verdict is WitnessVerdict.WITNESS
         expected = -np.sqrt(3) / 2 * (alpha - 1 / 3 - beta / 3)
         assert report.ent_expectation == pytest.approx(expected, abs=1e-12)
         assert report.sep_min_estimate == 0.0
 
     def test_positive_operator_is_not_witness(self):
-        report = qb.verify_witness(np.eye(4) / 2, qb.two_param_qubit(0.9, 0.0),
-                                   WitnessMethod.LEMMA_QUBIT)
+        report = qb.verify_witness(np.eye(4) / 2, qb.two_param_qubit(0.9, 0.0))
         assert report.verdict is WitnessVerdict.NOT_WITNESS
         assert report.ent_expectation > 0
 
@@ -149,31 +149,42 @@ class TestVerifyWitness:
         u1 = qb.composite_operator("u1", 3)
         u2 = qb.composite_operator("u2", 3)
         c = (2 * np.eye(9) + u1 - u2) / (6 * np.sqrt(2))
-        report = qb.verify_witness(c, qb.two_param_qutrit(alpha, beta), WitnessMethod.LEMMA_QUTRIT)
+        report = qb.verify_witness(c, qb.two_param_qutrit(alpha, beta))
+        assert report.method is WitnessMethod.PARTIAL_TRANSPOSE
         assert report.verdict is WitnessVerdict.WITNESS
         expected = (4 * alpha + 2 - 5 * beta) / (6 * np.sqrt(2))
         assert report.ent_expectation == pytest.approx(expected, abs=1e-12)
         assert expected < 0
 
     def test_seesaw_refutes(self):
-        a = -qb.tensor(qb.PAULI[3], qb.PAULI[3])
-        report = qb.verify_witness(a, qb.two_param_qubit(0.9, 0.0), WitnessMethod.SEESAW)
+        # -|00><00| at d = 3: <rho, A> < 0, but the product |00> reaches -1
+        a = -np.diag(np.eye(9)[0])
+        report = qb.verify_witness(a, qb.two_param_qutrit(0.6, 0.0))
+        assert report.ent_expectation < -TOL_WIT
         assert report.verdict is WitnessVerdict.NOT_WITNESS
         assert report.sep_min_estimate == pytest.approx(-1.0, abs=1e-9)
 
     def test_seesaw_cannot_certify(self):
-        sigma = qb.composite_operator("sigma", 2)
-        c = (np.eye(4) - sigma) / (2 * np.sqrt(3))
-        report = qb.verify_witness(c, qb.two_param_qubit(0.9, 0.0), WitnessMethod.SEESAW)
+        # 1 - s1s1 + s2s2 is >= 0 on products (the qubit lemma with c1 = -1),
+        # but its partial transpose has eigenvalue -1, so only the seesaw runs
+        a = np.eye(4) - qb.tensor(qb.PAULI[1], qb.PAULI[1]) + qb.tensor(qb.PAULI[2], qb.PAULI[2])
+        report = qb.verify_witness(a, qb.two_param_qubit(0.9, 0.0))
+        assert report.method is WitnessMethod.SEESAW
         assert report.verdict is WitnessVerdict.INCONCLUSIVE
         assert report.sep_min_estimate > -1e-9
 
-    def test_lemma_mismatch_falls_back_to_seesaw(self):
-        # sigma_1 x sigma_3 is not of the lemma form; report must say so
-        a = qb.tensor(qb.PAULI[1], qb.PAULI[3])
-        report = qb.verify_witness(a, qb.two_param_qubit(0.9, 0.0), WitnessMethod.LEMMA_QUBIT)
+    def test_lemma_form_without_certificate_is_inconclusive(self):
+        # A = 1 + s1s1 - s2s2 is >= 0 on products by the qubit lemma, and
+        # <phi-|A|phi-> = -1; but lambda_min(A^Gamma) = -1, so no certificate
+        # holds and the seesaw leaves the verdict open
+        a = np.eye(4) + qb.tensor(qb.PAULI[1], qb.PAULI[1]) - qb.tensor(qb.PAULI[2], qb.PAULI[2])
+        phi_m = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
+        assert qb.ppt_verdict(a, 2)[1] == pytest.approx(-1.0, abs=1e-12)
+        report = qb.verify_witness(a, qb.BipartiteState(np.outer(phi_m, phi_m), 2))
+        assert report.ent_expectation == pytest.approx(-1.0, abs=1e-12)
         assert report.method is WitnessMethod.SEESAW
-        assert report.verdict is WitnessVerdict.NOT_WITNESS   # products reach -1
+        assert report.verdict is WitnessVerdict.INCONCLUSIVE
+        assert abs(report.sep_min_estimate) <= TOL_WIT
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -196,15 +207,12 @@ class TestPartialTransposeCertificate:
     def test_region_witnesses_certified(self, family, alpha, beta):
         plane = qb.PLANES[family]
         _, res = qb.hs_measure_plane(plane, alpha, beta)
-        report = qb.verify_witness(res.witness.operator, plane.state(alpha, beta),
-                                   WitnessMethod.PARTIAL_TRANSPOSE)
-        assert report.method is WitnessMethod.PARTIAL_TRANSPOSE
-        assert report.verdict is WitnessVerdict.WITNESS
+        assert res.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
+        assert res.witness.verdict is WitnessVerdict.WITNESS
 
     def test_negative_partial_transpose_falls_back_to_seesaw(self):
         a = -qb.tensor(qb.PAULI[3], qb.PAULI[3])
-        report = qb.verify_witness(a, qb.two_param_qubit(0.9, 0.0),
-                                   WitnessMethod.PARTIAL_TRANSPOSE)
+        report = qb.verify_witness(a, qb.two_param_qubit(0.9, 0.0))
         assert report.method is WitnessMethod.SEESAW
         assert report.verdict is WitnessVerdict.NOT_WITNESS
         assert report.sep_min_estimate == pytest.approx(-1.0, abs=1e-9)
@@ -231,7 +239,7 @@ class TestIsotropicMeasure:
         res = qb.hs_measure_isotropic(2, 1.0)
         assert res.distance == pytest.approx(1 / np.sqrt(3), abs=1e-12)
         assert res.witness.verdict is WitnessVerdict.WITNESS
-        assert res.witness.method is WitnessMethod.LEMMA_QUBIT
+        assert res.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
 
     def test_qutrit_value(self):
         res = qb.hs_measure_isotropic(3, 1.0)
@@ -410,8 +418,9 @@ class TestSeparableExpectationLemmas:
 
 
 class TestVerdictNearZero:
-    """An expectation within TOL_WIT of 0 is Inconclusive, even where a lemma
-    certifies the operator; just beyond TOL_WIT the lemma makes it a Witness."""
+    """An expectation within TOL_WIT of 0 is Inconclusive, even where the
+    partial transpose certifies the operator; just beyond TOL_WIT the
+    certificate makes it a Witness."""
 
     # (alpha, beta) on the Region I line alpha = beta/3 + 1/3 and on the
     # Region II line alpha = -beta - 1 (which meets the triangle for beta in
@@ -424,17 +433,19 @@ class TestVerdictNearZero:
         label, near = qb.hs_measure_qubit_plane(alpha + into * 1e-11, beta)
         assert label.value == "EntangledRegion" + region
         assert 0 < near.distance < TOL_WIT
-        assert near.witness.method is WitnessMethod.LEMMA_QUBIT
+        assert near.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
         assert near.witness.verdict is WitnessVerdict.INCONCLUSIVE
         _, far = qb.hs_measure_qubit_plane(alpha + into * 1e-6, beta)
-        assert far.witness.method is WitnessMethod.LEMMA_QUBIT
+        assert far.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
         assert far.witness.verdict is WitnessVerdict.WITNESS
 
     def test_seesaw_path(self):
-        # <rho, A> = 0 exactly, and A = |00><00| >= 0 keeps products >= 0
-        a = np.diag([1.0, 0.0, 0.0, 0.0])
-        rho = qb.BipartiteState(np.diag([0.0, 0.0, 0.0, 1.0]), 2)
-        report = qb.verify_witness(a, rho, WitnessMethod.SEESAW)
+        # A = |phi+><phi+| >= 0 keeps products >= 0, but its partial transpose
+        # (the swap over 2) is not PSD; <phi-|A|phi-> = 0 exactly
+        a = 0.5 * np.array([[1.0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])
+        rho = qb.BipartiteState(
+            0.5 * np.array([[1.0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]]), 2)
+        report = qb.verify_witness(a, rho)
         assert report.method is WitnessMethod.SEESAW
         assert report.ent_expectation == 0.0
         assert report.sep_min_estimate > -TOL_WIT
@@ -452,14 +463,13 @@ class TestVerdictNearZero:
 class TestRegionWitnessNearLines:
     """Points 1e-11, 1e-9 and 1e-6 into each entangled region, along the
     whole of its line inside the triangle, get the region's one witness
-    operator, certified by the plane's lemma: no verdict is NotWitness and
-    none raises, though D there is close to 0."""
+    operator, certified by its partial transpose: no verdict is NotWitness
+    and none raises, though D there is close to 0."""
 
     # beta range of each region line inside the triangle, and the direction
     # of alpha into the region
     SEGMENTS = {("qubit2p", "I"): (-1.0, 0.5, 1.0), ("qubit2p", "II"): (-1.0, -0.5, -1.0),
                 ("qutrit2p", "I"): (-2 / 9, 2 / 3, 1.0), ("qutrit2p", "II"): (1 / 3, 2 / 3, -1.0)}
-    LEMMAS = {"qubit2p": WitnessMethod.LEMMA_QUBIT, "qutrit2p": WitnessMethod.LEMMA_QUTRIT}
 
     @pytest.mark.parametrize("family,region", sorted(SEGMENTS))
     def test_one_lemma_witness_along_the_line(self, family, region):
@@ -471,7 +481,7 @@ class TestRegionWitnessNearLines:
             for offset in (1e-11, 1e-9, 1e-6):
                 label, res = qb.hs_measure_plane(plane, line(beta) + into * offset, beta)
                 assert label.value == "EntangledRegion" + region
-                assert res.witness.method is self.LEMMAS[family]
+                assert res.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
                 assert res.witness.verdict is not WitnessVerdict.NOT_WITNESS
                 witnesses.append(res.witness.operator.tobytes())
         assert set(witnesses) == {witnesses[0]}

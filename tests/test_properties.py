@@ -1,11 +1,13 @@
-"""Property tests of the Bloch transforms and the closed-form plane measures."""
+"""Property tests of the Bloch transforms and the closed-form measures."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quditbloch as qb
+from quditbloch import WitnessMethod, WitnessVerdict
 from quditbloch.bloch import Convention
+from quditbloch.entanglement import TOL_WIT
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -56,3 +58,45 @@ def test_plane_optimal_witness_identities(plane, u, v):
     assert abs(res.max_violation - res.distance) <= 1e-10
     assert abs(qb.hs_inner(rho_ent.matrix, witness).real + res.distance) <= 1e-10
     assert abs(qb.hs_inner(res.nearest_separable.matrix, witness)) <= 1e-10
+
+
+
+def _assert_certified(res):
+    """The one certificate holds, and the verdict follows D alone."""
+    report = res.witness
+    assert report.method is WitnessMethod.PARTIAL_TRANSPOSE
+    assert report.sep_min_estimate == 0.0
+    expected = WitnessVerdict.WITNESS if res.distance > TOL_WIT else WitnessVerdict.INCONCLUSIVE
+    assert report.verdict is expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(plane=st.sampled_from(list(TRIANGLES)), u=st.floats(0, 1), v=st.floats(0, 1),
+       scale=st.floats(-11, 0).map(lambda e: 10.0 ** e))
+def test_plane_witness_certified(plane, u, v, scale):
+    """An entangled triangle point, moved towards its nearest separable point
+    until its D is ``scale`` times as large (below TOL_WIT near the line)."""
+    if u + v > 1:
+        u, v = 1 - u, 1 - v
+    (a0, b0), (a1, b1), (a2, b2) = TRIANGLES[plane]
+    alpha = a0 + u * (a1 - a0) + v * (a2 - a0)
+    beta = b0 + u * (b1 - b0) + v * (b2 - b0)
+    label = qb.classify_plane(plane, alpha, beta)
+    assume(label in (qb.RegionLabel.ENTANGLED_I, qb.RegionLabel.ENTANGLED_II))
+    alpha0, beta0 = ((plane.line_i(beta), beta) if label is qb.RegionLabel.ENTANGLED_I
+                     else plane.nearest_ii(alpha, beta))
+    moved, res = qb.hs_measure_plane(plane, alpha0 + scale * (alpha - alpha0),
+                                     beta0 + scale * (beta - beta0))
+    assume(res is not None)
+    assert moved is label
+    _assert_certified(res)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 6), scale=st.floats(-11, 0).map(lambda e: 10.0 ** e))
+def test_isotropic_witness_certified(d, scale):
+    """alpha a fraction ``scale`` of the way from the threshold 1/(d+1) to 1."""
+    threshold = 1 / (d + 1)
+    alpha = threshold + scale * (1 - threshold)
+    assume(qb.classify_isotropic(d, alpha) is qb.RegionLabel.ENTANGLED)
+    _assert_certified(qb.hs_measure_isotropic(d, alpha))
