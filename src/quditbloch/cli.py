@@ -2,9 +2,9 @@
 
 Subcommands: ``basis dump``, ``state make``, ``decompose``, ``measure``,
 ``sweep``, ``selftest``. JSON goes to stdout as a single document, logs to
-stderr. Exit codes: 0 success, 1 usage error, 2 domain/contract error.
-Floats are emitted with 17 significant digits so identical invocations are
-byte-identical.
+stderr. Exit codes: 0 success, 1 usage error, 2 domain/contract error or
+failed allocation. Floats are emitted with 17 significant digits so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-5.5e-05" for an option; read it as a number, as it
-        # reads "-5.5"
-        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+        # argparse takes "-5.5e-05" and "-inf" for options; read them as
+        # numbers, as it reads "-5.5"
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$|^-inf$")
 
     def error(self, message):
         raise _UsageError(message)
@@ -136,34 +136,41 @@ def _cmd_basis_dump(args) -> int:
     return 0
 
 
-# the parameters each family needs besides --dim
-_FAMILY_PARAMS = {"bell": (), "isotropic": ("alpha",),
-                  **{fam: ("alpha", "beta") for fam in PLANES}, "weylproj": ("n", "k")}
+# the parameters each family takes, in the order its library functions take
+# them; --dim defaults to 2, the others are required. Families with alpha have
+# a physical range, which state make --unchecked leaves and measure classifies.
+_FAMILY_PARAMS = {"bell": ("dim",), "isotropic": ("dim", "alpha"),
+                  **{fam: ("alpha", "beta") for fam in PLANES}, "weylproj": ("dim", "n", "k")}
+_MEASURED = [fam for fam, params in _FAMILY_PARAMS.items() if "alpha" in params]
+_PARAM_TYPES = {"dim": int, "alpha": float, "beta": float, "n": int, "k": int}
 
 
-def _require_params(args) -> None:
-    needed = _FAMILY_PARAMS[args.family]
+def _require_params(args) -> dict:
+    """The family's parameters by name, checked for missing ones, then for given
+    ones the family does not take (each flag is None unless given)."""
+    fam, takes = args.family, _FAMILY_PARAMS[args.family]
+    needed = [name for name in takes if name != "dim"]
     if any(getattr(args, name) is None for name in needed):
         flags = " and ".join(f"--{name}" for name in needed)
-        raise _UsageError(f"{flags} {'is' if len(needed) == 1 else 'are'} "
-                          f"required for {args.family}")
+        raise _UsageError(f"{flags} {'is' if len(needed) == 1 else 'are'} required for {fam}")
+    allowed = (*takes, "unchecked") if fam in _MEASURED else takes
+    extra = [f"--{name}" for name in (*_PARAM_TYPES, "unchecked")
+             if name not in allowed and getattr(args, name, None) is not None]
+    if extra:
+        raise _UsageError(f"{fam} takes no {' or '.join(extra)}")
+    return {name: 2 if name == "dim" and args.dim is None else getattr(args, name)
+            for name in takes}
 
 
-def _make_state(args):
-    _require_params(args)
-    fam = args.family
-    checked = not args.unchecked
-    if fam == "bell":
-        return bell_state(args.dim)
-    if fam == "isotropic":
-        return isotropic_state(args.dim, args.alpha, checked=checked)
-    if fam == "weylproj":
-        return weyl_bell_projector(args.dim, args.n, args.k)
-    return PLANES[fam].state(args.alpha, args.beta, checked=checked)
+def _make_state(fam: str, params: dict, checked: bool = True):
+    if fam in _MEASURED:
+        build = isotropic_state if fam == "isotropic" else PLANES[fam].state
+        return build(*params.values(), checked=checked)
+    return (bell_state if fam == "bell" else weyl_bell_projector)(*params.values())
 
 
 def _cmd_state_make(args) -> int:
-    state = _make_state(args)
+    state = _make_state(args.family, _require_params(args), checked=not args.unchecked)
     _emit(_json_dumps(matrix_to_json(state.matrix)) + "\n", args.out)
     return 0
 
@@ -200,27 +207,23 @@ def _witness_json(report) -> dict:
 
 
 def _cmd_measure(args) -> int:
-    _require_params(args)
-    fam = args.family
-    if fam == "isotropic":
-        label = classify_isotropic(args.dim, args.alpha)
-        entangled = label is RegionLabel.ENTANGLED
-        result = hs_measure_isotropic(args.dim, args.alpha) if entangled else None
+    params = _require_params(args)
+    if args.family == "isotropic":
+        label = classify_isotropic(*params.values())
+        result = hs_measure_isotropic(*params.values()) if label is RegionLabel.ENTANGLED else None
     else:
-        label, result = hs_measure_plane(PLANES[fam], args.alpha, args.beta)
+        label, result = hs_measure_plane(PLANES[args.family], *params.values())
 
-    doc = {"family": fam, "alpha": args.alpha, "region": label.value}
-    if fam != "isotropic":
-        doc["beta"] = args.beta
-    else:
-        doc["dim"] = args.dim
+    # alpha, the region, then the family's parameters, where alpha keeps its place
+    doc = {"family": args.family, "alpha": params["alpha"], "region": label.value, **params}
     if result is not None:
         doc["D"] = result.distance
         doc["B"] = result.max_violation
         doc["rho0"] = matrix_to_json(result.nearest_separable.matrix)
         doc["witness"] = _witness_json(result.witness)
         if args.oracle:
-            oracle = nearest_separable_weyl(_make_state(args), GilbertConfig(seed=args.seed))
+            oracle = nearest_separable_weyl(_make_state(args.family, params),
+                                            GilbertConfig(seed=args.seed))
             doc["oracle_D"] = oracle.distance
             doc["oracle_iterations"] = oracle.iterations
             doc["oracle_converged"] = oracle.converged
@@ -422,6 +425,12 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 2
 
 
+def _add_family_arguments(parser, families) -> None:
+    parser.add_argument("--family", required=True, choices=families)
+    for name, kind in _PARAM_TYPES.items():
+        parser.add_argument(f"--{name}", type=kind)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process."""
@@ -441,14 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_state = sub.add_parser("state", help="state construction")
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
     p_make = state_sub.add_parser("make", help="build a state and emit its matrix JSON")
-    p_make.add_argument("--family", required=True,
-                        choices=["bell", "isotropic", *PLANES, "weylproj"])
-    p_make.add_argument("--dim", type=int, default=2)
-    p_make.add_argument("--alpha", type=float, default=None)
-    p_make.add_argument("--beta", type=float, default=None)
-    p_make.add_argument("--n", type=int, default=None)
-    p_make.add_argument("--k", type=int, default=None)
-    p_make.add_argument("--unchecked", action="store_true",
+    _add_family_arguments(p_make, list(_FAMILY_PARAMS))
+    p_make.add_argument("--unchecked", action="store_true", default=None,
                         help="skip the physicality check (boundary studies)")
     p_make.add_argument("--out", default=None, metavar="FILE")
     p_make.set_defaults(fn=_cmd_state_make)
@@ -461,16 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(fn=_cmd_decompose)
 
     p_meas = sub.add_parser("measure", help="HS measure, witness, and region")
-    p_meas.add_argument("--family", required=True,
-                        choices=["isotropic", *PLANES])
-    p_meas.add_argument("--dim", type=int, default=2)
-    p_meas.add_argument("--alpha", type=float, default=None)
-    p_meas.add_argument("--beta", type=float, default=None)
+    _add_family_arguments(p_meas, _MEASURED)
     p_meas.add_argument("--oracle", action="store_true",
                         help="also run the numeric nearest-separable oracle")
     p_meas.add_argument("--seed", type=int, default=0)
     p_meas.add_argument("--out", default=None, metavar="FILE")
-    p_meas.set_defaults(fn=_cmd_measure, unchecked=False)
+    p_meas.set_defaults(fn=_cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="parameter-plane sweep dataset")
     p_sweep.add_argument("--family", required=True, choices=list(PLANES))
@@ -499,8 +498,8 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

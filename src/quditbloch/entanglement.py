@@ -22,7 +22,7 @@ from .gilbert import min_product_expectation
 from .linalg import (BipartiteState, _bipartite_matrix, as_hermitian, as_matrix, hs_inner,
                      hs_norm, min_eigenvalue, partial_transpose, TOL_PSD)
 from .states import (QUBIT_PLANE, QUTRIT_PLANE, TOL_EDGE, CompositeKind, PlaneFamily,
-                     composite_operator, isotropic_physical, isotropic_state)
+                     _check_finite, composite_operator, isotropic_physical, isotropic_state)
 
 TOL_WIT = 1e-9
 
@@ -207,7 +207,9 @@ def _plane_region(plane: PlaneFamily, alpha, beta):
 
 
 def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel:
-    """Region of a point of a two-parameter plane; boundaries count as separable."""
+    """Region of a point of a two-parameter plane; boundaries count as separable.
+    Raises ``ValueError`` for a non-finite alpha or beta."""
+    _check_finite(alpha=alpha, beta=beta)
     return _PLANE_REGIONS[_plane_region(plane, alpha, beta)]
 
 
@@ -225,7 +227,8 @@ def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: np.ndarray):
 def plane_distance(plane: PlaneFamily, alpha: float,
                    beta: float) -> tuple[RegionLabel, float | None]:
     """Region label and, for entangled points, the closed-form distance D;
-    builds no state."""
+    builds no state. Raises ``ValueError`` for a non-finite alpha or beta."""
+    _check_finite(alpha=alpha, beta=beta)
     region, distance = _plane_distances(plane, np.array([alpha]), np.array([beta]))
     return _PLANE_REGIONS[region[0]], distance[0]
 

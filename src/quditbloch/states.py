@@ -13,6 +13,7 @@ can be probed (the matrices are still built, they just may fail positivity).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -33,6 +34,14 @@ PAULI = {
 TOL_EDGE = 1e-12
 
 
+def _check_finite(**params: float) -> None:
+    """Reject a NaN or infinite family parameter with ``ValueError``. Scalar,
+    so single-point calls pay little for it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def bell_state(d: int) -> BipartiteState:
     """Projector onto the maximally entangled state (1/sqrt d) sum_j |jj>."""
     if d < 2:
@@ -45,10 +54,12 @@ def bell_state(d: int) -> BipartiteState:
 def isotropic_physical(d: int, alpha: float) -> bool:
     """Positivity of the isotropic state: -1/(d^2 - 1) <= alpha <= 1.
 
-    Raises ``ValueError`` for d < 2, where the isotropic family is undefined.
+    Raises ``ValueError`` for d < 2, where the isotropic family is undefined,
+    and for a non-finite alpha.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_finite(alpha=alpha)
     return -1.0 / (d * d - 1) - TOL_EDGE <= alpha <= 1 + TOL_EDGE
 
 
@@ -57,7 +68,7 @@ def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteStat
 
     Positivity holds exactly for -1/(d^2 - 1) <= alpha <= 1; outside that
     range construction requires ``checked=False``. Raises ``ValueError`` for
-    d < 2 either way.
+    d < 2 or a non-finite alpha either way.
     """
     physical = isotropic_physical(d, alpha)
     if checked and not physical:
@@ -99,7 +110,9 @@ class PlaneFamily:
         return (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
 
     def state(self, alpha: float, beta: float, checked: bool = True) -> BipartiteState:
-        """rho(alpha, beta); ``checked`` rejects points outside the triangle."""
+        """rho(alpha, beta); ``checked`` rejects points outside the triangle,
+        and non-finite ones are rejected either way."""
+        _check_finite(alpha=alpha, beta=beta)
         if checked and not self.physical(alpha, beta):
             raise ValueError(f"{self.name} plane point ({alpha}, {beta}) is unphysical")
         return BipartiteState(self.mix(alpha, beta, self.operators()), self.subdim, validate=False)

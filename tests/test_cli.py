@@ -389,3 +389,68 @@ class TestWitnessNearRegionLines:
                                "--alpha=-0.25000000001", "--beta=-0.75")
         assert code == 0
         assert json.loads(out)["witness"]["verdict"] == "Inconclusive"
+
+
+class TestExtraFamilyParameters:
+    """A parameter the family does not take, given to state make or measure,
+    exits 1 with a usage error that names it; nothing goes to stdout."""
+
+    MAKE = {"bell": (), "isotropic": ("--alpha", "0.5"),
+            "qubit2p": ("--alpha", "0.1", "--beta", "0.2"),
+            "qutrit2p": ("--alpha", "0.1", "--beta", "0.7"),
+            "weylproj": ("--dim", "3", "--n", "1", "--k", "0")}
+    MEASURE = {"isotropic": ("--dim", "3", "--alpha", "0.9"),
+               "qubit2p": ("--alpha", "1.0", "--beta", "0.0"),
+               "qutrit2p": ("--alpha", "0.1", "--beta", "0.7")}
+
+    @pytest.mark.parametrize("family,extra,flags", [
+        ("bell", ("--alpha", "0.5"), "--alpha"),
+        ("bell", ("--n", "1"), "--n"),
+        ("bell", ("--unchecked",), "--unchecked"),
+        ("isotropic", ("--beta", "0.4"), "--beta"),
+        ("isotropic", ("--k", "0"), "--k"),
+        ("qubit2p", ("--dim", "3"), "--dim"),
+        ("qubit2p", ("--n", "0"), "--n"),
+        ("qutrit2p", ("--dim", "5"), "--dim"),
+        ("qutrit2p", ("--k", "2"), "--k"),
+        ("weylproj", ("--alpha", "0.5"), "--alpha"),
+        ("weylproj", ("--unchecked",), "--unchecked"),
+        ("weylproj", ("--beta", "0", "--unchecked"), "--beta or --unchecked"),
+    ])
+    def test_state_make(self, capsys, family, extra, flags):
+        code, out, err = run_cli(capsys, "state", "make", "--family", family,
+                                 *self.MAKE[family], *extra)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {family} takes no {flags}\n"
+
+    @pytest.mark.parametrize("family,extra,flags", [
+        ("isotropic", ("--beta", "0.4"), "--beta"),
+        ("isotropic", ("--n", "1"), "--n"),
+        ("qubit2p", ("--dim", "3"), "--dim"),
+        ("qubit2p", ("--k", "0"), "--k"),
+        ("qutrit2p", ("--dim", "3"), "--dim"),
+        ("qutrit2p", ("--n", "0", "--k", "0"), "--n or --k"),
+    ])
+    def test_measure(self, capsys, family, extra, flags):
+        code, out, err = run_cli(capsys, "measure", "--family", family,
+                                 *self.MEASURE[family], *extra)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {family} takes no {flags}\n"
+
+
+class TestFailedAllocation:
+    """A MemoryError is a domain error (exit 2), not a usage error."""
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 745. GiB for an array"),
+         "Unable to allocate 745. GiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_exit_code(self, capsys, monkeypatch, exc, message):
+        def allocate(*args):
+            raise exc
+
+        monkeypatch.setattr("quditbloch.cli.hs_measure_isotropic", allocate)
+        code, out, err = run_cli(capsys, "measure", "--family", "isotropic",
+                                 "--dim", "3", "--alpha", "0.9")
+        assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,5 +1,6 @@
 """Inputs that are not states or not finite grids raise ValueError (CLI exit 2)."""
 
+import functools
 import json
 import math
 import warnings
@@ -271,3 +272,74 @@ class TestBasisLayerFiniteness:
         assert np.abs(qb.reconstruct(basis, coeffs) - m).max() < 1e-12
         vec = qb.bloch_encode(qb.isotropic_state(2, 0.5).reduced(), "wob")
         assert qb.bloch_decode(vec).is_physical
+
+
+_ISOTROPIC_ENTRY_POINTS = {
+    "isotropic_physical": qb.isotropic_physical,
+    "isotropic_state": qb.isotropic_state,
+    "isotropic_state unchecked": lambda d, alpha: qb.isotropic_state(d, alpha, checked=False),
+    "classify_isotropic": qb.classify_isotropic,
+    "hs_measure_isotropic": qb.hs_measure_isotropic,
+}
+
+_PLANE_ENTRY_POINTS = {
+    **{f"{name}.state": plane.state for name, plane in qb.PLANES.items()},
+    **{f"{name}.state unchecked": functools.partial(plane.state, checked=False)
+       for name, plane in qb.PLANES.items()},
+    **{f"{fn.__name__} {name}": functools.partial(fn, plane)
+       for name, plane in qb.PLANES.items()
+       for fn in (qb.classify_plane, qb.plane_distance, qb.hs_measure_plane)},
+    "two_param_qubit": qb.two_param_qubit,
+    "two_param_qutrit unchecked": lambda a, b: qb.two_param_qutrit(a, b, checked=False),
+    "classify_qubit_plane": qb.classify_qubit_plane,
+    "classify_qutrit_plane": qb.classify_qutrit_plane,
+    "hs_measure_qubit_plane": qb.hs_measure_qubit_plane,
+    "hs_measure_qutrit_plane": qb.hs_measure_qutrit_plane,
+}
+
+_NON_FINITE = ["nan", "inf", "-inf"]
+
+
+class TestNonFiniteFamilyParameters:
+    """A NaN or infinite alpha or beta is not a point of any family: every
+    single-point entry point raises ValueError, and the CLI exits 2 with
+    nothing on stdout."""
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("name", _ISOTROPIC_ENTRY_POINTS)
+    def test_isotropic(self, name, bad):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            _ISOTROPIC_ENTRY_POINTS[name](3, float(bad))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("name", _PLANE_ENTRY_POINTS)
+    def test_plane(self, name, bad):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            _PLANE_ENTRY_POINTS[name](float(bad), 0.0)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            _PLANE_ENTRY_POINTS[name](0.1, float(bad))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--family", "isotropic", "--dim", "3", "--alpha={}"),
+        ("measure", "--family", "qubit2p", "--alpha={}", "--beta", "0"),
+        ("measure", "--family", "qutrit2p", "--alpha", "0.1", "--beta={}"),
+        ("state", "make", "--family", "isotropic", "--dim", "3", "--alpha={}"),
+        ("state", "make", "--family", "isotropic", "--dim", "3", "--alpha={}", "--unchecked"),
+        ("state", "make", "--family", "qubit2p", "--alpha={}", "--beta", "0", "--unchecked"),
+        ("state", "make", "--family", "qutrit2p", "--alpha", "0.1", "--beta={}"),
+    ])
+    def test_cli_exit_code(self, capsys, argv, bad):
+        assert cli_main([arg.format(bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--family", "isotropic", "--alpha", "-inf"),
+        ("state", "make", "--family", "qubit2p", "--alpha", "0.1", "--beta", "-inf"),
+    ])
+    def test_cli_reads_minus_inf_as_a_number(self, capsys, argv):
+        # as "-5.5" is, not as an option name (which would be a usage error)
+        assert cli_main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite, got -inf" in captured.err
