@@ -90,9 +90,13 @@ def _frame(basis: OperatorBasis) -> np.ndarray:
     return basis.stacked.reshape(n, n)
 
 
+MAX_DIM = 64    # a GGB or POB stack holds d^4 complex entries: 268 MB at d = 64
+
+
 def _check_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"basis dimension must be an integer >= 2, got {d!r}")
+    """The one dimension rule of bases and states: an integer in 2..MAX_DIM."""
+    if not isinstance(d, (int, np.integer)) or not 2 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must be >= 2 and <= {MAX_DIM}, an integer, got {d!r}")
     return int(d)
 
 

@@ -208,6 +208,8 @@ def _witness_json(report) -> dict:
 
 def _cmd_measure(args) -> int:
     params = _require_params(args)
+    if args.seed is not None and not args.oracle:
+        raise _UsageError("--seed is the oracle's seed and needs --oracle")
     if args.family == "isotropic":
         label = classify_isotropic(*params.values())
         result = hs_measure_isotropic(*params.values()) if label is RegionLabel.ENTANGLED else None
@@ -223,7 +225,7 @@ def _cmd_measure(args) -> int:
         doc["witness"] = _witness_json(result.witness)
         if args.oracle:
             oracle = nearest_separable_weyl(_make_state(args.family, params),
-                                            GilbertConfig(seed=args.seed))
+                                            GilbertConfig(seed=args.seed or 0))
             doc["oracle_D"] = oracle.distance
             doc["oracle_iterations"] = oracle.iterations
             doc["oracle_converged"] = oracle.converged
@@ -466,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas = sub.add_parser("measure", help="HS measure, witness, and region")
     _add_family_arguments(p_meas, _MEASURED)
     p_meas.add_argument("--oracle", action="store_true",
-                        help="also run the numeric nearest-separable oracle")
-    p_meas.add_argument("--seed", type=int, default=0)
+                        help="also run the numeric oracle at entangled points")
+    p_meas.add_argument("--seed", type=int, help="the oracle's seed (default 0)")
     p_meas.add_argument("--out", default=None, metavar="FILE")
     p_meas.set_defaults(fn=_cmd_measure)
 

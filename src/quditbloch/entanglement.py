@@ -91,9 +91,9 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
 
     Its error grows like rounding/D: at qutrit2p (0.2706632663061225,
     0.16530612244897958) and its line-I point, D = 9.4e-10, C misses the
-    partial-transpose certificate and the seesaw says ``NotWitness`` where
-    ``hs_measure_plane`` says ``Inconclusive``. Near a region line, use the
-    closed-form measures (``hs_measure_plane``, ``hs_measure_isotropic``).
+    partial-transpose certificate and the seesaw says ``NotWitness``. The
+    closed-form measures (``hs_measure_plane``, ``hs_measure_isotropic``) do
+    not call it: their witnesses are exact operators, ``Inconclusive`` there.
     """
     mt = as_matrix(rho_tilde)
     me = as_matrix(rho_ent)
@@ -149,7 +149,8 @@ def _isotropic_threshold(d: int) -> float:
 
 def classify_isotropic(d: int, alpha: float) -> RegionLabel:
     """Region of an isotropic state: entangled iff alpha > 1/(d+1); the
-    boundary counts as separable. Raises ``ValueError`` for d < 2."""
+    boundary counts as separable. Raises ``ValueError`` for a dimension
+    outside 2..MAX_DIM."""
     if not isotropic_physical(d, alpha):
         return RegionLabel.UNPHYSICAL
     if alpha > _isotropic_threshold(d) + TOL_EDGE:
@@ -237,16 +238,12 @@ def plane_distance(plane: PlaneFamily, alpha: float,
 def _region_witness(plane: PlaneFamily, label: RegionLabel) -> np.ndarray:
     """The optimal witness of an entangled plane region, one read-only
     operator for all its points (the region's nearest-point map projects onto
-    its line). Built a unit beyond the line at beta = 0, outside the triangle,
-    so no D close to 0 divides rounding into it."""
+    its line), in closed form: line I is the isotropic threshold <rho, P> =
+    1/d, so Region I has the isotropic witness; Region II has the weights
+    ``plane.witness_ii`` on ``plane.operators()``."""
     if label is RegionLabel.ENTANGLED_I:
-        alpha = plane.line_i(0.0)
-        ent, sep = (alpha + 1, 0.0), (alpha, 0.0)
-    else:
-        alpha = plane.line_ii(0.0) - 1
-        ent, sep = (alpha, 0.0), plane.nearest_ii(alpha, 0.0)
-    a_opt = witness_candidate(plane.state(*sep, checked=False),
-                              plane.state(*ent, checked=False))
+        return _isotropic_witness(plane.subdim)
+    a_opt = sum(w * op for w, op in zip(plane.witness_ii, plane.operators()))
     a_opt.setflags(write=False)
     return a_opt
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import BasisKind, get_basis, wob_basis
+from .bases import BasisKind, _check_dim, get_basis, wob_basis
 from .linalg import BipartiteState, DensityMatrix, tensor
 
 PAULI = {
@@ -44,8 +44,7 @@ def _check_finite(**params: float) -> None:
 
 def bell_state(d: int) -> BipartiteState:
     """Projector onto the maximally entangled state (1/sqrt d) sum_j |jj>."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _check_dim(d)
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
     return BipartiteState(np.outer(psi, psi.conj()), d, validate=False)
@@ -54,11 +53,10 @@ def bell_state(d: int) -> BipartiteState:
 def isotropic_physical(d: int, alpha: float) -> bool:
     """Positivity of the isotropic state: -1/(d^2 - 1) <= alpha <= 1.
 
-    Raises ``ValueError`` for d < 2, where the isotropic family is undefined,
-    and for a non-finite alpha.
+    Raises ``ValueError`` for a dimension outside 2..MAX_DIM (below 2 the
+    isotropic family is undefined) and for a non-finite alpha.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d)
     _check_finite(alpha=alpha)
     return -1.0 / (d * d - 1) - TOL_EDGE <= alpha <= 1 + TOL_EDGE
 
@@ -68,7 +66,7 @@ def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteStat
 
     Positivity holds exactly for -1/(d^2 - 1) <= alpha <= 1; outside that
     range construction requires ``checked=False``. Raises ``ValueError`` for
-    d < 2 or a non-finite alpha either way.
+    a dimension outside 2..MAX_DIM or a non-finite alpha either way.
     """
     physical = isotropic_physical(d, alpha)
     if checked and not physical:
@@ -102,6 +100,7 @@ class PlaneFamily:
     distance_i: Callable    # (a, b) -> its Hilbert-Schmidt distance D
     distance_ii: Callable
     operators: Callable     # () -> (1, P, Q + R), built on first use
+    witness_ii: tuple       # weights on operators() of Region II's optimal witness
 
     def mix(self, alpha, beta, ops) -> np.ndarray:
         """rho(alpha, beta) for ops = operators(), its partial transpose for
@@ -147,6 +146,7 @@ QUBIT_PLANE = PlaneFamily(
     distance_i=lambda a, b: np.sqrt(3) / 2 * (a - 1 / 3 - b / 3),
     distance_ii=lambda a, b: (-a - 1 - b) / (2 * np.sqrt(3)),
     operators=_qubit_plane_operators,
+    witness_ii=tuple(w / np.sqrt(3) for w in (-1, 2, 2)),
 )
 
 QUTRIT_PLANE = PlaneFamily(
@@ -159,6 +159,7 @@ QUTRIT_PLANE = PlaneFamily(
     distance_i=lambda a, b: 2 * np.sqrt(2) / 3 * (a - 1 / 4 - b / 8),
     distance_ii=lambda a, b: (-4 * a - 2 + 5 * b) / (6 * np.sqrt(2)),
     operators=_qutrit_plane_operators,
+    witness_ii=tuple(w / (2 * np.sqrt(2)) for w in (1, 1, -2)),
 )
 
 PLANES = {plane.name: plane for plane in (QUBIT_PLANE, QUTRIT_PLANE)}
@@ -236,8 +237,6 @@ def composite_operator(kind, d: int) -> np.ndarray:
                 + tensor(PAULI[3], PAULI[3]))
     if kind in (CompositeKind.U1, CompositeKind.U2) and d != 3:
         raise ValueError(f"{kind.name} is defined for d = 3 only")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     basis = get_basis(_COMPOSITE_BASES[kind], d)
     out = np.zeros((d * d, d * d), dtype=complex)
     for label, el in zip(basis.labels[1:], basis.elements[1:]):

@@ -263,6 +263,37 @@ class TestCsvWriter:
         assert _csv_text(header, columns) == out.getvalue()
 
 
+class TestDimensionBound:
+    """A dimension above MAX_DIM is a domain error (exit 2), raised before the
+    basis is built: at d = 400 a GGB or POB stack would take 410 GB."""
+
+    @pytest.mark.parametrize("argv", [
+        ("basis", "dump", "--kind", "pob", "--dim", "400"),
+        ("basis", "dump", "--kind", "ggb", "--dim", "65", "--format", "csv"),
+        ("measure", "--family", "isotropic", "--dim", "65", "--alpha", "0.9"),
+        ("state", "make", "--family", "bell", "--dim", "65"),
+    ])
+    def test_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: dimension must be >= 2 and <= 64")
+
+
+class TestOracleSeed:
+    """--seed belongs to the oracle: without --oracle it is a usage error."""
+
+    @pytest.mark.parametrize("family", [("isotropic", "--dim", "3", "--alpha", "0.9"),
+                                        ("qubit2p", "--alpha", "0.0", "--beta", "0.0")])
+    def test_seed_needs_oracle(self, capsys, family):
+        code, out, err = run_cli(capsys, "measure", "--family", *family, "--seed", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "--oracle" in err
+
+    def test_default_seed_is_zero(self, capsys):
+        argv = ("measure", "--family", "isotropic", "--dim", "2", "--alpha", "1.0", "--oracle")
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--seed", "0")
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1

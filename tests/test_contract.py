@@ -67,12 +67,12 @@ def test_basis_dump_csv(capsys, kind, digest):
 @pytest.mark.parametrize("family,alpha,beta,digest", [
     ("qubit2p", 2.0, 0.0, "a677a5ddb1e392df7c5d0032d4ca45ddeae0026b644519737eef296d2de511ac"),
     ("qubit2p", 0.0, 0.0, "c48c98e71056adab0c96adcc4ee6d5dcd54dabb75654b75e39852dc4bb7b7638"),
-    ("qubit2p", 0.8, 0.1, "fc66509ffc3d39a1527d20c8f9016b0f7bf4b11a872cf9c44c07300dd03983f7"),
-    ("qubit2p", -0.7, -1.5, "065161499e8d158cf2bef6baf633312b44444a2c053d557351ce8212414aea04"),
+    ("qubit2p", 0.8, 0.1, "f28d9916d768b52a817a271b32b6b2310b0ba0c87af13d5ca978664efbd60bba"),
+    ("qubit2p", -0.7, -1.5, "dc641cc038f4b62e4373c208789470c953fdea8f1adf07b6386027a249a08d0e"),
     ("qutrit2p", -0.4, 0.9, "f4876704c38e8145a96ba7cb916c81cc65018a9d26c8286ca49d08a063c27c8f"),
     ("qutrit2p", 0.0, 0.0, "e388f85291de512d0bddc22fbc382cd5d8b66df3f96ea89d564300c9e02386b0"),
-    ("qutrit2p", 0.6, 0.0, "7bbb2996e619b1e867b3d1be5a4badb903d6ed89695ee1cc0cacc4e5fef1f008"),
-    ("qutrit2p", 0.1, 0.7, "5a1813b8bba74fa9b5823e1f2338d993def4e1b4955b142c51d2b17f7a1478e3"),
+    ("qutrit2p", 0.6, 0.0, "10af2412a1f31e9df721461d50ba7981f7d60ccf90e8094200ff074059685bc4"),
+    ("qutrit2p", 0.1, 0.7, "5f4539510436e2df3ef2c02887f0172962bb793760e409990b96834082bfe3ce"),
 ])
 def test_measure_plane_regions(capsys, family, alpha, beta, digest):
     assert _sha256_stdout(capsys, "measure", "--family", family, "--alpha", repr(alpha),

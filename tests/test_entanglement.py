@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import quditbloch as qb
-from quditbloch import RegionLabel, WitnessMethod, WitnessVerdict
-from quditbloch.entanglement import TOL_WIT
+from quditbloch import RegionLabel, WitnessMethod, WitnessVerdict, entanglement
+from quditbloch.entanglement import TOL_WIT, _isotropic_witness
 
 QUBIT_REGION_I = [(0.5, 0.0), (0.7, 0.0), (0.9, 0.0), (0.6, 0.2), (0.7, 0.25),
                   (0.6, -0.2), (0.8, -0.1), (0.5, 0.3), (0.55, -0.35), (0.95, 0.02)]
@@ -485,3 +485,42 @@ class TestRegionWitnessNearLines:
                 assert res.witness.verdict is not WitnessVerdict.NOT_WITNESS
                 witnesses.append(res.witness.operator.tobytes())
         assert set(witnesses) == {witnesses[0]}
+
+
+class TestClosedFormRegionWitness:
+    """Each entangled plane region's witness is a closed form: Region I's is
+    the isotropic witness of the plane's dimension, Region II's one row of
+    weights on the plane operators (1, P, Q + R)."""
+
+    WEIGHTS_II = {"qubit2p": tuple(w / np.sqrt(3) for w in (-1, 2, 2)),
+                  "qutrit2p": tuple(w / (2 * np.sqrt(2)) for w in (1, 1, -2))}
+    POINTS = {("qubit2p", "I"): (0.8, 0.1), ("qubit2p", "II"): (-0.7, -1.5),
+              ("qutrit2p", "I"): (0.6, 0.0), ("qutrit2p", "II"): (0.1, 0.7)}
+
+    @pytest.mark.parametrize("family", ["qubit2p", "qutrit2p"])
+    def test_region_i_is_the_isotropic_witness(self, family):
+        plane = qb.PLANES[family]
+        _, res = qb.hs_measure_plane(plane, *self.POINTS[family, "I"])
+        assert res.witness.operator is _isotropic_witness(plane.subdim)
+
+    @pytest.mark.parametrize("family", ["qubit2p", "qutrit2p"])
+    def test_region_ii_is_its_weight_row(self, family):
+        plane = qb.PLANES[family]
+        weights = self.WEIGHTS_II[family]
+        assert plane.witness_ii == weights
+        row = sum(w * op for w, op in zip(weights, plane.operators()))
+        _, res = qb.hs_measure_plane(plane, *self.POINTS[family, "II"])
+        assert not res.witness.operator.flags.writeable
+        assert res.witness.operator.tobytes() == row.tobytes()
+
+    def test_measure_builds_no_candidate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("witness_candidate called")
+
+        monkeypatch.setattr(entanglement, "witness_candidate", refuse)
+        entanglement._region_witness.cache_clear()
+        for (family, region), point in self.POINTS.items():
+            label, res = qb.hs_measure_plane(qb.PLANES[family], *point)
+            assert label.value == "EntangledRegion" + region
+            assert res.witness.verdict is WitnessVerdict.WITNESS
+            assert res.max_violation == pytest.approx(res.distance, abs=1e-15)

@@ -3,12 +3,14 @@
 import functools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import quditbloch as qb
+from quditbloch.bases import MAX_DIM
 from quditbloch.cli import MAX_SWEEP_POINTS, SweepSpec, cli_main
 
 
@@ -45,6 +47,32 @@ class TestIsotropicDimension:
             assert qb.classify_isotropic(d, 1.1) is qb.RegionLabel.UNPHYSICAL
             with pytest.raises(ValueError):
                 qb.hs_measure_isotropic(d, threshold)
+
+
+class TestDimensionBound:
+    """One dimension rule, 2..MAX_DIM, checked before anything is built."""
+
+    @pytest.mark.parametrize("build", [
+        functools.partial(qb.get_basis, "ggb"),
+        functools.partial(qb.get_basis, "pob"),
+        functools.partial(qb.get_basis, "wob"),
+        qb.bell_state,
+        lambda d: qb.isotropic_state(d, 0.5),
+        lambda d: qb.composite_operator("lambda", d),
+    ], ids=["ggb", "pob", "wob", "bell_state", "isotropic_state", "composite_operator"])
+    def test_above_max_dim(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"dimension must be >= 2 and <= {MAX_DIM}"):
+                build(MAX_DIM + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_bell_state_takes_integers_only(self):
+        with pytest.raises(ValueError, match="an integer"):
+            qb.bell_state(2.0)
 
 
 class TestSweepSpec:
