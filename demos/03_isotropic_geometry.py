@@ -3,8 +3,9 @@
 For alpha above 1/(d+1) the isotropic state is entangled; the nearest
 separable state sits on that boundary and everything (distance, optimal
 witness, maximal inequality violation) has a closed form. The script checks
-those identities numerically and cross-validates the distance with the
-Frank-Wolfe oracle.
+those identities numerically, exits non-zero unless the witness agrees with
+its GGB, POB and WOB forms to 1e-12, and cross-validates the distance with
+the Frank-Wolfe oracle.
 """
 
 import numpy as np
@@ -43,8 +44,11 @@ forms = {
     "POB": shift - qb.composite_operator("t", d) / np.sqrt(d * d - 1),
     "WOB": shift - qb.composite_operator("u", d) / (d * np.sqrt(d * d - 1)),
 }
-for name, form in forms.items():
-    print(f"  A_opt vs {name} form: {np.abs(a_opt - form).max():.2e}")
+errors = {name: np.abs(a_opt - form).max() for name, form in forms.items()}
+for name, error in errors.items():
+    print(f"  A_opt vs {name} form: {error:.2e}")
+if max(errors.values()) > 1e-12:
+    raise SystemExit(f"A_opt differs from a basis form by more than 1e-12: {errors}")
 
 # ---------------------------------------------------------------------------
 # PPT transition located numerically

@@ -21,8 +21,8 @@ import numpy as np
 from .gilbert import min_product_expectation
 from .linalg import (BipartiteState, _bipartite_matrix, as_hermitian, as_matrix, hs_inner,
                      hs_norm, min_eigenvalue, partial_transpose, TOL_PSD)
-from .states import (QUBIT_PLANE, QUTRIT_PLANE, TOL_EDGE, CompositeKind, PlaneFamily,
-                     _check_finite, composite_operator, isotropic_physical, isotropic_state)
+from .states import (QUBIT_PLANE, QUTRIT_PLANE, TOL_EDGE, PlaneFamily, _check_finite,
+                     isotropic_physical, isotropic_state)
 
 TOL_WIT = 1e-9
 
@@ -160,12 +160,12 @@ def classify_isotropic(d: int, alpha: float) -> RegionLabel:
 
 @functools.cache
 def _isotropic_witness(d: int) -> np.ndarray:
-    """The optimal witness of the entangled isotropic states of dimension d,
-    one read-only operator for every alpha, built in the GGB form
-    (1/d) sqrt((d-1)/(d+1)) 1x1 - LAMBDA / (2 sqrt(d^2-1))."""
-    lam = composite_operator(CompositeKind.LAMBDA, d)
-    a_opt = (np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d, dtype=complex)
-             - lam / (2 * np.sqrt(d * d - 1.0)))
+    """The optimal witness (1x1 - d P+)/sqrt(d^2-1) of every entangled isotropic
+    state of dimension d, read-only; d P+ is 1 at each (jj, kk), so no basis is built."""
+    a_opt = np.eye(d * d, dtype=complex)
+    jj = np.arange(d) * (d + 1)
+    a_opt[np.ix_(jj, jj)] -= 1
+    a_opt /= np.sqrt(d * d - 1.0)
     a_opt.setflags(write=False)
     return a_opt
 
@@ -176,7 +176,9 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     The nearest separable state sits on the separability boundary
     alpha0 = 1/(d+1); the distance is sqrt(d^2-1)/d * (alpha - alpha0) and
     the optimal witness is A_opt = (1x1 - d P+)/sqrt(d^2-1), the same
-    read-only operator for every alpha. Its partial transpose
+    read-only operator for every alpha, written entry by entry without a
+    basis: 0 at each (jj, jj), -1/sqrt(d^2-1) at each (jj, kk) with j != k,
+    1/sqrt(d^2-1) on the rest of the diagonal. Its partial transpose
     2 P_antisym/sqrt(d^2-1) is positive semidefinite (Bertlmann, Narnhofer &
     Thirring, PRA 66, 032319 (2002)), which certifies it at every d.
     """

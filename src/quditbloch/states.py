@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import BasisKind, _check_dim, get_basis, wob_basis
+from .bases import BasisKind, _check_dim, _check_indices, get_basis, wob_basis
 from .linalg import BipartiteState, DensityMatrix, tensor
 
 PAULI = {
@@ -76,9 +76,11 @@ def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteStat
 
 
 def weyl_bell_projector(d: int, n: int, k: int) -> BipartiteState:
-    """Maximally entangled projector P_nk = (U_nk (x) 1) P_00 (U_nk^dag (x) 1)."""
-    if not (0 <= n < d and 0 <= k < d):
-        raise ValueError(f"projector index ({n}, {k}) out of range 0..{d - 1}")
+    """Maximally entangled projector P_nk = (U_nk (x) 1) P_00 (U_nk^dag (x) 1).
+    Raises ``ValueError`` for a dimension outside 2..MAX_DIM or an index n, k
+    that is not an integer in 0..d-1."""
+    d = _check_dim(d)
+    _check_indices(d, 0, "projector", n, k)
     u = wob_basis(d).element((n, k))
     a = tensor(u, np.eye(d))
     return BipartiteState(a @ bell_state(d).matrix @ a.conj().T, d, validate=False)
@@ -226,6 +228,9 @@ def composite_operator(kind, d: int) -> np.ndarray:
     elements of the GGB, POB and WOB: LAMBDA = sum S_jk x S_jk -
     sum A_jk x A_jk + sum D_l x D_l, T = sum T_LM x T_LM and
     U = sum U_lm x U_{-l,m}. They are proportional: LAMBDA = 2 T = (2/d) U.
+    With P+ = ``bell_state(d)`` they are LAMBDA = 2d P+ - (2/d) 1,
+    T = d P+ - 1/d and U = d^2 P+ - 1, so these sums check the entry-by-entry
+    isotropic witness (1 - d P+)/sqrt(d^2-1) of ``entanglement``.
     U1 and U2 are the m != 0 and m == 0 parts of the sum for U at d = 3;
     SIGMA is the d = 2 form of LAMBDA written in Pauli matrices.
     """
@@ -248,7 +253,9 @@ def composite_operator(kind, d: int) -> np.ndarray:
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> DensityMatrix:
-    """Ginibre-distributed random density matrix G G^dag / Tr(G G^dag)."""
+    """Ginibre-distributed random density matrix G G^dag / Tr(G G^dag).
+    Raises ``ValueError`` for a dimension outside 2..MAX_DIM, before any draw."""
+    d = _check_dim(d)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat).real, validate=False)
@@ -265,8 +272,10 @@ def sample_separable(d: int, seed, mixture_count: int = 4) -> BipartiteState:
     states with flat-Dirichlet weights.
 
     A membership sampler for tests, not a uniform measure on the separable
-    set. Deterministic for a given seed; PPT by construction.
+    set. Deterministic for a given seed; PPT by construction. Raises
+    ``ValueError`` for a dimension outside 2..MAX_DIM, before any draw.
     """
+    d = _check_dim(d)
     if mixture_count < 1:
         raise ValueError("mixture_count must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -67,11 +67,11 @@ def test_basis_dump_csv(capsys, kind, digest):
 @pytest.mark.parametrize("family,alpha,beta,digest", [
     ("qubit2p", 2.0, 0.0, "a677a5ddb1e392df7c5d0032d4ca45ddeae0026b644519737eef296d2de511ac"),
     ("qubit2p", 0.0, 0.0, "c48c98e71056adab0c96adcc4ee6d5dcd54dabb75654b75e39852dc4bb7b7638"),
-    ("qubit2p", 0.8, 0.1, "f28d9916d768b52a817a271b32b6b2310b0ba0c87af13d5ca978664efbd60bba"),
+    ("qubit2p", 0.8, 0.1, "cf034adea5344d09be6aacecf2c802db67ee0e15e9a92b0564e096f9f1b384bd"),
     ("qubit2p", -0.7, -1.5, "dc641cc038f4b62e4373c208789470c953fdea8f1adf07b6386027a249a08d0e"),
     ("qutrit2p", -0.4, 0.9, "f4876704c38e8145a96ba7cb916c81cc65018a9d26c8286ca49d08a063c27c8f"),
     ("qutrit2p", 0.0, 0.0, "e388f85291de512d0bddc22fbc382cd5d8b66df3f96ea89d564300c9e02386b0"),
-    ("qutrit2p", 0.6, 0.0, "10af2412a1f31e9df721461d50ba7981f7d60ccf90e8094200ff074059685bc4"),
+    ("qutrit2p", 0.6, 0.0, "a63be0d7e5afee303f1fc5da6b66016eefefa2c34e26b94ea0cffbbe1d49edbd"),
     ("qutrit2p", 0.1, 0.7, "5f4539510436e2df3ef2c02887f0172962bb793760e409990b96834082bfe3ce"),
 ])
 def test_measure_plane_regions(capsys, family, alpha, beta, digest):
@@ -80,9 +80,9 @@ def test_measure_plane_regions(capsys, family, alpha, beta, digest):
 
 
 @pytest.mark.parametrize("dim,alpha,digest", [
-    (2, 0.9, "b66400bcc2cd001b4a67aef5ea01d5f78d87bda36a99f05510ec9e3accc9ddb2"),
-    (3, 0.85, "b28ad6a1174c2f7743542c6fa203c76c6957431407cffb25ccecbe3bb41776f9"),
-    (4, 0.9, "8c23fc118812e56ff6f28d1453609515913f4537d546e36da66ff62d9b830a9f"),
+    (2, 0.9, "e4de660cae350090ebc99fc45fc98c458d3d4bdd30b7cbf462ee6488baac4369"),
+    (3, 0.85, "9d14962c5100db4f555a4407b5737fa8302e33aeb642f5b4b2d70c8eb1dfe8cd"),
+    (4, 0.9, "24dc830b2c575a22166bbda01eacf3db48d93494b7fcec5897ce8baa75161303"),
     (3, 0.2, "bc4e1e44646d7dfddb1904784d9324548db58622db3731df48f25a319036bd2f"),
     (3, -0.5, "9ae441c8b1d115aa48e98fc56dd17b3d137a51b0c2fd72ce3b7e0cc6fe8f06a1"),
 ])

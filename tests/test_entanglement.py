@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -229,9 +230,14 @@ class TestPartialTransposeCertificate:
         op = qb.hs_measure_isotropic(d, 0.9).witness.operator
         assert not op.flags.writeable
         assert qb.hs_measure_isotropic(d, 0.7).witness.operator is op
-        inline = (np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d, dtype=complex)
-                  - qb.composite_operator("lambda", d) / (2 * np.sqrt(d * d - 1.0)))
-        assert op.tobytes() == inline.tobytes()
+        # (1 - d P+)/sqrt(d^2-1): every entry is exactly 0 or +-1/sqrt(d^2-1)
+        root = np.sqrt(d * d - 1.0)
+        assert set(op.ravel().tolist()) <= {0.0, 1 / root, -1 / root}
+        # the paper's GGB, POB and WOB forms of the same operator
+        shift = np.sqrt((d - 1.0) / (d + 1.0)) / d * np.eye(d * d)
+        for kind, scale in (("lambda", 2 * root), ("t", root), ("u", d * root)):
+            form = shift - qb.composite_operator(kind, d) / scale
+            assert np.abs(op - form).max() <= 1e-14
 
 
 class TestIsotropicMeasure:
@@ -512,6 +518,24 @@ class TestClosedFormRegionWitness:
         _, res = qb.hs_measure_plane(plane, *self.POINTS[family, "II"])
         assert not res.witness.operator.flags.writeable
         assert res.witness.operator.tobytes() == row.tobytes()
+
+    def test_measures_call_no_composite_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("composite_operator called")
+
+        for module in (qb, qb.states, entanglement):
+            monkeypatch.setattr(module, "composite_operator", refuse, raising=False)
+        # empty caches for this test; monkeypatch puts the filled ones back
+        for name in ("_isotropic_witness", "_region_witness"):
+            cached = getattr(entanglement, name)
+            monkeypatch.setattr(entanglement, name, functools.cache(cached.__wrapped__))
+        res = qb.hs_measure_isotropic(5, 0.9)
+        assert res.witness.verdict is WitnessVerdict.WITNESS
+        for family in ("qubit2p", "qutrit2p"):
+            label, res = qb.hs_measure_plane(qb.PLANES[family], *self.POINTS[family, "I"])
+            assert label is RegionLabel.ENTANGLED_I
+            assert res.witness.verdict is WitnessVerdict.WITNESS
+            assert res.max_violation == pytest.approx(res.distance, abs=1e-15)
 
     def test_measure_builds_no_candidate(self, monkeypatch):
         def refuse(*args):

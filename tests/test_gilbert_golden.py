@@ -109,7 +109,7 @@ SEESAW_GOLDENS = [
                    "11ce0bb79b43cada5752b06df9b3975abb2280fe6eea86428775b33b93e3f4a6")),
 ]
 
-MIN_PRODUCT_GOLDEN = "-8.326672684689078e-17"
+MIN_PRODUCT_GOLDEN = "-8.32667268468871e-17"
 
 ORACLE_GOLDENS = {
     "iso(3, 0.85)": ("0.5656854525110614", 54, "7.238480655884949e-07", True,

@@ -75,6 +75,28 @@ class TestDimensionBound:
             qb.bell_state(2.0)
 
 
+class TestSamplerAndProjectorRules:
+    """The random samplers check the dimension rule before their first draw,
+    and the Weyl Bell projector checks it before its index rule."""
+
+    @pytest.mark.parametrize("d", [0, 1, MAX_DIM + 1, 2.0])
+    def test_dimension(self, d):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for build in (lambda: qb.random_density_matrix(d, rng),
+                      lambda: qb.sample_separable(d, rng),
+                      lambda: qb.sample_separable(d, rng, mixture_count=0),
+                      lambda: qb.weyl_bell_projector(d, 0, 0)):
+            with pytest.raises(ValueError, match=f"dimension must be >= 2 and <= {MAX_DIM}"):
+                build()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n,k", [(0.5, 0), (0, 0.5), (3, 0), (0, -1)])
+    def test_projector_index(self, n, k):
+        with pytest.raises(ValueError, match="projector indices must be integers in 0..2"):
+            qb.weyl_bell_projector(3, n, k)
+
+
 class TestSweepSpec:
     @pytest.mark.parametrize("steps", [2.5, 2.0, "5"])
     def test_non_integer_steps(self, steps):
