@@ -265,8 +265,10 @@ class SweepSpec:
         for name, (lo, hi, steps) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
             if not (isinstance(steps, numbers.Integral) and steps >= 2):
                 raise ValueError(f"{name} steps must be an integer >= 2, got {steps!r}")
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"{name} range needs finite min < max, got [{lo}, {hi}]")
+            # max - min is finite only if both are, and linspace steps by it
+            if not (math.isfinite(hi - lo) and lo < hi):
+                raise ValueError(f"{name} range needs finite min < max and max - min, "
+                                 f"got [{lo}, {hi}]")
         points = self.alpha_range[2] * self.beta_range[2]
         if points > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep grid of {points} points exceeds {MAX_SWEEP_POINTS}")

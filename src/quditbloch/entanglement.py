@@ -22,7 +22,7 @@ from .gilbert import min_product_expectation
 from .linalg import (BipartiteState, _bipartite_matrix, as_hermitian, as_matrix, hs_inner,
                      hs_norm, min_eigenvalue, partial_transpose, TOL_PSD)
 from .states import (QUBIT_PLANE, QUTRIT_PLANE, TOL_EDGE, PlaneFamily, _check_finite,
-                     isotropic_physical, isotropic_state)
+                     isotropic_physical, isotropic_state, line_i_alpha, region_i_distance)
 
 TOL_WIT = 1e-9
 
@@ -143,17 +143,13 @@ def verify_witness(a: np.ndarray, rho_ent) -> WitnessReport:
     return WitnessReport(a, ent, sep_min, verdict, method)
 
 
-def _isotropic_threshold(d: int) -> float:
-    return 1.0 / (d + 1)
-
-
 def classify_isotropic(d: int, alpha: float) -> RegionLabel:
     """Region of an isotropic state: entangled iff alpha > 1/(d+1); the
     boundary counts as separable. Raises ``ValueError`` for a dimension
     outside 2..MAX_DIM."""
     if not isotropic_physical(d, alpha):
         return RegionLabel.UNPHYSICAL
-    if alpha > _isotropic_threshold(d) + TOL_EDGE:
+    if alpha > line_i_alpha(d, 0.0) + TOL_EDGE:
         return RegionLabel.ENTANGLED
     return RegionLabel.SEPARABLE
 
@@ -185,10 +181,9 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     if classify_isotropic(d, alpha) is not RegionLabel.ENTANGLED:
         raise ValueError(f"isotropic alpha={alpha} is not in the entangled range "
                          f"(1/(d+1), 1] of d={d}")
-    threshold = _isotropic_threshold(d)
     rho_ent = isotropic_state(d, alpha)
-    rho0 = isotropic_state(d, threshold)
-    distance = np.sqrt(d * d - 1.0) / d * (alpha - threshold)
+    rho0 = isotropic_state(d, line_i_alpha(d, 0.0))
+    distance = region_i_distance(d, alpha, 0.0)
     report = verify_witness(_isotropic_witness(d), rho_ent)
     return HSMeasureResult(float(distance), rho0, report, -report.ent_expectation)
 
@@ -202,7 +197,8 @@ def _plane_region(plane: PlaneFamily, alpha, beta):
     """Region codes of plane points: physical ones above line I are in Region
     I, else those below line II in Region II, else separable, boundaries
     included. Plain operators only, so floats and arrays alike; ``^`` removes
-    Region I, as ``~`` does not negate a Python bool."""
+    Region I, as ``~`` does not negate a Python bool. A line that overflows at
+    a huge beta is +-inf, which orders every finite alpha as the exact line does."""
     physical = plane.physical(alpha, beta)
     region_i = physical & (alpha > plane.line_i(beta) + TOL_EDGE)
     region_ii = (physical ^ region_i) & (alpha < plane.line_ii(beta) - TOL_EDGE)
@@ -213,13 +209,15 @@ def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel
     """Region of a point of a two-parameter plane; boundaries count as separable.
     Raises ``ValueError`` for a non-finite alpha or beta."""
     _check_finite(alpha=alpha, beta=beta)
-    return _PLANE_REGIONS[_plane_region(plane, alpha, beta)]
+    # Python floats overflow to inf without numpy's warning or its errstate cost
+    return _PLANE_REGIONS[_plane_region(plane, float(alpha), float(beta))]
 
 
 def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: np.ndarray):
     """Region codes of plane points given as arrays, and their closed-form D
     as an object array: a float in Regions I and II, None elsewhere."""
-    region = _plane_region(plane, alpha, beta)
+    with np.errstate(over="ignore"):
+        region = _plane_region(plane, alpha, beta)
     distance = np.full(region.shape, None, dtype=object)
     for code, formula in ((2, plane.distance_i), (3, plane.distance_ii)):
         mask = region == code

@@ -50,15 +50,29 @@ def bell_state(d: int) -> BipartiteState:
     return BipartiteState(np.outer(psi, psi.conj()), d, validate=False)
 
 
-def isotropic_physical(d: int, alpha: float) -> bool:
-    """Positivity of the isotropic state: -1/(d^2 - 1) <= alpha <= 1.
+def physical_triangle(d: int, a, b):
+    """Positivity of the plane (1-a-b)/d^2 * 1 + a P + (b/2)(Q+R): its eigenvalues c + a,
+    c + b/2 and c, c = (1-a-b)/d^2, are each >= 0; at b = 0 the isotropic range."""
+    return ((a <= -b + 1 + TOL_EDGE) & (a >= b / (d * d - 1) - 1 / (d * d - 1) - TOL_EDGE)
+            & (a <= (d * d / 2 - 1) * b + 1 + TOL_EDGE))
 
-    Raises ``ValueError`` for a dimension outside 2..MAX_DIM (below 2 the
-    isotropic family is undefined) and for a non-finite alpha.
-    """
+
+def line_i_alpha(d: int, b):
+    """alpha on line I, <rho, P> = 1/d; at b = 0 the isotropic threshold 1/(d+1)."""
+    return b / (d * d - 1) + 1 / (d + 1)
+
+
+def region_i_distance(d: int, a, b):
+    """D of a Region I point, whose nearest separable point is (line_i_alpha(d, b), b)."""
+    return np.sqrt(d * d - 1.0) / d * (a - 1 / (d + 1) - b / (d * d - 1))
+
+
+def isotropic_physical(d: int, alpha: float) -> bool:
+    """Positivity of the isotropic state, -1/(d^2 - 1) <= alpha <= 1. Raises ``ValueError``
+    for a non-finite alpha or a dimension outside 2..MAX_DIM (the family needs d >= 2)."""
     _check_dim(d)
     _check_finite(alpha=alpha)
-    return -1.0 / (d * d - 1) - TOL_EDGE <= alpha <= 1 + TOL_EDGE
+    return physical_triangle(d, alpha, 0.0)
 
 
 def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteState:
@@ -89,26 +103,38 @@ def weyl_bell_projector(d: int, n: int, k: int) -> BipartiteState:
 @dataclass(frozen=True)
 class PlaneFamily:
     """The plane (1 - a - b)/d^2 * 1 + a P + (b/2)(Q + R) of two-qudit states,
-    P, Q, R orthogonal maximally entangled projectors, with each of its
-    formulas once, as lambdas of plain operators that take floats or arrays."""
+    P, Q, R orthogonal maximally entangled projectors. Its triangle, line I and
+    Region I's D are functions of d; Region II's are lambdas. All take floats or arrays."""
 
     name: str               # CLI family name
     subdim: int
-    physical: Callable      # (a, b) -> inside the positivity triangle
-    line_i: Callable        # b -> alpha on the line above which Region I lies; a Region I
-                            # point (a, b) is nearest to (line_i(b), b)
     line_ii: Callable       # b -> alpha on the line below which Region II lies
     nearest_ii: Callable    # (a, b) -> nearest separable point of a Region II point
-    distance_i: Callable    # (a, b) -> its Hilbert-Schmidt distance D
-    distance_ii: Callable
+    distance_ii: Callable   # (a, b) -> its Hilbert-Schmidt distance D
     operators: Callable     # () -> (1, P, Q + R), built on first use
     witness_ii: tuple       # weights on operators() of Region II's optimal witness
 
+    def physical(self, a, b):
+        return physical_triangle(self.subdim, a, b)
+
+    def line_i(self, b):    # a Region I point (a, b) is nearest to (line_i(b), b)
+        return line_i_alpha(self.subdim, b)
+
+    def distance_i(self, a, b):
+        return region_i_distance(self.subdim, a, b)
+
     def mix(self, alpha, beta, ops) -> np.ndarray:
         """rho(alpha, beta) for ops = operators(), its partial transpose for
-        theirs; an alpha column (m, 1, 1) stacks m points, bit for bit alike."""
+        theirs; an alpha column (m, 1, 1) stacks m points, bit for bit alike.
+        Raises ``ValueError`` at a point whose entries overflow, as 1 - a - b can."""
         ident, p, qr = ops
-        return (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
+        finite = np.isfinite(out).all(axis=(-2, -1))
+        if not finite.all():
+            raise ValueError(f"{self.name} plane point ({np.ravel(alpha)[finite.argmin()]}, "
+                             f"{beta}) overflows: its entries must be finite")
+        return out
 
     def state(self, alpha: float, beta: float, checked: bool = True) -> BipartiteState:
         """rho(alpha, beta); ``checked`` rejects points outside the triangle,
@@ -140,12 +166,8 @@ def _qutrit_plane_operators() -> tuple[np.ndarray, ...]:
 
 QUBIT_PLANE = PlaneFamily(
     name="qubit2p", subdim=2,
-    physical=lambda a, b: ((a <= -b + 1 + TOL_EDGE) & (a >= b / 3 - 1 / 3 - TOL_EDGE)
-                           & (a <= b + 1 + TOL_EDGE)),
-    line_i=lambda b: b / 3 + 1 / 3,
     line_ii=lambda b: -b - 1,
     nearest_ii=lambda a, b: ((-1 + 2 * a - b) / 3, (-2 - 2 * a + b) / 3),
-    distance_i=lambda a, b: np.sqrt(3) / 2 * (a - 1 / 3 - b / 3),
     distance_ii=lambda a, b: (-a - 1 - b) / (2 * np.sqrt(3)),
     operators=_qubit_plane_operators,
     witness_ii=tuple(w / np.sqrt(3) for w in (-1, 2, 2)),
@@ -153,12 +175,8 @@ QUBIT_PLANE = PlaneFamily(
 
 QUTRIT_PLANE = PlaneFamily(
     name="qutrit2p", subdim=3,
-    physical=lambda a, b: ((a <= 3.5 * b + 1 + TOL_EDGE) & (a <= -b + 1 + TOL_EDGE)
-                           & (a >= b / 8 - 1 / 8 - TOL_EDGE)),
-    line_i=lambda b: b / 8 + 1 / 4,
     line_ii=lambda b: 5 * b / 4 - 1 / 2,
     nearest_ii=lambda a, b: ((-2 + 20 * a + 5 * b) / 24, (2 + 4 * a + b) / 6),
-    distance_i=lambda a, b: 2 * np.sqrt(2) / 3 * (a - 1 / 4 - b / 8),
     distance_ii=lambda a, b: (-4 * a - 2 + 5 * b) / (6 * np.sqrt(2)),
     operators=_qutrit_plane_operators,
     witness_ii=tuple(w / (2 * np.sqrt(2)) for w in (1, 1, -2)),
@@ -168,11 +186,8 @@ PLANES = {plane.name: plane for plane in (QUBIT_PLANE, QUTRIT_PLANE)}
 
 
 def two_param_qubit(alpha: float, beta: float, checked: bool = True) -> BipartiteState:
-    """Two-qubit mixture (1-a-b)/4 * 1 + a phi+ + (b/2)(psi+ + psi-).
-
-    Physical iff a <= -b + 1, a >= b/3 - 1/3 and a <= b + 1 (a triangle in
-    the (a, b) plane). Equals the isotropic qubit state at b = 0.
-    """
+    """Two-qubit mixture (1-a-b)/4 * 1 + a phi+ + (b/2)(psi+ + psi-), physical
+    iff ``physical_triangle(2, a, b)``; the isotropic qubit state at b = 0."""
     return QUBIT_PLANE.state(alpha, beta, checked)
 
 
@@ -186,11 +201,9 @@ def two_param_qubit_pauli(alpha: float, beta: float) -> np.ndarray:
 
 
 def two_param_qutrit(alpha: float, beta: float, checked: bool = True) -> BipartiteState:
-    """Two-qutrit mixture (1-a-b)/9 * 1 + a P_00 + (b/2)(P_10 + P_20).
-
-    Physical iff a <= 7b/2 + 1, a <= -b + 1 and a >= b/8 - 1/8. In the Weyl
-    basis the state reads (1/9)(1 + (a - b/2) U1 + (a + b) U2).
-    """
+    """Two-qutrit mixture (1-a-b)/9 * 1 + a P_00 + (b/2)(P_10 + P_20), physical
+    iff ``physical_triangle(3, a, b)``. In the Weyl basis the state reads
+    (1/9)(1 + (a - b/2) U1 + (a + b) U2)."""
     return QUTRIT_PLANE.state(alpha, beta, checked)
 
 

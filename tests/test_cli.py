@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,15 @@ class TestMeasure:
     def test_missing_params(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--family", "qubit2p", "--alpha", "0.5")
         assert code == 1 and "usage" in err
+
+    def test_overflowing_point_is_unphysical_without_warnings(self, capsys):
+        # 3.5 * beta and 5 * beta / 4 overflow in the qutrit region rule
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "measure", "--family", "qutrit2p",
+                                     "--alpha", "1e308", "--beta", "1e308")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["region"] == "Unphysical"
 
 
 class TestSweep:

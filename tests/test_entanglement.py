@@ -509,6 +509,18 @@ class TestClosedFormRegionWitness:
         _, res = qb.hs_measure_plane(plane, *self.POINTS[family, "I"])
         assert res.witness.operator is _isotropic_witness(plane.subdim)
 
+    @pytest.mark.parametrize("alpha", [0.35, 0.6, 0.9, 1.0])
+    @pytest.mark.parametrize("family", ["qubit2p", "qutrit2p"])
+    def test_region_i_at_beta_zero_is_the_isotropic_measure(self, family, alpha):
+        plane = qb.PLANES[family]
+        label, res = qb.hs_measure_plane(plane, alpha, 0.0)
+        iso = qb.hs_measure_isotropic(plane.subdim, alpha)
+        assert label is RegionLabel.ENTANGLED_I
+        assert res.distance.hex() == iso.distance.hex()
+        assert res.nearest_separable.matrix.tobytes() == iso.nearest_separable.matrix.tobytes()
+        assert res.witness.operator is iso.witness.operator
+        assert res.max_violation.hex() == iso.max_violation.hex()
+
     @pytest.mark.parametrize("family", ["qubit2p", "qutrit2p"])
     def test_region_ii_is_its_weight_row(self, family):
         plane = qb.PLANES[family]

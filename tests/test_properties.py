@@ -1,5 +1,7 @@
 """Property tests of the Bloch transforms and the closed-form measures."""
 
+import functools
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -100,3 +102,25 @@ def test_isotropic_witness_certified(d, scale):
     alpha = threshold + scale * (1 - threshold)
     assume(qb.classify_isotropic(d, alpha) is qb.RegionLabel.ENTANGLED)
     _assert_certified(qb.hs_measure_isotropic(d, alpha))
+
+
+@functools.cache
+def _plane_of_dim(d):
+    """The plane (1 - a - b)/d^2 * 1 + a P_00 + (b/2)(P_10 + P_01) at any d."""
+    p, q, r = (qb.weyl_bell_projector(d, n, k).matrix for n, k in ((0, 0), (1, 0), (0, 1)))
+    ops = (np.eye(d * d, dtype=complex), p, q + r)
+    return qb.PlaneFamily(name=f"d{d}", subdim=d, line_ii=None, nearest_ii=None,
+                          distance_ii=None, operators=lambda: ops, witness_ii=())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 8), alpha=st.floats(-0.5, 1.25), beta=st.floats(-0.5, 1.25))
+def test_triangle_and_line_i_at_every_dimension(d, alpha, beta):
+    """The triangle is where lambda_min(rho) >= 0, and line I is <rho, P> = 1/d."""
+    plane = _plane_of_dim(d)
+    ops = plane.operators()
+    lo = np.linalg.eigvalsh(plane.mix(alpha, beta, ops))[0]
+    if abs(lo) > 1e-9:
+        assert bool(plane.physical(alpha, beta)) == (lo > 0)
+    on_line = plane.mix(plane.line_i(beta), beta, ops)
+    assert abs(qb.hs_inner(on_line, ops[1]).real - 1 / d) <= 1e-12

@@ -103,7 +103,8 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="integer"):
             SweepSpec("qubit2p", (0, 1, steps), (0, 1, 3))
 
-    @pytest.mark.parametrize("lo,hi", [(0, math.inf), (-math.inf, 1), (math.nan, 1)])
+    @pytest.mark.parametrize("lo,hi", [(0, math.inf), (-math.inf, 1), (math.nan, 1),
+                                       (-1e308, 1e308)])    # the last: max - min overflows
     def test_non_finite_bounds(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             SweepSpec("qubit2p", (0, 1, 3), (lo, hi, 3))
@@ -116,7 +117,8 @@ class TestSweepSpec:
             SweepSpec("qutrit2p", (0, 1, MAX_SWEEP_POINTS // 2 + 1), (0, 1, 2))
         SweepSpec("qutrit2p", (0, 1, MAX_SWEEP_POINTS // 2), (0, 1, 2))
 
-    @pytest.mark.parametrize("alpha", [("0", "1", "2.7"), ("0", "inf", "5"), ("nan", "1", "5")])
+    @pytest.mark.parametrize("alpha", [("0", "1", "2.7"), ("0", "inf", "5"), ("nan", "1", "5"),
+                                       ("-1e308", "1e308", "2")])
     def test_cli_exit_code(self, capsys, alpha):
         assert cli_main(["sweep", "--family", "qubit2p", "--alpha", *alpha,
                          "--beta", "0", "1", "3"]) == 2
@@ -378,6 +380,13 @@ class TestNonFiniteFamilyParameters:
         ("state", "make", "--family", "isotropic", "--dim", "3", "--alpha={}", "--unchecked"),
         ("state", "make", "--family", "qubit2p", "--alpha={}", "--beta", "0", "--unchecked"),
         ("state", "make", "--family", "qutrit2p", "--alpha", "0.1", "--beta={}"),
+        # finite parameters whose state overflows: 1 - alpha - beta is -inf
+        ("state", "make", "--family", "qutrit2p", "--alpha", "1e308", "--beta", "1e308",
+         "--unchecked"),
+        ("state", "make", "--family", "qubit2p", "--alpha", "1e308", "--beta", "1e308",
+         "--unchecked"),
+        ("sweep", "--family", "qutrit2p", "--alpha", "1e307", "1e308", "2",
+         "--beta", "1e307", "1e308", "2"),
     ])
     def test_cli_exit_code(self, capsys, argv, bad):
         assert cli_main([arg.format(bad) for arg in argv]) == 2
