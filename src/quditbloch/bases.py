@@ -90,6 +90,16 @@ def _frame(basis: OperatorBasis) -> np.ndarray:
     return basis.stacked.reshape(n, n)
 
 
+def _frame_product(basis: OperatorBasis, mat: np.ndarray) -> np.ndarray:
+    """F conj(vec M), whose conjugate holds Tr(A_i^dag M) for every i. Raises
+    ``ValueError`` when an entry overflows, as finite entries near 1e308 can."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = _frame(basis) @ mat.reshape(-1).conj()
+    if not np.isfinite(prod).all():
+        raise ValueError("basis coefficients are not finite: the matrix entries overflow")
+    return prod
+
+
 MAX_DIM = 64    # a GGB or POB stack holds d^4 complex entries: 268 MB at d = 64
 
 
@@ -302,4 +312,4 @@ def expand_matrix(basis: OperatorBasis, mat: np.ndarray) -> np.ndarray:
     # Tr(A_i^dag A_i) is N by orthogonality, and d a_0^2 for A_0 = a_0 1
     norms = np.full(len(f), basis.ortho_const)
     norms[0] = basis.dim * f[0, 0].real ** 2
-    return (f @ mat.reshape(-1).conj()).conj() / norms
+    return _frame_product(basis, mat).conj() / norms

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import BasisKind, _frame, get_basis
+from .bases import BasisKind, _frame, _frame_product, get_basis
 from .linalg import _bipartite_matrix, as_matrix, is_psd
 
 
@@ -76,7 +76,7 @@ def bloch_encode(rho, kind, convention=Convention.EXPANSION) -> BlochVector:
     mat = as_matrix(rho)
     basis = get_basis(kind, mat.shape[0])
     # conj(Tr(A_i^dag rho)) without a conjugated copy of the stack
-    comp = _frame(basis)[1:] @ mat.reshape(-1).conj()
+    comp = _frame_product(basis, mat)[1:]
     # WOB expectation values are Tr(U_nm rho) of a Hermitian rho, the product
     # itself; all other components are Tr(A_i^dag rho) (GGB Hermitian). The
     # + 0.0 comes last: it turns the -0.0 that conjugating a zero imaginary
@@ -165,9 +165,12 @@ def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochD
     mat, d = _bipartite_matrix(rho, subdim)
     basis = get_basis(kind, d)
     fc = _frame(basis).conj()
-    k = fc @ _realign(mat, d) @ fc.T / basis.ortho_const
-    k[1:, 0] /= fc[0, 0].real
-    k[0, 1:] /= fc[0, 0].real
-    k[1:, 1:] /= basis.ortho_const
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = fc @ _realign(mat, d) @ fc.T / basis.ortho_const
+        k[1:, 0] /= fc[0, 0].real
+        k[0, 1:] /= fc[0, 0].real
+        k[1:, 1:] /= basis.ortho_const
+    if not np.isfinite(k).all():
+        raise ValueError("Bloch coefficients are not finite: the matrix entries overflow")
     k.setflags(write=False)
     return BipartiteBlochDecomposition(kind, d, k[1:, 0], k[0, 1:], k[1:, 1:])

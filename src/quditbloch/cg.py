@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# bound on every angular momentum: pob_basis at dimension d needs j <= d - 1,
-# and d = 100 already takes about 1.6 GB, while the slowest coefficient at the
-# bound, (MAX_J, 0, MAX_J, 0, MAX_J, 0), takes about 3 ms (one core of a
-# 2-core x86-64 Xeon host; about 30 ms at j = 1000)
+# bound on every angular momentum of a direct clebsch_gordan call (pob_basis
+# needs j <= d - 1, which bases.MAX_DIM = 64 already caps at 63); the slowest
+# coefficient at the bound, (MAX_J, 0, MAX_J, 0, MAX_J, 0), takes about 3 ms
+# (one core of a 2-core x86-64 Xeon host; about 30 ms at j = 1000)
 MAX_J = 300
 
 

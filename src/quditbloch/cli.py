@@ -66,7 +66,8 @@ def _csv_text(header, columns) -> str:
 
 
 def _json_dumps(obj) -> str:
-    """JSON with fixed 17-significant-digit float formatting."""
+    """JSON with fixed 17-significant-digit float formatting; a non-finite
+    float, which JSON cannot hold, raises ``ValueError``."""
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -74,6 +75,8 @@ def _json_dumps(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"result {obj} is not finite and has no JSON form")
         return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -177,21 +180,24 @@ def _cmd_state_make(args) -> int:
 
 def _cmd_decompose(args) -> int:
     mat = as_hermitian(_read_matrix(args.infile), "input state")
-    tr = np.trace(mat)
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise ValueError(f"input state trace {tr} is not 1")
-    vec = bloch_encode(mat, args.kind, Convention(args.convention))
-    doc = {
-        "kind": args.kind,
-        "dim": vec.dim,
-        "convention": vec.convention.value,
-        "labels": [_label_str(lab) for lab in vec.labels],
-        "re": [float(x) for x in vec.components.real],
-        "im": [float(x) for x in vec.components.imag],
-        "radius": vec.radius,
-        "purity": purity(mat),
-        "is_physical": is_psd(mat),
-    }
+    # finite entries near 1e308 overflow to inf or nan, which the encoder and
+    # the JSON writer reject; numpy's warnings on the way would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(mat)
+        if abs(tr - 1.0) > TOL_TRACE:
+            raise ValueError(f"input state trace {tr} is not 1")
+        vec = bloch_encode(mat, args.kind, Convention(args.convention))
+        doc = {
+            "kind": args.kind,
+            "dim": vec.dim,
+            "convention": vec.convention.value,
+            "labels": [_label_str(lab) for lab in vec.labels],
+            "re": [float(x) for x in vec.components.real],
+            "im": [float(x) for x in vec.components.imag],
+            "radius": vec.radius,
+            "purity": purity(mat),
+            "is_physical": is_psd(mat),
+        }
     _emit(_json_dumps(doc) + "\n", args.out)
     return 0
 
@@ -210,6 +216,7 @@ def _cmd_measure(args) -> int:
     params = _require_params(args)
     if args.seed is not None and not args.oracle:
         raise _UsageError("--seed is the oracle's seed and needs --oracle")
+    oracle_config = GilbertConfig(seed=args.seed or 0) if args.oracle else None
     if args.family == "isotropic":
         label = classify_isotropic(*params.values())
         result = hs_measure_isotropic(*params.values()) if label is RegionLabel.ENTANGLED else None
@@ -224,8 +231,7 @@ def _cmd_measure(args) -> int:
         doc["rho0"] = matrix_to_json(result.nearest_separable.matrix)
         doc["witness"] = _witness_json(result.witness)
         if args.oracle:
-            oracle = nearest_separable_weyl(_make_state(args.family, params),
-                                            GilbertConfig(seed=args.seed or 0))
+            oracle = nearest_separable_weyl(_make_state(args.family, params), oracle_config)
             doc["oracle_D"] = oracle.distance
             doc["oracle_iterations"] = oracle.iterations
             doc["oracle_converged"] = oracle.converged
@@ -419,9 +425,11 @@ def _selftest_checks(seed: int):
 
 
 def _cmd_selftest(args) -> int:
+    # the generator first, so that a bad seed exits before the table header
+    checks = _selftest_checks(args.seed)
     failures = 0
     print(f"{'check':<40} {'worst':>12} {'bound':>9} result", file=sys.stdout)
-    for name, fn in _selftest_checks(args.seed):
+    for name, fn in checks:
         worst, bound = fn()
         ok = worst <= bound
         failures += 0 if ok else 1

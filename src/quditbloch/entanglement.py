@@ -12,7 +12,6 @@ violation of the witness inequality over separable states.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -154,10 +153,10 @@ def classify_isotropic(d: int, alpha: float) -> RegionLabel:
     return RegionLabel.SEPARABLE
 
 
-@functools.cache
 def _isotropic_witness(d: int) -> np.ndarray:
     """The optimal witness (1x1 - d P+)/sqrt(d^2-1) of every entangled isotropic
-    state of dimension d, read-only; d P+ is 1 at each (jj, kk), so no basis is built."""
+    state of dimension d, built read-only on each call; d P+ is 1 at each
+    (jj, kk), so no basis is built."""
     a_opt = np.eye(d * d, dtype=complex)
     jj = np.arange(d) * (d + 1)
     a_opt[np.ix_(jj, jj)] -= 1
@@ -172,9 +171,9 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     The nearest separable state sits on the separability boundary
     alpha0 = 1/(d+1); the distance is sqrt(d^2-1)/d * (alpha - alpha0) and
     the optimal witness is A_opt = (1x1 - d P+)/sqrt(d^2-1), the same
-    read-only operator for every alpha, written entry by entry without a
-    basis: 0 at each (jj, jj), -1/sqrt(d^2-1) at each (jj, kk) with j != k,
-    1/sqrt(d^2-1) on the rest of the diagonal. Its partial transpose
+    operator for every alpha, built read-only on each call entry by entry
+    without a basis: 0 at each (jj, jj), -1/sqrt(d^2-1) at each (jj, kk)
+    with j != k, 1/sqrt(d^2-1) on the rest of the diagonal. Its partial transpose
     2 P_antisym/sqrt(d^2-1) is positive semidefinite (Bertlmann, Narnhofer &
     Thirring, PRA 66, 032319 (2002)), which certifies it at every d.
     """
@@ -234,13 +233,12 @@ def plane_distance(plane: PlaneFamily, alpha: float,
     return _PLANE_REGIONS[region[0]], distance[0]
 
 
-@functools.cache
 def _region_witness(plane: PlaneFamily, label: RegionLabel) -> np.ndarray:
-    """The optimal witness of an entangled plane region, one read-only
-    operator for all its points (the region's nearest-point map projects onto
-    its line), in closed form: line I is the isotropic threshold <rho, P> =
-    1/d, so Region I has the isotropic witness; Region II has the weights
-    ``plane.witness_ii`` on ``plane.operators()``."""
+    """The optimal witness of an entangled plane region, one operator for all
+    its points (the region's nearest-point map projects onto its line), built
+    read-only on each call in closed form: line I is the isotropic threshold
+    <rho, P> = 1/d, so Region I has the isotropic witness; Region II has the
+    weights ``plane.witness_ii`` on ``plane.operators()``."""
     if label is RegionLabel.ENTANGLED_I:
         return _isotropic_witness(plane.subdim)
     a_opt = sum(w * op for w, op in zip(plane.witness_ii, plane.operators()))
@@ -252,8 +250,8 @@ def hs_measure_plane(plane: PlaneFamily, alpha: float,
                      beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
     """Region label and, for entangled points, the closed-form measure: the
     nearest separable state, D, and the region's optimal witness (the same
-    read-only operator at every point of the region) certified by its
-    positive semidefinite partial transpose."""
+    operator at every point of the region, built read-only on each call)
+    certified by its positive semidefinite partial transpose."""
     label, distance = plane_distance(plane, alpha, beta)
     if distance is None:
         return label, None

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import quditbloch as qb
+from quditbloch import cli
 from quditbloch.cli import SweepSpec, _csv_text, _fmt, _label_str, cli_main, run_sweep
 
 
@@ -495,3 +496,40 @@ class TestFailedAllocation:
         code, out, err = run_cli(capsys, "measure", "--family", "isotropic",
                                  "--dim", "3", "--alpha", "0.9")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestNegativeSeed:
+    """A seed is an integer >= 0: a negative one exits 2 with nothing on stdout."""
+
+    @pytest.mark.parametrize("family", [("isotropic", "--dim", "2", "--alpha", "0.9"),
+                                        ("qubit2p", "--alpha", "0.0", "--beta", "0.0")])
+    def test_measure_names_the_seed(self, capsys, family):
+        # also at a separable point, where the oracle does not run
+        code, out, err = run_cli(capsys, "measure", "--family", *family,
+                                 "--oracle", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
+
+    def test_selftest_prints_no_table(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestSelftestFailure:
+    def test_check_over_its_bound_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_selftest_checks",
+                            lambda seed: [("over its bound", lambda: (1.0, 0.5))])
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 2
+        assert out.splitlines()[1].split() == ["over", "its", "bound", "1.000e+00", "5e-01",
+                                               "FAIL"]
+
+
+class TestNonFiniteJson:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")])
+    def test_raises(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            cli._json_dumps({"radius": value})
+
+    def test_finite_floats_keep_their_digits(self):
+        assert cli._json_dumps([0.1, np.float64(-2.5e-300)]) == "[0.10000000000000001, -2.5e-300]"

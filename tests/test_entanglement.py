@@ -1,5 +1,6 @@
-import functools
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ class TestPartialTransposeCertificate:
     def test_cached_isotropic_witness(self, d):
         op = qb.hs_measure_isotropic(d, 0.9).witness.operator
         assert not op.flags.writeable
-        assert qb.hs_measure_isotropic(d, 0.7).witness.operator is op
+        assert qb.hs_measure_isotropic(d, 0.7).witness.operator.tobytes() == op.tobytes()
         # (1 - d P+)/sqrt(d^2-1): every entry is exactly 0 or +-1/sqrt(d^2-1)
         root = np.sqrt(d * d - 1.0)
         assert set(op.ravel().tolist()) <= {0.0, 1 / root, -1 / root}
@@ -507,7 +508,7 @@ class TestClosedFormRegionWitness:
     def test_region_i_is_the_isotropic_witness(self, family):
         plane = qb.PLANES[family]
         _, res = qb.hs_measure_plane(plane, *self.POINTS[family, "I"])
-        assert res.witness.operator is _isotropic_witness(plane.subdim)
+        assert res.witness.operator.tobytes() == _isotropic_witness(plane.subdim).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.35, 0.6, 0.9, 1.0])
     @pytest.mark.parametrize("family", ["qubit2p", "qutrit2p"])
@@ -518,7 +519,7 @@ class TestClosedFormRegionWitness:
         assert label is RegionLabel.ENTANGLED_I
         assert res.distance.hex() == iso.distance.hex()
         assert res.nearest_separable.matrix.tobytes() == iso.nearest_separable.matrix.tobytes()
-        assert res.witness.operator is iso.witness.operator
+        assert res.witness.operator.tobytes() == iso.witness.operator.tobytes()
         assert res.max_violation.hex() == iso.max_violation.hex()
 
     @pytest.mark.parametrize("family", ["qubit2p", "qutrit2p"])
@@ -531,16 +532,24 @@ class TestClosedFormRegionWitness:
         assert not res.witness.operator.flags.writeable
         assert res.witness.operator.tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("family,region", [("isotropic", None), *POINTS])
+    def test_measure_keeps_no_witness_alive(self, family, region):
+        # the witness is built on each call, so it goes with the result
+        if family == "isotropic":
+            res = qb.hs_measure_isotropic(5, 0.9)
+        else:
+            res = qb.hs_measure_plane(qb.PLANES[family], *self.POINTS[family, region])[1]
+        ref = weakref.ref(res.witness.operator)
+        del res
+        gc.collect()
+        assert ref() is None
+
     def test_measures_call_no_composite_operator(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("composite_operator called")
 
         for module in (qb, qb.states, entanglement):
             monkeypatch.setattr(module, "composite_operator", refuse, raising=False)
-        # empty caches for this test; monkeypatch puts the filled ones back
-        for name in ("_isotropic_witness", "_region_witness"):
-            cached = getattr(entanglement, name)
-            monkeypatch.setattr(entanglement, name, functools.cache(cached.__wrapped__))
         res = qb.hs_measure_isotropic(5, 0.9)
         assert res.witness.verdict is WitnessVerdict.WITNESS
         for family in ("qubit2p", "qutrit2p"):
@@ -554,7 +563,6 @@ class TestClosedFormRegionWitness:
             raise AssertionError("witness_candidate called")
 
         monkeypatch.setattr(entanglement, "witness_candidate", refuse)
-        entanglement._region_witness.cache_clear()
         for (family, region), point in self.POINTS.items():
             label, res = qb.hs_measure_plane(qb.PLANES[family], *point)
             assert label.value == "EntangledRegion" + region

@@ -402,3 +402,66 @@ class TestNonFiniteFamilyParameters:
         assert cli_main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be finite, got -inf" in captured.err
+
+
+def _overflowing(d=2, entry=1e308):
+    """A finite Hermitian unit-trace matrix whose corner entries overflow in
+    the Bloch transforms."""
+    m = np.eye(d) / d
+    m[0, -1] = m[-1, 0] = entry
+    return m
+
+
+class TestOverflowingEntries:
+    """Finite entries near 1e308 overflow in the Bloch transforms: the library
+    raises ValueError and decompose exits 2 with one error line, without a
+    numpy warning, an inf or a nan on the way."""
+
+    @pytest.mark.parametrize("kind", ["ggb", "wob"])
+    def test_expand_matrix(self, kind):
+        _raises_without_warnings(lambda: qb.expand_matrix(qb.get_basis(kind, 2), _overflowing()),
+                                 "finite")
+
+    @pytest.mark.parametrize("kind", ["ggb", "wob"])
+    def test_bloch_encode(self, kind):
+        _raises_without_warnings(lambda: qb.bloch_encode(_overflowing(), kind), "finite")
+
+    @pytest.mark.parametrize("kind", ["ggb", "wob"])
+    def test_bipartite_decompose(self, kind):
+        _raises_without_warnings(lambda: qb.bipartite_decompose(_overflowing(4), kind), "finite")
+
+    @pytest.mark.parametrize("kind,entry", [("ggb", 1e308), ("wob", 1e308), ("pob", 1e308),
+                                            ("ggb", 1e200)])
+    def test_cli_decompose(self, capsys, tmp_path, kind, entry):
+        # pob at 1e308 and ggb at 1e200 encode, but radius and purity overflow
+        m = _overflowing(entry=entry)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": 2, "re": m.tolist(), "im": np.zeros((2, 2)).tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["decompose", "--kind", kind, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("kind", ["ggb", "pob", "wob"])
+    def test_encode_and_expand_share_one_product(self, kind):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 5):
+            basis = qb.get_basis(kind, d)
+            rho = qb.random_density_matrix(d, rng)
+            # equal values; the encoder alone turns -0.0 into +0.0
+            assert np.array_equal(qb.bloch_encode(rho, kind).components,
+                                  qb.expand_matrix(basis, rho.matrix)[1:])
+
+
+class TestGilbertConfigSeed:
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_rejects(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            qb.GilbertConfig(seed=seed)
+
+    def test_accepts_integers(self):
+        assert qb.GilbertConfig(seed=np.int64(7)).seed == 7
+        assert qb.GilbertConfig(seed=2 ** 70).seed == 2 ** 70
