@@ -165,12 +165,9 @@ def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochD
     mat, d = _bipartite_matrix(rho, subdim)
     basis = get_basis(kind, d)
     fc = _frame(basis).conj()
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = fc @ _realign(mat, d) @ fc.T / basis.ortho_const
-        k[1:, 0] /= fc[0, 0].real
-        k[0, 1:] /= fc[0, 0].real
-        k[1:, 1:] /= basis.ortho_const
-    if not np.isfinite(k).all():
-        raise ValueError("Bloch coefficients are not finite: the matrix entries overflow")
+    k = fc @ _realign(mat, d) @ fc.T / basis.ortho_const
+    k[1:, 0] /= fc[0, 0].real
+    k[0, 1:] /= fc[0, 0].real
+    k[1:, 1:] /= basis.ortho_const
     k.setflags(write=False)
     return BipartiteBlochDecomposition(kind, d, k[1:, 0], k[0, 1:], k[1:, 1:])

@@ -27,7 +27,7 @@ from .entanglement import (_PLANE_REGIONS, RegionLabel, _plane_distances, classi
 from .gilbert import GilbertConfig, nearest_separable_weyl
 from .linalg import (TOL_TRACE, as_hermitian, is_psd, matrix_from_json, matrix_to_json,
                      partial_transpose)
-from .states import PLANES, bell_state, isotropic_state, weyl_bell_projector
+from .states import PLANES, _check_finite, bell_state, isotropic_state, weyl_bell_projector
 
 
 class _UsageError(Exception):
@@ -180,24 +180,21 @@ def _cmd_state_make(args) -> int:
 
 def _cmd_decompose(args) -> int:
     mat = as_hermitian(_read_matrix(args.infile), "input state")
-    # finite entries near 1e308 overflow to inf or nan, which the encoder and
-    # the JSON writer reject; numpy's warnings on the way would only repeat that
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValueError(f"input state trace {tr} is not 1")
-        vec = bloch_encode(mat, args.kind, Convention(args.convention))
-        doc = {
-            "kind": args.kind,
-            "dim": vec.dim,
-            "convention": vec.convention.value,
-            "labels": [_label_str(lab) for lab in vec.labels],
-            "re": [float(x) for x in vec.components.real],
-            "im": [float(x) for x in vec.components.imag],
-            "radius": vec.radius,
-            "purity": purity(mat),
-            "is_physical": is_psd(mat),
-        }
+    tr = np.trace(mat)
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise ValueError(f"input state trace {tr} is not 1")
+    vec = bloch_encode(mat, args.kind, Convention(args.convention))
+    doc = {
+        "kind": args.kind,
+        "dim": vec.dim,
+        "convention": vec.convention.value,
+        "labels": [_label_str(lab) for lab in vec.labels],
+        "re": [float(x) for x in vec.components.real],
+        "im": [float(x) for x in vec.components.imag],
+        "radius": vec.radius,
+        "purity": purity(mat),
+        "is_physical": is_psd(mat),
+    }
     _emit(_json_dumps(doc) + "\n", args.out)
     return 0
 
@@ -271,10 +268,10 @@ class SweepSpec:
         for name, (lo, hi, steps) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
             if not (isinstance(steps, numbers.Integral) and steps >= 2):
                 raise ValueError(f"{name} steps must be an integer >= 2, got {steps!r}")
-            # max - min is finite only if both are, and linspace steps by it
-            if not (math.isfinite(hi - lo) and lo < hi):
-                raise ValueError(f"{name} range needs finite min < max and max - min, "
-                                 f"got [{lo}, {hi}]")
+            # the family parameter rule, so max - min, linspace's step, is finite too
+            _check_finite(**{f"{name} min": lo, f"{name} max": hi})
+            if not lo < hi:
+                raise ValueError(f"{name} range needs min < max, got [{lo}, {hi}]")
         points = self.alpha_range[2] * self.beta_range[2]
         if points > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep grid of {points} points exceeds {MAX_SWEEP_POINTS}")
@@ -425,7 +422,9 @@ def _selftest_checks(seed: int):
 
 
 def _cmd_selftest(args) -> int:
-    # the generator first, so that a bad seed exits before the table header
+    # the oracle's seed rule, then the generator, so that a bad seed exits
+    # before the table header
+    GilbertConfig(seed=args.seed)
     checks = _selftest_checks(args.seed)
     failures = 0
     print(f"{'check':<40} {'worst':>12} {'bound':>9} result", file=sys.stdout)

@@ -196,8 +196,7 @@ def _plane_region(plane: PlaneFamily, alpha, beta):
     """Region codes of plane points: physical ones above line I are in Region
     I, else those below line II in Region II, else separable, boundaries
     included. Plain operators only, so floats and arrays alike; ``^`` removes
-    Region I, as ``~`` does not negate a Python bool. A line that overflows at
-    a huge beta is +-inf, which orders every finite alpha as the exact line does."""
+    Region I, as ``~`` does not negate a Python bool."""
     physical = plane.physical(alpha, beta)
     region_i = physical & (alpha > plane.line_i(beta) + TOL_EDGE)
     region_ii = (physical ^ region_i) & (alpha < plane.line_ii(beta) - TOL_EDGE)
@@ -206,17 +205,15 @@ def _plane_region(plane: PlaneFamily, alpha, beta):
 
 def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel:
     """Region of a point of a two-parameter plane; boundaries count as separable.
-    Raises ``ValueError`` for a non-finite alpha or beta."""
+    Raises ``ValueError`` where ``_check_finite`` does."""
     _check_finite(alpha=alpha, beta=beta)
-    # Python floats overflow to inf without numpy's warning or its errstate cost
     return _PLANE_REGIONS[_plane_region(plane, float(alpha), float(beta))]
 
 
 def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: np.ndarray):
     """Region codes of plane points given as arrays, and their closed-form D
     as an object array: a float in Regions I and II, None elsewhere."""
-    with np.errstate(over="ignore"):
-        region = _plane_region(plane, alpha, beta)
+    region = _plane_region(plane, alpha, beta)
     distance = np.full(region.shape, None, dtype=object)
     for code, formula in ((2, plane.distance_i), (3, plane.distance_ii)):
         mask = region == code
@@ -227,7 +224,7 @@ def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: np.ndarray):
 def plane_distance(plane: PlaneFamily, alpha: float,
                    beta: float) -> tuple[RegionLabel, float | None]:
     """Region label and, for entangled points, the closed-form distance D;
-    builds no state. Raises ``ValueError`` for a non-finite alpha or beta."""
+    builds no state. Raises ``ValueError`` where ``_check_finite`` does."""
     _check_finite(alpha=alpha, beta=beta)
     region, distance = _plane_distances(plane, np.array([alpha]), np.array([beta]))
     return _PLANE_REGIONS[region[0]], distance[0]

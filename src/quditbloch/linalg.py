@@ -18,6 +18,11 @@ TOL_TRACE = 1e-10    # unit-trace check
 TOL_PSD = 1e-9       # eigenvalue slack for positivity verdicts
 TOL_EIG = 1e-12      # relative eigendecomposition reconstruction error
 
+# largest magnitude of a matrix entry or family parameter. Density matrices
+# have entries of at most 1, and no transform sums more than d^4 products of
+# two such numbers (1.7e7 at d = 64), so no result comes near overflow
+MAX_ENTRY = 1e100
+
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
@@ -28,8 +33,8 @@ def _as_square(a) -> np.ndarray:
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(a^dag b)."""
-    a = _as_square(a)
-    b = _as_square(b)
+    a = as_matrix(a)
+    b = as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
@@ -37,7 +42,7 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt norm sqrt(Tr(a^dag a))."""
-    a = _as_square(a)
+    a = as_matrix(a)
     return float(np.sqrt(np.vdot(a, a).real))
 
 
@@ -94,12 +99,14 @@ def _bipartite_matrix(rho, subdim: int | None) -> tuple[np.ndarray, int]:
 
 def as_matrix(x) -> np.ndarray:
     """The matrix of a state or array argument: a ``DensityMatrix`` is taken
-    as it is, anything else must be a finite square array (``ValueError``)."""
+    as it is, anything else must be a square array whose entries are finite
+    and at most ``MAX_ENTRY`` in magnitude (``ValueError``)."""
     if isinstance(x, DensityMatrix):
         return x.matrix
     a = _as_square(x)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+    # NaN fails the comparison too
+    if not np.abs(a).max(initial=0.0) <= MAX_ENTRY:
+        raise ValueError(f"matrix entries must be finite and at most {MAX_ENTRY:g} in magnitude")
     return a
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bases import BasisKind, _check_dim, _check_indices, get_basis, wob_basis
-from .linalg import BipartiteState, DensityMatrix, tensor
+from .linalg import MAX_ENTRY, BipartiteState, DensityMatrix, tensor
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -35,11 +35,13 @@ TOL_EDGE = 1e-12
 
 
 def _check_finite(**params: float) -> None:
-    """Reject a NaN or infinite family parameter with ``ValueError``. Scalar,
-    so single-point calls pay little for it."""
+    """Reject a family parameter that is NaN, infinite or larger than
+    ``MAX_ENTRY`` in magnitude with ``ValueError``. Scalar, so single-point
+    calls pay little for it."""
     for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if not abs(value) <= MAX_ENTRY:
+            bound = f" and at most {MAX_ENTRY:g} in magnitude" if math.isfinite(value) else ""
+            raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
 def bell_state(d: int) -> BipartiteState:
@@ -69,7 +71,7 @@ def region_i_distance(d: int, a, b):
 
 def isotropic_physical(d: int, alpha: float) -> bool:
     """Positivity of the isotropic state, -1/(d^2 - 1) <= alpha <= 1. Raises ``ValueError``
-    for a non-finite alpha or a dimension outside 2..MAX_DIM (the family needs d >= 2)."""
+    where ``_check_finite`` does, or for a d outside 2..MAX_DIM (the family needs d >= 2)."""
     _check_dim(d)
     _check_finite(alpha=alpha)
     return physical_triangle(d, alpha, 0.0)
@@ -80,7 +82,7 @@ def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteStat
 
     Positivity holds exactly for -1/(d^2 - 1) <= alpha <= 1; outside that
     range construction requires ``checked=False``. Raises ``ValueError`` for
-    a dimension outside 2..MAX_DIM or a non-finite alpha either way.
+    a dimension outside 2..MAX_DIM or an alpha ``_check_finite`` refuses either way.
     """
     physical = isotropic_physical(d, alpha)
     if checked and not physical:
@@ -126,19 +128,13 @@ class PlaneFamily:
     def mix(self, alpha, beta, ops) -> np.ndarray:
         """rho(alpha, beta) for ops = operators(), its partial transpose for
         theirs; an alpha column (m, 1, 1) stacks m points, bit for bit alike.
-        Raises ``ValueError`` at a point whose entries overflow, as 1 - a - b can."""
+        Takes parameters its caller has checked (``_check_finite``, ``SweepSpec``)."""
         ident, p, qr = ops
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
-        finite = np.isfinite(out).all(axis=(-2, -1))
-        if not finite.all():
-            raise ValueError(f"{self.name} plane point ({np.ravel(alpha)[finite.argmin()]}, "
-                             f"{beta}) overflows: its entries must be finite")
-        return out
+        return (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
 
     def state(self, alpha: float, beta: float, checked: bool = True) -> BipartiteState:
         """rho(alpha, beta); ``checked`` rejects points outside the triangle,
-        and non-finite ones are rejected either way."""
+        and ones ``_check_finite`` refuses are rejected either way."""
         _check_finite(alpha=alpha, beta=beta)
         if checked and not self.physical(alpha, beta):
             raise ValueError(f"{self.name} plane point ({alpha}, {beta}) is unphysical")
@@ -194,6 +190,7 @@ def two_param_qubit(alpha: float, beta: float, checked: bool = True) -> Bipartit
 def two_param_qubit_pauli(alpha: float, beta: float) -> np.ndarray:
     """The same family written in the Pauli basis:
     (1/4)(1 + a(s1 x s1 - s2 x s2) + (a - b) s3 x s3)."""
+    _check_finite(alpha=alpha, beta=beta)
     mat = np.eye(4, dtype=complex)
     mat += alpha * (tensor(PAULI[1], PAULI[1]) - tensor(PAULI[2], PAULI[2]))
     mat += (alpha - beta) * tensor(PAULI[3], PAULI[3])

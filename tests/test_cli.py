@@ -147,14 +147,14 @@ class TestMeasure:
         code, _, err = run_cli(capsys, "measure", "--family", "qubit2p", "--alpha", "0.5")
         assert code == 1 and "usage" in err
 
-    def test_overflowing_point_is_unphysical_without_warnings(self, capsys):
-        # 3.5 * beta and 5 * beta / 4 overflow in the qutrit region rule
+    def test_point_beyond_the_bound_exits_2_without_warnings(self, capsys):
+        # finite, but above linalg.MAX_ENTRY: refused where it enters
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "measure", "--family", "qutrit2p",
                                      "--alpha", "1e308", "--beta", "1e308")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["region"] == "Unphysical"
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
 
 
 class TestSweep:
@@ -513,6 +513,10 @@ class TestNegativeSeed:
         code, out, err = run_cli(capsys, "selftest", "--seed", "-1")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_selftest_names_the_seed(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
 
 
 class TestSelftestFailure:

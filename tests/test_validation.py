@@ -12,6 +12,10 @@ import pytest
 import quditbloch as qb
 from quditbloch.bases import MAX_DIM
 from quditbloch.cli import MAX_SWEEP_POINTS, SweepSpec, cli_main
+from quditbloch.linalg import MAX_ENTRY
+
+# one step past the magnitude bound of matrix entries and family parameters
+PAST_BOUND = float(np.nextafter(MAX_ENTRY, np.inf))
 
 
 class TestIsotropicDimension:
@@ -104,7 +108,7 @@ class TestSweepSpec:
             SweepSpec("qubit2p", (0, 1, steps), (0, 1, 3))
 
     @pytest.mark.parametrize("lo,hi", [(0, math.inf), (-math.inf, 1), (math.nan, 1),
-                                       (-1e308, 1e308)])    # the last: max - min overflows
+                                       (-1e308, 1e308), (0, PAST_BOUND)])
     def test_non_finite_bounds(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             SweepSpec("qubit2p", (0, 1, 3), (lo, hi, 3))
@@ -118,7 +122,7 @@ class TestSweepSpec:
         SweepSpec("qutrit2p", (0, 1, MAX_SWEEP_POINTS // 2), (0, 1, 2))
 
     @pytest.mark.parametrize("alpha", [("0", "1", "2.7"), ("0", "inf", "5"), ("nan", "1", "5"),
-                                       ("-1e308", "1e308", "2")])
+                                       ("-1e308", "1e308", "2"), ("0", repr(PAST_BOUND), "5")])
     def test_cli_exit_code(self, capsys, alpha):
         assert cli_main(["sweep", "--family", "qubit2p", "--alpha", *alpha,
                          "--beta", "0", "1", "3"]) == 2
@@ -203,6 +207,9 @@ _STATE = qb.isotropic_state(2, 0.9)
 # one argument per entry point is the bad matrix; the others are valid
 ENTRY_POINTS = {
     "bloch_encode": lambda m: qb.bloch_encode(m, "ggb"),
+    "hs_inner(a)": lambda m: qb.hs_inner(m, np.eye(4)),
+    "hs_inner(b)": lambda m: qb.hs_inner(np.eye(4), m),
+    "hs_norm": qb.hs_norm,
     "purity": qb.purity,
     "bipartite_decompose": lambda m: qb.bipartite_decompose(m, "ggb"),
     "partial_transpose": qb.partial_transpose,
@@ -224,7 +231,8 @@ ENTRY_POINTS = {
 HERMITIAN_REQUIRED = ["verify_witness(operator)", "hermitian_eigen", "min_eigenvalue",
                       "ppt_verdict", "best_product_state", "min_product_expectation",
                       "DensityMatrix", "nearest_separable_numeric"]
-NON_FINITE = {"nan": np.full((4, 4), np.nan), "inf": np.diag([np.inf, 0.0, 0.0, 0.0])}
+NON_FINITE = {"nan": np.full((4, 4), np.nan), "inf": np.diag([np.inf, 0.0, 0.0, 0.0]),
+              "past the bound": np.diag([PAST_BOUND, 0.0, 0.0, 0.0])}
 NON_HERMITIAN = np.triu(np.ones((4, 4)))
 
 
@@ -251,8 +259,8 @@ class TestEveryEntryPoint:
 
     @pytest.mark.parametrize("matrix,match", [
         (NON_FINITE["nan"], "finite"), (NON_FINITE["inf"], "finite"),
-        (NON_HERMITIAN / 4, "Hermitian"),
-    ], ids=["nan", "inf", "non-Hermitian"])
+        (NON_HERMITIAN / 4, "Hermitian"), (NON_FINITE["past the bound"], "finite"),
+    ], ids=["nan", "inf", "non-Hermitian", "past the bound"])
     def test_cli_decompose(self, capsys, tmp_path, matrix, match):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"dim": 4, "re": matrix.real.tolist(),
@@ -296,7 +304,7 @@ class TestBasisLayerFiniteness:
     """Non-finite input to the basis and Bloch layer raises instead of
     flowing through as NaN."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, PAST_BOUND])
     def test_expand_matrix(self, bad):
         _raises_without_warnings(lambda: qb.expand_matrix(qb.ggb_basis(2), np.full((2, 2), bad)),
                                  "finite")
@@ -342,6 +350,7 @@ _PLANE_ENTRY_POINTS = {
        for name, plane in qb.PLANES.items()
        for fn in (qb.classify_plane, qb.plane_distance, qb.hs_measure_plane)},
     "two_param_qubit": qb.two_param_qubit,
+    "two_param_qubit_pauli": qb.two_param_qubit_pauli,
     "two_param_qutrit unchecked": lambda a, b: qb.two_param_qutrit(a, b, checked=False),
     "classify_qubit_plane": qb.classify_qubit_plane,
     "classify_qutrit_plane": qb.classify_qutrit_plane,
@@ -349,7 +358,7 @@ _PLANE_ENTRY_POINTS = {
     "hs_measure_qutrit_plane": qb.hs_measure_qutrit_plane,
 }
 
-_NON_FINITE = ["nan", "inf", "-inf"]
+_NON_FINITE = ["nan", "inf", "-inf", repr(PAST_BOUND)]
 
 
 class TestNonFiniteFamilyParameters:
@@ -380,7 +389,7 @@ class TestNonFiniteFamilyParameters:
         ("state", "make", "--family", "isotropic", "--dim", "3", "--alpha={}", "--unchecked"),
         ("state", "make", "--family", "qubit2p", "--alpha={}", "--beta", "0", "--unchecked"),
         ("state", "make", "--family", "qutrit2p", "--alpha", "0.1", "--beta={}"),
-        # finite parameters whose state overflows: 1 - alpha - beta is -inf
+        # finite parameters above linalg.MAX_ENTRY, refused where they enter
         ("state", "make", "--family", "qutrit2p", "--alpha", "1e308", "--beta", "1e308",
          "--unchecked"),
         ("state", "make", "--family", "qubit2p", "--alpha", "1e308", "--beta", "1e308",
@@ -405,17 +414,17 @@ class TestNonFiniteFamilyParameters:
 
 
 def _overflowing(d=2, entry=1e308):
-    """A finite Hermitian unit-trace matrix whose corner entries overflow in
-    the Bloch transforms."""
+    """A finite Hermitian unit-trace matrix whose corner entries lie above
+    linalg.MAX_ENTRY (at 1e308 they would overflow in the Bloch transforms)."""
     m = np.eye(d) / d
     m[0, -1] = m[-1, 0] = entry
     return m
 
 
 class TestOverflowingEntries:
-    """Finite entries near 1e308 overflow in the Bloch transforms: the library
-    raises ValueError and decompose exits 2 with one error line, without a
-    numpy warning, an inf or a nan on the way."""
+    """Finite entries above linalg.MAX_ENTRY are refused where they enter: the
+    library raises ValueError and decompose exits 2 with one error line, without
+    a numpy warning, an inf or a nan on the way."""
 
     @pytest.mark.parametrize("kind", ["ggb", "wob"])
     def test_expand_matrix(self, kind):
@@ -433,7 +442,7 @@ class TestOverflowingEntries:
     @pytest.mark.parametrize("kind,entry", [("ggb", 1e308), ("wob", 1e308), ("pob", 1e308),
                                             ("ggb", 1e200)])
     def test_cli_decompose(self, capsys, tmp_path, kind, entry):
-        # pob at 1e308 and ggb at 1e200 encode, but radius and purity overflow
+        # refused by as_hermitian, before the encoder, radius or purity run
         m = _overflowing(entry=entry)
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"dim": 2, "re": m.tolist(), "im": np.zeros((2, 2)).tolist()}))
@@ -454,6 +463,75 @@ class TestOverflowingEntries:
             # equal values; the encoder alone turns -0.0 into +0.0
             assert np.array_equal(qb.bloch_encode(rho, kind).components,
                                   qb.expand_matrix(basis, rho.matrix)[1:])
+
+
+def _at_the_bound(n):
+    """Two Hermitian n x n matrices whose every entry has magnitude 0.999 MAX_ENTRY:
+    all entries equal and positive (the largest coherent sums), and random phases."""
+    rng = np.random.default_rng(n)
+    upper = np.triu(np.exp(2j * np.pi * rng.random((n, n))), 1)
+    phases = upper + upper.conj().T + np.diag(rng.choice([-1.0, 1.0], n))
+    return [0.999 * MAX_ENTRY * np.ones((n, n)), 0.999 * MAX_ENTRY * phases]
+
+
+class TestMagnitudeBound:
+    """Matrix entries and family parameters up to MAX_ENTRY give finite results
+    without a numpy warning, so no transform needs an overflow check of its own."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("kind", ["ggb", "pob", "wob"])
+    @pytest.mark.parametrize("d", [2, 3, MAX_DIM])
+    def test_one_qudit_transforms(self, kind, d):
+        try:
+            basis = qb.get_basis(kind, d)
+            for m in _at_the_bound(d):
+                assert np.isfinite(qb.expand_matrix(basis, m)).all()
+                assert math.isfinite(qb.purity(m))
+                qb.is_psd(m)
+                for convention in qb.Convention:
+                    vec = qb.bloch_encode(m, kind, convention)
+                    assert math.isfinite(vec.radius)
+                    assert np.isfinite(qb.bloch_decode(vec).matrix).all()
+        finally:
+            if d == MAX_DIM:    # its stack alone holds 268 MB
+                getattr(qb.bases, f"{kind}_basis").cache_clear()
+
+    @pytest.mark.parametrize("kind", ["ggb", "pob", "wob"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_two_qudit_transforms(self, kind, d):
+        for m in _at_the_bound(d * d):
+            dec = qb.bipartite_decompose(m, kind)
+            for part in (dec.local_a, dec.local_b, dec.correlation, dec.reconstruct()):
+                assert np.isfinite(part).all()
+            assert math.isfinite(qb.ppt_verdict(m)[1])
+
+    @pytest.mark.parametrize("alpha,beta", [(-MAX_ENTRY, -MAX_ENTRY), (-MAX_ENTRY, MAX_ENTRY),
+                                            (MAX_ENTRY, -MAX_ENTRY), (MAX_ENTRY, MAX_ENTRY)])
+    def test_family_parameters(self, alpha, beta):
+        unphysical = qb.RegionLabel.UNPHYSICAL
+        for plane in qb.PLANES.values():
+            assert np.isfinite(plane.state(alpha, beta, checked=False).matrix).all()
+            assert qb.classify_plane(plane, alpha, beta) is unphysical
+            assert qb.hs_measure_plane(plane, alpha, beta) == (unphysical, None)
+        assert np.isfinite(qb.two_param_qubit_pauli(alpha, beta)).all()
+        for d in (2, 3):
+            assert np.isfinite(qb.isotropic_state(d, alpha, checked=False).matrix).all()
+            assert qb.classify_isotropic(d, alpha) is unphysical
+
+    @pytest.mark.parametrize("family", list(qb.PLANES))
+    def test_cli_at_the_bound(self, capsys, family):
+        # the bound is inclusive
+        assert cli_main(["sweep", "--family", family, "--alpha", "-1e100", "1e100", "3",
+                         "--beta", "-1e100", "1e100", "3"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 10 and "inf" not in out and "nan" not in out
+        assert cli_main(["measure", "--family", family, "--alpha", "1e100", "--beta", "1e100"]) == 0
+        assert json.loads(capsys.readouterr().out)["region"] == "Unphysical"
 
 
 class TestGilbertConfigSeed:
