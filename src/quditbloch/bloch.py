@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisKind, _frame, _frame_product, get_basis
-from .linalg import _bipartite_matrix, as_matrix, is_psd
+from .linalg import MAX_ENTRY, _bipartite_matrix, as_matrix, is_psd
 
 
 class Convention(str, Enum):
@@ -61,8 +61,15 @@ class BlochVector:
             raise ValueError(
                 f"Bloch vector of dimension {self.dim} needs {self.dim**2 - 1} components"
             )
-        if not np.isfinite(comp).all():
-            raise ValueError("Bloch vector has non-finite components")
+        # encoding a matrix M with entries within MAX_ENTRY gives components of
+        # modulus at most |Tr(A_i^dag M)| <= ||A_i|| d MAX_ENTRY, where ||A_i||^2 is
+        # the expval factor N <= d (coeff divides by N >= 1): below d^2 MAX_ENTRY.
+        # Larger components are refused, so radius and decoding cannot overflow
+        # (NaN fails the comparison too)
+        bound = self.dim ** 2 * MAX_ENTRY
+        if not np.abs(comp).max(initial=0.0) <= bound:
+            raise ValueError(f"Bloch vector components must be finite and at most {bound:g} "
+                             "in modulus")
 
     @property
     def radius(self) -> float:

@@ -14,9 +14,11 @@ import functools
 import json
 import math
 import numbers
+import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -54,15 +56,22 @@ def _float_cells(column, none=""):
     return (none if v is None else _fmt(v) for v in column)
 
 
-def _csv_text(header, columns) -> str:
-    """CSV of columns of cells (strings or ints), one row template per row. No
-    cell holds a comma, quote or line break; as csv.writer does, a row of one
-    empty cell is written ``""``, so that it is not read as a blank line."""
+def _csv_blocks(header, blocks):
+    """CSV text of the header, then of each block of rows (tuples of cells,
+    strings or ints), one row template per row. No cell holds a comma, quote
+    or line break; as csv.writer does, a row of one empty cell is written
+    ``""``, so that it is not read as a blank line."""
     row = ",".join(["%s"] * len(header)) + "\n"
-    rows = zip(*columns)
-    if len(header) == 1:
-        rows = (('""',) if cells == ("",) else cells for cells in rows)
-    return row % tuple(header) + "".join(map(row.__mod__, rows))
+    yield row % tuple(header)
+    for rows in blocks:
+        if len(header) == 1:
+            rows = (('""',) if cells == ("",) else cells for cells in rows)
+        yield "".join(map(row.__mod__, rows))
+
+
+def _csv_text(header, columns) -> str:
+    """CSV of columns of cells, as one block of ``_csv_blocks``."""
+    return "".join(_csv_blocks(header, [zip(*columns)]))
 
 
 def _json_dumps(obj) -> str:
@@ -92,13 +101,38 @@ def _label_str(label) -> str:
     return ":".join(str(x) for x in label)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _json_blocks(head: dict, key: str, blocks):
+    """The text of ``_json_dumps({**head, key: items})`` and a newline, one
+    block at a time: the head, then ``blocks``, each the JSON of some items
+    joined by ``", "``, then the closing brackets."""
+    yield f"{_json_dumps(head)[:-1]}, {json.dumps(key)}: ["
+    for i, block in enumerate(blocks):
+        yield ", " + block if i else block
+    yield "]}\n"
+
+
+def _emit(blocks, path: str | None) -> None:
+    """Write a string, or the strings ``blocks`` yields, one at a time to
+    stdout or to the file at ``path``; the text is never held whole. An error
+    raised while the blocks are made or written leaves the output truncated.
+    ``OSError`` from opening or writing the file is ``RuntimeError``; a reader
+    that closes stdout early (``| head``) ends the writing without an error."""
+    if isinstance(blocks, str):
+        blocks = (blocks,)
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the null device takes what is left in stdout's buffer, so that
+            # the flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except OSError as exc:
         raise RuntimeError(f"cannot write output file {path!r}: {exc}") from exc
 
@@ -115,27 +149,21 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _cmd_basis_dump(args) -> int:
+    """One block per basis element, in JSON or CSV."""
     basis = get_basis(args.kind, args.dim)
+    labels = map(_label_str, basis.labels)
     if args.format == "json":
-        doc = {
-            "kind": basis.kind.value,
-            "dim": basis.dim,
-            "ortho_const": basis.ortho_const,
-            "elements": [
-                {"label": _label_str(lab), "matrix": matrix_to_json(el)}
-                for lab, el in zip(basis.labels, basis.elements)
-            ],
-        }
-        _emit(_json_dumps(doc) + "\n", args.out)
+        head = {"kind": basis.kind.value, "dim": basis.dim, "ortho_const": basis.ortho_const}
+        _emit(_json_blocks(head, "elements", (
+            _json_dumps({"label": label, "matrix": matrix_to_json(el)})
+            for label, el in zip(labels, basis.elements))), args.out)
     else:
         d = basis.dim
-        stack = basis.stacked.reshape(-1)      # element-major, then row, then column
-        _emit(_csv_text(["label", "row", "col", "re", "im"],
-                        [[_label_str(lab) for lab in basis.labels for _ in range(d * d)],
-                         [r for r in range(d) for _ in range(d)] * (d * d),
-                         list(range(d)) * d ** 3,
-                         _float_cells(stack.real.tolist()),
-                         _float_cells(stack.imag.tolist())]), args.out)
+        rows, cols = [r for r in range(d) for _ in range(d)], list(range(d)) * d
+        _emit(_csv_blocks(["label", "row", "col", "re", "im"], (
+            zip(repeat(label), rows, cols, map(_fmt, el.real.ravel().tolist()),
+                map(_fmt, el.imag.ravel().tolist()))
+            for label, el in zip(labels, basis.elements))), args.out)
     return 0
 
 
@@ -247,9 +275,10 @@ _SWEEP_COLUMNS = {
     "ppt_min_eigenvalue": "ppt_min_eig",
 }
 
-# the sweep command builds its whole output, but no row dicts, before emitting
-# it: on a 200,000-point qutrit grid its resident set grew by about 0.34 kB per
-# point for CSV and 0.58 kB for JSON, so grids are capped
+# the sweep command writes one beta row at a time; its resident set grows by
+# about 0.04 kB per point, for the whole-grid region and D arrays (75 MB at 10^6
+# qutrit points). The cap bounds run time: at 10^6 points a qutrit sweep took
+# 12-15 s and a qubit sweep 4 s on a 2-core machine
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -341,22 +370,24 @@ def _cmd_sweep(args) -> int:
     as_json = args.format == "json"
     none = "null" if as_json else ""
     quoted = {label.value: json.dumps(label.value) for label in RegionLabel}
-    # beta-major grid: format each coordinate once and repeat it by position
-    cells = [list(map(_fmt, alphas)) * len(betas), [b for b in map(_fmt, betas) for _ in alphas]]
+    cells = []
     for name, column in zip(names[2:], columns):
         if name == "region":
             cells.append(map(quoted.__getitem__, column) if as_json else column)
         else:       # of the float columns only D holds None
             cells.append(_float_cells(column, none) if name == "D" else map(_fmt, column))
+    # one block per beta row of the beta-major grid, each coordinate formatted once
+    alpha_cells = list(map(_fmt, alphas))
+    blocks = (zip(alpha_cells, repeat(beta), *(islice(c, len(alphas)) for c in cells))
+              for beta in map(_fmt, betas))
     if as_json:
         # the bytes of _json_dumps({"family": ..., "columns": ..., "rows": rows}),
         # with one row template filled per grid point
-        head = _json_dumps({"family": spec.family, "columns": names})[:-1]
         row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in names) + "}"
-        body = ", ".join(map(row.__mod__, zip(*cells)))
-        _emit(f'{head}, "rows": [{body}]}}\n', args.out)
+        _emit(_json_blocks({"family": spec.family, "columns": names}, "rows",
+                           (", ".join(map(row.__mod__, rows)) for rows in blocks)), args.out)
     else:
-        _emit(_csv_text(names, cells), args.out)
+        _emit(_csv_blocks(names, blocks), args.out)
     return 0
 
 

@@ -102,10 +102,12 @@ def witness_candidate(rho_tilde, rho_ent) -> np.ndarray:
     # the Hermitian part: rounding in two nearly equal states, divided by a
     # small distance, would otherwise leave C visibly non-Hermitian
     diff = (diff + diff.conj().T) / 2
-    dist = hs_norm(diff)
+    # hs_norm and hs_inner by np.vdot, without their entry bound, which the
+    # difference of two bounded inputs can exceed twofold
+    dist = float(np.sqrt(np.vdot(diff, diff).real))
     if dist <= 1e-14:
         raise ValueError("witness candidate undefined for coinciding states")
-    shift = hs_inner(mt, diff).real
+    shift = np.vdot(mt, diff).real
     return (diff - shift * np.eye(mt.shape[0])) / dist
 
 

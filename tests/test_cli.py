@@ -14,7 +14,8 @@ import pytest
 
 import quditbloch as qb
 from quditbloch import cli
-from quditbloch.cli import SweepSpec, _csv_text, _fmt, _label_str, cli_main, run_sweep
+from quditbloch.cli import (SweepSpec, _csv_text, _fmt, _json_dumps, _label_str, cli_main,
+                            run_sweep)
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +275,66 @@ class TestCsvWriter:
         assert _csv_text(header, columns) == out.getvalue()
 
 
+class TestStreamedOutput:
+    """``sweep`` and ``basis dump`` write one block at a time: the bytes of the
+    whole document, in a memory that does not hold it."""
+
+    @staticmethod
+    def reference(kind, d, fmt):
+        basis = qb.get_basis(kind, d)
+        if fmt == "json":
+            doc = {"kind": kind.value, "dim": d, "ortho_const": basis.ortho_const,
+                   "elements": [{"label": _label_str(lab), "matrix": qb.matrix_to_json(el)}
+                                for lab, el in zip(basis.labels, basis.elements)]}
+            return _json_dumps(doc) + "\n"
+        rows = [(_label_str(lab), r, c, _fmt(el[r, c].real), _fmt(el[r, c].imag))
+                for lab, el in zip(basis.labels, basis.elements)
+                for r in range(d) for c in range(d)]
+        return _csv_text(["label", "row", "col", "re", "im"], list(zip(*rows)))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", list(qb.BasisKind))
+    def test_basis_dump_bytes(self, capsys, tmp_path, kind, d, fmt):
+        argv = ("basis", "dump", "--kind", kind.value, "--dim", str(d), "--format", fmt)
+        expected = self.reference(kind, d, fmt)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        path = tmp_path / f"basis.{fmt}"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_peak_memory(self, tmp_path, fmt):
+        # the demo qutrit grid, 17,545 points: the peak is about 1.0 MB in
+        # either format; a whole document in memory took it to 5.1 MB (CSV)
+        # and 9.5 MB (JSON)
+        def sweep(alpha_steps, beta_steps):
+            return cli_main(["sweep", "--family", "qutrit2p",
+                             "--alpha", "-0.4", "1.1", alpha_steps,
+                             "--beta", "-0.6", "1.2", beta_steps, "--format", fmt,
+                             "--out", str(tmp_path / f"plane.{fmt}")])
+
+        assert sweep("3", "3") == 0       # fills the caches before tracing
+        tracemalloc.start()
+        try:
+            assert sweep("121", "145") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "qubit2p", "--alpha", "0", "1", "3", "--beta", "0", "1", "3"),
+        ("basis", "dump", "--kind", "wob", "--dim", "3"),
+    ])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output file")
+        assert not path.parent.exists()
+
+
 class TestDimensionBound:
     """A dimension above MAX_DIM is a domain error (exit 2), raised before the
     basis is built: at d = 400 a GGB or POB stack would take 410 GB."""
@@ -373,6 +434,19 @@ class TestModuleEntryPoint:
         proc = run_module("frobnicate")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("usage error:")
+
+    def test_reader_closing_the_pipe_early(self):
+        # as `sweep | head -1`: the demo grid's 1.2 MB does not fit the pipe,
+        # so writing stops at the closed pipe, with exit 0 and no traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, "-m", "quditbloch", "sweep", "--family", "qubit2p",
+                                 "--alpha", "-1.3", "1.3", "105", "--beta", "-2.2", "1.3", "141"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"alpha,beta,region,D,min_eig,ppt_min_eig\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestMissingFamilyParameters:

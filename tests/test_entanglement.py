@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -116,6 +117,15 @@ class TestWitnessCandidate:
         rho = qb.two_param_qubit(0.5, 0.0)
         with pytest.raises(ValueError):
             qb.witness_candidate(rho, rho)
+
+    def test_bounded_inputs_whose_difference_exceeds_the_bound(self):
+        # both inputs are within MAX_ENTRY, their difference reaches 2e100
+        m = np.diag([1e100, -1e100, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = qb.witness_candidate(m, -m)
+        expected = (2 * m - 4e200 * np.eye(4)) / (np.sqrt(8) * 1e100)
+        assert np.abs(c - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_hermitian_for_nearly_equal_states(self):
         # D ~ 9.4e-10: the states' rounding, divided by D, used to leave the

@@ -320,6 +320,14 @@ class TestBasisLayerFiniteness:
             lambda: qb.BlochVector(qb.BasisKind.GGB, 2, qb.Convention.EXPANSION, comps,
                                    qb.ggb_basis(2).labels[1:]), "finite")
 
+    def test_bloch_vector_beyond_the_bound(self):
+        # finite, but radius overflowed and decoding warned; an encoded bounded
+        # matrix stays below d^2 MAX_ENTRY (4e100 here)
+        comps = np.array([1e308, 1e308, 0.0])
+        _raises_without_warnings(
+            lambda: qb.BlochVector(qb.BasisKind.GGB, 2, qb.Convention.EXPANSION, comps,
+                                   qb.ggb_basis(2).labels[1:]), "at most 4e\\+100")
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.inf, 0)])
     def test_reconstruct(self, bad):
         coeffs = {("I",): 0.5, ("s", 1, 2): bad}
