@@ -115,20 +115,23 @@ def _emit(blocks, path: str | None) -> None:
     """Write a string, or the strings ``blocks`` yields, one at a time to
     stdout or to the file at ``path``; the text is never held whole. An error
     raised while the blocks are made or written leaves the output truncated.
-    ``OSError`` from opening or writing the file is ``RuntimeError``; a reader
-    that closes stdout early (``| head``) ends the writing without an error."""
+    ``OSError`` from opening or writing the file or stdout is ``RuntimeError``,
+    except that a reader that closes stdout early (``| head``) ends the writing
+    without an error."""
     if isinstance(blocks, str):
         blocks = (blocks,)
     if path is None:
         try:
             sys.stdout.writelines(blocks)
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # the null device takes what is left in stdout's buffer, so that
             # the flush at exit does not fail again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise RuntimeError(f"cannot write to standard output: {exc}") from exc
         return
     try:
         with open(path, "w", newline="") as fh:
@@ -457,14 +460,18 @@ def _cmd_selftest(args) -> int:
     # before the table header
     GilbertConfig(seed=args.seed)
     checks = _selftest_checks(args.seed)
-    failures = 0
-    print(f"{'check':<40} {'worst':>12} {'bound':>9} result", file=sys.stdout)
-    for name, fn in checks:
-        worst, bound = fn()
-        ok = worst <= bound
-        failures += 0 if ok else 1
-        print(f"{name:<40} {worst:>12.3e} {bound:>9.0e} {'PASS' if ok else 'FAIL'}")
-    return 0 if failures == 0 else 2
+    failed = []
+
+    def lines():
+        yield f"{'check':<40} {'worst':>12} {'bound':>9} result\n"
+        for name, fn in checks:
+            worst, bound = fn()
+            ok = worst <= bound
+            failed.append(not ok)
+            yield f"{name:<40} {worst:>12.3e} {bound:>9.0e} {'PASS' if ok else 'FAIL'}\n"
+
+    _emit(lines(), None)
+    return 2 if any(failed) else 0
 
 
 def _add_family_arguments(parser, families) -> None:

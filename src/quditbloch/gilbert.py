@@ -33,7 +33,7 @@ import numpy as np
 
 from .bases import _frame, get_basis
 from .linalg import BipartiteState, as_hermitian
-from .states import random_ket
+from .states import PAULI
 
 # largest off-diagonal Weyl Bell element |<Phi_nk|rho|Phi_n'k'>| that
 # nearest_separable_weyl accepts
@@ -85,40 +85,107 @@ class GilbertResult:
     gap: float
 
 
+# row 4 mu + nu: conj(sigma_mu (x) sigma_nu) flattened, sigma_0 the identity,
+# so that its dot with a flattened Hermitian G is Tr(G sigma_mu (x) sigma_nu)
+_SIGMA = (np.eye(2), PAULI[1], PAULI[2], PAULI[3])
+_PAULI_PRODUCTS = np.array([np.kron(s, t).conj().ravel() for s in _SIGMA for t in _SIGMA])
+
+
+def _initial_kets(d: int, rng, restarts: int, warm) -> np.ndarray:
+    """The (runs, 2, d) starting kets of the seesaw: ``warm``, then random
+    unit kets drawn in one call, in the order of per-ket ``random_ket`` draws."""
+    warm = list(warm or [])
+    runs = max(restarts, 0 if warm else 1)
+    kets = [np.array(warm).reshape(len(warm), 2, d)]
+    if runs:
+        x = rng.standard_normal((runs, 2, 2, d))       # a: re, im; b: re, im
+        z = x[:, :, 0] + 1j * x[:, :, 1]
+        kets.append(z / np.linalg.norm(z, axis=-1, keepdims=True))
+    return np.concatenate(kets)
+
+
+def _eigh_step(m: np.ndarray, fixed: np.ndarray, cur: np.ndarray):
+    """One half-step at any d: the top eigenpair of each run's d x d matrix,
+    the product of the fixed ket's outer product with a reshuffled G."""
+    r, d = fixed.shape
+    x = (fixed.conj()[:, :, None] * fixed[:, None, :]).reshape(r, 1, d * d)
+    w, v = np.linalg.eigh((x @ m).reshape(r, d, d))
+    return v[:, :, -1], w[:, -1]
+
+
+def _bloch_step(t: np.ndarray, fixed: np.ndarray, cur: np.ndarray):
+    """One qubit half-step in Bloch coordinates. With the fixed factor's
+    (1, s), the matrix is sum_mu v_mu sigma_mu for v = t (1, s), whose top
+    eigenpair is v_0 + |w| at the Bloch vector w / |w|, w = v[1:]. The
+    current vector stays where w = 0, as every vector is optimal there."""
+    v = (fixed[:, None, :] * t).sum(-1)
+    n = np.hypot(np.hypot(v[:, 1], v[:, 2]), v[:, 3])
+    value = v[:, 0] + n
+    v[:, 0] = n
+    return np.divide(v, n[:, None], out=np.array(cur), where=n[:, None] > 0), value
+
+
+def _bloch_of(kets: np.ndarray) -> np.ndarray:
+    """(1, x, y, z) for each qubit ket, its Bloch vector in homogeneous form."""
+    n0, n1 = abs(kets[..., 0]) ** 2, abs(kets[..., 1]) ** 2
+    p = kets[..., 0].conj() * kets[..., 1]
+    h = np.stack([n0 + n1, 2 * p.real, 2 * p.imag, n0 - n1], axis=-1)
+    return h / h[..., :1]
+
+
+def _ket_of_bloch(h: np.ndarray, dtype) -> np.ndarray:
+    """A unit qubit ket with Bloch vector ``h[1:]``; its larger component is
+    real and positive."""
+    _, x, y, z = h
+    c = math.sqrt((1 + abs(z)) / 2)
+    off = (x + 1j * y if np.issubdtype(dtype, np.complexfloating) else x) / (2 * c)
+    return np.array([c, off] if z >= 0 else [np.conj(off), c], dtype=dtype)
+
+
+def _half_steps(g: np.ndarray, d: int, kets: np.ndarray):
+    """The seesaw's kernel, its operators for the a and b half-steps, the
+    runs' starting points in its coordinates, and the map back to kets."""
+    dtype = np.result_type(g, kets)
+    if d == 2:
+        t = (_PAULI_PRODUCTS * g.ravel()).sum(-1).real.reshape(4, 4) / 4
+        return (_bloch_step, (t, t.T.copy()), _bloch_of(kets),
+                lambda h: _ket_of_bloch(h, dtype))
+    gr = g.reshape(d, d, d, d)
+    ops = (gr.transpose(1, 3, 0, 2), gr.transpose(0, 2, 1, 3))
+    return (_eigh_step, tuple(np.ascontiguousarray(m.reshape(d * d, d * d), dtype=dtype)
+                             for m in ops), kets.astype(dtype, copy=False), lambda k: k)
+
+
 def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
                        restarts: int = 5, warm=None, sweeps: int = 80, stop: float = 1e-15):
     """Approximately maximize <a b| G |a b> over product vectors.
 
-    Alternating eigenvector ascent: with one factor fixed the objective is a
+    Alternating exact maximization: with one factor fixed the objective is a
     Hermitian quadratic form on the other, maximized by its top eigenvector.
     Returns ``(value, a, b)`` for the best run over ``warm`` and ``restarts``
-    random initializations; ties go to the earliest run.
+    random initializations, drawn in one call; ties go to the earliest run.
 
-    All runs advance together: each half-sweep is one einsum and one stacked
-    ``eigh`` over the runs still live, and a run leaves the stack once its
-    top eigenvalue rises by less than ``stop`` in a sweep. Each run's
-    arithmetic is the same as when the runs went one at a time, so the result
-    is too, bit for bit. ``g`` must be finite and Hermitian, else ``ValueError``.
+    All runs advance together, and a run leaves the stack once its value
+    rises by less than ``stop`` in a sweep. At d > 2 each half-step is one
+    stacked product of the fixed factor's outer product with G, reshuffled
+    once per call, and one stacked ``eigh``. At d = 2 it is the same
+    eigenpair in closed form, on Bloch vectors and the real 4 x 4 matrix
+    T = Tr(G sigma_mu (x) sigma_nu) / 4. A run's arithmetic does not depend
+    on the others, so the result equals that of one run at a time, bit for
+    bit. ``g`` must be finite and Hermitian, else ``ValueError``.
     """
     as_hermitian(g, "operator")   # checks only: a real g stays real below
-    gr = g.reshape(d, d, d, d)
-    inits = list(warm or [])
-    for _ in range(max(restarts, 0 if inits else 1)):
-        inits.append((random_ket(d, rng), random_ket(d, rng)))
-    kets = np.array(inits)
-    # the eigenvectors written back below take the einsum's dtype
-    kets = kets.astype(np.result_type(gr, kets), copy=False)
-    a, b = kets[:, 0], kets[:, 1]
-    val = np.full(len(kets), -np.inf)
-    # the live runs, compacted: their indices, b factors and last values; a
-    # run is written back to a, b and val only when it stops
-    live, al, bl, vl = np.arange(len(kets)), a, b, val
+    step, (op_a, op_b), start, ket_of = _half_steps(g, d, _initial_kets(d, rng, restarts, warm))
+    a, b = start[:, 0], start[:, 1]
+    val = np.full(len(start), -np.inf)
+    # the live runs, compacted: their indices, factors and last values; a run
+    # is written back to a, b and val only when it stops
+    live, al, bl, vl = np.arange(len(start)), a, b, val
     for _ in range(sweeps):
-        w, v = np.linalg.eigh(np.einsum("ijkl,rj,rl->rik", gr, bl.conj(), bl))
-        al = v[:, :, -1]
-        w, v = np.linalg.eigh(np.einsum("ijkl,ri,rk->rjl", gr, al.conj(), al))
-        done = w[:, -1] - vl < stop
-        bl, vl = v[:, :, -1], w[:, -1]
+        al, _ = step(op_a, bl, al)
+        bl, w = step(op_b, al, bl)
+        done = w - vl < stop
+        vl = w
         if done.any():
             out = live[done]
             a[out], b[out], val[out] = al[done], bl[done], vl[done]
@@ -128,7 +195,7 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
                 break
     a[live], b[live], val[live] = al, bl, vl
     best = np.argmax(val)
-    return val[best], a[best], b[best]
+    return val[best], ket_of(a[best]), ket_of(b[best])
 
 
 def min_product_expectation(a_op: np.ndarray, d: int, rng: np.random.Generator) -> float:

@@ -225,8 +225,8 @@ class TestSweep:
                 assert a >= -b - 1 - cell
 
     def test_csv_sweep_holds_no_rows(self, tmp_path):
-        # the CSV is written from columns: the peak is about 5.1 MB on this
-        # grid, and a dict per point takes it to about 10.7 MB
+        # the CSV is written from columns, one beta row at a time: the peak is
+        # about 1.0 MB on this grid, and a dict per point took it to 10.7 MB
         def sweep(alpha_steps, beta_steps):
             return cli_main(["sweep", "--family", "qutrit2p",
                              "--alpha", "-0.4", "1.1", alpha_steps,
@@ -447,6 +447,22 @@ class TestModuleEntryPoint:
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "qubit2p", "--alpha", "0", "1", "3", "--beta", "0", "1", "3"],
+        ["measure", "--family", "isotropic", "--dim", "3", "--alpha", "0.9"],
+        ["selftest"]], ids=["sweep", "measure", "selftest"])
+    def test_full_stdout(self, argv):
+        # a write error on stdout other than a closed pipe exits 2, with one
+        # line on stderr and no traceback from the flush at exit
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "quditbloch", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write to standard output: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestMissingFamilyParameters:

@@ -79,19 +79,23 @@ class TestNearestSeparableNumeric:
         assert res.converged
         assert res.iterations <= 300
 
-    @pytest.mark.parametrize("state", [
-        pytest.param(qb.isotropic_state(3, 0.85), id="iso(3, 0.85)", marks=pytest.mark.xfail(
-            strict=True, reason="the residual's product maximizers nearly fill the manifold "
-                                "b = conj(a), which the seesaw samples rather than climbs: "
-                                "the converged gap is 0.4-0.95 of a 200-restart one, with "
-                                "the 1e-15 stop too")),
-        pytest.param(qb.sample_separable(2, seed=7, mixture_count=3),
+    @pytest.mark.parametrize("state,seeds", [
+        pytest.param(qb.isotropic_state(3, 0.85), range(4), id="iso(3, 0.85)",
+                     marks=pytest.mark.xfail(strict=True, reason=(
+                         "the residual's product maximizers nearly fill the manifold "
+                         "b = conj(a), which the seesaw samples rather than climbs: the "
+                         "converged gap is 0.4-0.9 of a 200-restart one at oracle seeds "
+                         "0-6, with the 1e-15 stop too"))),
+        pytest.param(qb.sample_separable(2, seed=7, mixture_count=3), [0],
                      id="sample_separable(2, seed=7)")])
-    def test_converged_gap_matches_a_thorough_seesaw(self, state):
-        res, gap_of = _final_residual(state)
-        assert res.converged
-        gap = gap_of(1e-15)
-        assert abs(res.gap - gap) <= 0.1 * gap
+    def test_converged_gap_matches_a_thorough_seesaw(self, state, seeds):
+        # each oracle seed must hold, so that one lucky seed cannot hide the defect
+        ratios = {}
+        for seed in seeds:
+            res, gap_of = _final_residual(state, seed)
+            assert res.converged
+            ratios[seed] = res.gap / gap_of(1e-15)
+        assert all(abs(r - 1) <= 0.1 for r in ratios.values()), ratios
 
     @pytest.mark.parametrize("state", [qb.isotropic_state(3, 0.85),
                                        qb.sample_separable(2, seed=7, mixture_count=3)],
@@ -106,10 +110,10 @@ class TestNearestSeparableNumeric:
         assert abs(gap_of(GilbertConfig().tolerance * 1e-3) - gap) <= 0.01 * gap
 
 
-def _final_residual(state):
-    """A default oracle run on ``state``, and the gap that a 200-restart
-    seesaw with a given stop finds on its final residual."""
-    res = qb.nearest_separable_numeric(state)
+def _final_residual(state, seed=0):
+    """An oracle run on ``state`` at the default config but ``seed``, and the
+    gap that a 200-restart seesaw with a given stop finds on its final residual."""
+    res = qb.nearest_separable_numeric(state, GilbertConfig(seed=seed))
     rho0 = res.rho0.matrix
     g = state.matrix - rho0
 

@@ -1,11 +1,14 @@
 """Bit-identity goldens of the seesaw and of the Frank-Wolfe oracle.
 
-The seesaw values were recorded with the per-restart seesaw loop that
-preceded the batched one, the oracle values with the oracle's seesaw stop at
-tolerance / 1000. Running the restarts as one stacked eigensolve must not move a
-single bit: the CLI prints the seesaw's ``sep_min_estimate`` to 17 digits and
-the benchmark compares oracle iterates at equal seeds. The property test at
-the end compares the batched seesaw with a copy of that scalar loop.
+The goldens were recorded with the seesaw that draws all restarts in one
+call and runs each half-step as a stacked matrix product and ``eigh`` at
+d > 2, and in Bloch coordinates, with no ``eigh``, at d = 2; the oracle
+values with its seesaw stop at tolerance / 1000. The CLI prints the
+seesaw's ``sep_min_estimate`` to 17 digits and the benchmark compares oracle
+iterates at equal seeds, so a change that moves one bit must re-record them.
+Two property tests at the end check the seesaw against loops: one run at a
+time on the same kernels, bit for bit, and the einsum and ``eigh`` loop that
+it replaced, to 1e-12 (1 + ||G||).
 """
 
 import hashlib
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 
 import quditbloch as qb
 from quditbloch import GilbertConfig
-from quditbloch.gilbert import best_product_state, min_product_expectation
+from quditbloch.gilbert import (_half_steps, _initial_kets, best_product_state,
+                                min_product_expectation)
 from quditbloch.states import random_ket
 
 
@@ -39,8 +43,9 @@ def _seesaw_inputs(d: int, seed: int, warm: bool):
     return g, rng, pairs
 
 
-def _reference_seesaw(g, d, rng, restarts=5, warm=None, sweeps=80):
-    """The scalar loop the batched seesaw replaced: one restart at a time."""
+def _einsum_seesaw(g, d, rng, restarts=5, warm=None, sweeps=80):
+    """The einsum and ``eigh`` loop that the seesaw replaced, one restart at a
+    time: an independent reference for its values and its draws."""
     gr = g.reshape(d, d, d, d)
     inits = list(warm or [])
     for _ in range(max(restarts, 0 if inits else 1)):
@@ -64,6 +69,24 @@ def _reference_seesaw(g, d, rng, restarts=5, warm=None, sweeps=80):
     return best
 
 
+def _reference_seesaw(g, d, rng, restarts=5, warm=None, sweeps=80):
+    """The seesaw's own kernels, one run at a time."""
+    step, (op_a, op_b), start, ket_of = _half_steps(g, d, _initial_kets(d, rng, restarts, warm))
+    best = None
+    for a, b in start[:, :, None]:
+        val = -np.inf
+        for _ in range(sweeps):
+            a, _ = step(op_a, b, a)
+            b, w = step(op_b, a, b)
+            if w[0] - val < 1e-15:
+                val = w[0]
+                break
+            val = w[0]
+        if best is None or val > best[0]:
+            best = (val, a[0], b[0])
+    return best[0], ket_of(best[1]), ket_of(best[2])
+
+
 def seesaw_golden(d: int, warm: bool, restarts: int):
     g, rng, pairs = _seesaw_inputs(d, 100 + d, warm)
     val, a, b = best_product_state(g, d, rng, restarts=restarts, warm=pairs)
@@ -83,39 +106,39 @@ def oracle_golden(state, config):
 
 
 SEESAW_GOLDENS = [
-    (2, False, 5, ("3.7628314294623717",
-                   "7524d27585dc2e144eb09927562db3f7a4a2d1917e726f712ef3e97f927ee373")),
-    (2, True, 5, ("3.7628314294623717",
-                  "7524d27585dc2e144eb09927562db3f7a4a2d1917e726f712ef3e97f927ee373")),
-    (2, True, 0, ("2.53487169828358",
-                  "9aa54254eb08aafb0e45670aee8ae1c3f8c9a43a6d16a7ab54f02c5a09a88527")),
-    (2, False, 0, ("2.534871698308006",
-                   "ab26448869e277192917474a02a117426cae4207861eeec56b274d92bb157f8a")),
-    (3, False, 5, ("3.255651851780946",
-                   "71ef97817879b4571b51b696a26732317b2312244a9eec2f71d9dcc3200e9f0b")),
-    (3, True, 5, ("3.255651851780946",
-                  "71ef97817879b4571b51b696a26732317b2312244a9eec2f71d9dcc3200e9f0b")),
-    (3, True, 0, ("3.2556518517809416",
-                  "f5573e8d15af4d1a01179ecfb8e5e4c0a8ba2b38e039b15f8e4d897c5c4331af")),
-    (3, False, 0, ("3.255651851780946",
-                   "3fca9cf7f929b59d55917407cbaf190c99ea6d46c532503868fefedc08daa211")),
+    (2, False, 5, ("3.7628314294623726",
+                   "023ebda4a765247c451df34a8bc86e64a1ed5fa09dd11e186dfcee2b05cfcaed")),
+    (2, True, 5, ("3.7628314294623726",
+                  "023ebda4a765247c451df34a8bc86e64a1ed5fa09dd11e186dfcee2b05cfcaed")),
+    (2, True, 0, ("2.5348716982835797",
+                  "0c4468e5f79027c85052a5be668b0402b85bd7bcda012662e3659d573ccb6e07")),
+    (2, False, 0, ("2.534871698308005",
+                   "8f94e8027e4ec8277d13b1625c4905b0e24922563c3495a1474116eec713f41a")),
+    (3, False, 5, ("3.255651851780947",
+                   "3fc995fbea44adaab963758628cd2132a75ea84a02c51607df9f7ee9fabe0bee")),
+    (3, True, 5, ("3.255651851780947",
+                  "3fc995fbea44adaab963758628cd2132a75ea84a02c51607df9f7ee9fabe0bee")),
+    (3, True, 0, ("3.255651851780941",
+                  "3440af92f7005f709628ee8a1b4184bc521bd974b0465ac24167a1c928d327ce")),
+    (3, False, 0, ("3.2556518517809403",
+                   "7ff98fd33608ac681df525795dd85d37e8d16e2428a1afc0d0ed1bf0f4fa9884")),
     (4, False, 5, ("4.816774710199188",
-                   "b559da245af91261d2ced0ff54cc38c2aeb8a3d01913940f7990560716f34d3c")),
+                   "9a41a78669a7f37a89a06552c1ae7e2f24fc8c516df2d19a0c5320ed959ae55b")),
     (4, True, 5, ("5.200709209645643",
-                  "6efa83ac7a2d9f61821c9df836bf6c66558022aae427a95ac902d97f0e5bcde6")),
+                  "6089fd0d660f7380840339229ab344985bd11d2b7944588f1b44a6e8812b255a")),
     (4, True, 0, ("5.200709209645643",
-                  "c2daa154c94bfd869a80be6273d0dd6ca74125e59b019ffea27ba5c405ff20f3")),
-    (4, False, 0, ("4.8167747101991845",
-                   "11ce0bb79b43cada5752b06df9b3975abb2280fe6eea86428775b33b93e3f4a6")),
+                  "907de318e80d816f281e8eb519d65e9d637a49420a48acf839bde3f55c2d7c24")),
+    (4, False, 0, ("4.816774710199187",
+                   "a54c6ee81a70ae1b5209d2fc05c8b35cb84f19f0da7eca50eaf9177be76d314b")),
 ]
 
-MIN_PRODUCT_GOLDEN = "-8.32667268468871e-17"
+MIN_PRODUCT_GOLDEN = "-1.1102230246252408e-16"
 
 ORACLE_GOLDENS = {
-    "iso(3, 0.85)": ("0.5656854525110614", 54, "7.238480655884949e-07", True,
-                     "b9b2217a8e0d3d66cee85d44ed4730f0ec0f358168269e056de65a25199ecc72"),
-    "sample_separable(3)": ("0.006859061125559661", 60, "0.00014477066736255726", False,
-                            "c0c5ce2b18c559b4490d6ba36d25d80209e536105a0326c9e43eda1b0870f655"),
+    "iso(3, 0.85)": ("0.5656854477757081", 56, "2.147903904171367e-07", True,
+                     "c7e21a803219d17e7989b6a8eebad670472cc7314f2efc680fd7f375f26b179e"),
+    "sample_separable(3)": ("0.006859061125576777", 60, "0.00014477066735664045", False,
+                            "a99aaf61a318322e8cf4a98ff1fb4b84d1eac3146ca4d0661f3ec39096b7843a"),
 }
 
 
@@ -156,14 +179,45 @@ def test_batched_seesaw_matches_scalar_loop(d, seed, warm, restarts, sweeps):
 
 @pytest.mark.parametrize("complex_g", [True, False])
 def test_real_warm_kets_match_scalar_loop(complex_g):
-    rng = np.random.default_rng(12)
-    g = _hermitian(3, rng) if complex_g else _hermitian(3, rng).real
-    warm = [(np.eye(3)[0], np.ones(3) / np.sqrt(3)), (np.eye(3)[1], np.eye(3)[2])]
-    want_val, want_a, want_b = _reference_seesaw(g, 3, None, 0, warm)
-    val, a, b = best_product_state(g, 3, None, 0, warm)
-    assert a.dtype == want_a.dtype and b.dtype == want_b.dtype
-    assert val == want_val
-    assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+    for d in (3, 2):
+        rng = np.random.default_rng(12)
+        g = _hermitian(d, rng) if complex_g else _hermitian(d, rng).real
+        warm = [(np.eye(d)[0], np.ones(d) / np.sqrt(d)), (np.eye(d)[1], np.eye(d)[d - 1])]
+        want_val, want_a, want_b = _reference_seesaw(g, d, None, 0, warm)
+        val, a, b = best_product_state(g, d, None, 0, warm)
+        # a real G with real kets keeps the kets real
+        assert a.dtype == b.dtype == (complex if complex_g else float)
+        assert val == want_val
+        assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), warm=st.booleans(),
+       real=st.booleans(), restarts=st.integers(0, 8))
+def test_seesaw_matches_einsum_eigh_loop(d, seed, warm, real, restarts):
+    g, _, pairs = _seesaw_inputs(d, seed, warm)
+    g = g.real if real else g
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _einsum_seesaw(g, d, want_rng, restarts, pairs)[0]
+    val, _, _ = best_product_state(g, d, rng, restarts, pairs)
+    assert abs(val - want) <= 1e-12 * (1 + np.linalg.norm(g, 2))
+    # one draw of all restarts leaves the generator where per-ket draws did
+    assert rng.standard_normal() == want_rng.standard_normal()
+
+
+@pytest.mark.parametrize("kind", ["zero", "identity", "A(x)1", "1(x)B"])
+def test_degenerate_qubit_operators(kind):
+    # a Bloch half-step with nothing to align to (w = 0) keeps its vector
+    h = np.array([[0.3, 1 - 2j], [1 + 2j, -0.7]])
+    g = {"zero": np.zeros((4, 4)), "identity": np.eye(4),
+         "A(x)1": np.kron(h, np.eye(2)), "1(x)B": np.kron(np.eye(2), h)}[kind]
+    val, a, b = best_product_state(g, 2, np.random.default_rng(9))
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    assert np.linalg.norm(a) == pytest.approx(1, abs=1e-15)
+    assert np.linalg.norm(b) == pytest.approx(1, abs=1e-15)
+    ab = np.kron(a, b)
+    assert np.real(ab.conj() @ g @ ab) == pytest.approx(val, abs=1e-14)
+    assert val == pytest.approx(np.linalg.eigvalsh(g)[-1], abs=1e-14)
 
 
 def weyl_oracle_golden(state):
@@ -174,12 +228,12 @@ def weyl_oracle_golden(state):
 
 # recorded at the default GilbertConfig, with the seesaw stopped at tolerance / 1000
 WEYL_ORACLE_GOLDENS = {
-    "iso(3, 0.85)": ("0.5656854249855957", 3, "4.5289241836005086e-11", True,
-                     "aeb6a59296fa0e9d4e71212eaf68182ee689618d201a0b76baa22e237c602167"),
-    "iso(4, 0.9)": ("0.6777720876193918", 6, "1.0779584020542687e-08", True,
-                    "c3f41e19417e59171e22b41b3a6f17edc9a293218b7685a902b867a0b3c6b02f"),
-    "qutrit(0, 0.6)": ("0.1178528166590282", 10, "3.577636277446289e-07", True,
-                       "22e46335e2ac4986ea8c5dcd11a6d2f0bdc359ae1ae0591d721336aaa2a25f04"),
+    "iso(3, 0.85)": ("0.5656854249855956", 3, "4.5289290343777087e-11", True,
+                     "355317462305ccbb81a2a6ef999d1c49480a9261e4d58ff2e175b33f81410a0b"),
+    "iso(4, 0.9)": ("0.6777720876193918", 6, "1.077958425126091e-08", True,
+                    "24b4720055653d4488d12f03d91cd0ad47dbf5bd8f063b48fae2f5e820054e93"),
+    "qutrit(0, 0.6)": ("0.11785281665902803", 10, "3.57763627757995e-07", True,
+                       "9169cd3132801a96ef97f5790d021dcc151e2b22efe1d4f4319f6b1f9adb56fe"),
 }
 
 
