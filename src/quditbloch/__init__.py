@@ -41,6 +41,6 @@ from .gilbert import (
     WEYL_DIAGONAL_TOL, GilbertConfig, GilbertResult, best_product_state,
     min_product_expectation, nearest_separable_numeric, nearest_separable_weyl,
 )
-from .cli import SweepSpec, cli_main, run_sweep
+from .cli import SweepSpec, cli_main
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -67,11 +67,6 @@ def _csv_blocks(header, blocks):
         if len(header) == 1:
             rows = (('""',) if cells == ("",) else cells for cells in rows)
         yield "".join(map(row.__mod__, rows))
-
-
-def _csv_text(header, columns) -> str:
-    """CSV of columns of cells, as one block of ``_csv_blocks``."""
-    return "".join(_csv_blocks(header, [zip(*columns)]))
 
 
 def _json_dumps(obj) -> str:
@@ -278,10 +273,10 @@ _SWEEP_COLUMNS = {
     "ppt_min_eigenvalue": "ppt_min_eig",
 }
 
-# the sweep command writes one beta row at a time; its resident set grows by
-# about 0.04 kB per point, for the whole-grid region and D arrays (75 MB at 10^6
-# qutrit points). The cap bounds run time: at 10^6 points a qutrit sweep took
-# 12-15 s and a qubit sweep 4 s on a 2-core machine
+# the sweep command computes and writes one beta row at a time, so its memory
+# does not grow with the rows (a peak resident set of 36-37 MB at 10^6 qutrit
+# points). The cap bounds run time: at 10^6 points a qutrit sweep took 12-15 s
+# and a qubit sweep 4 s on a 2-core machine
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -312,53 +307,29 @@ class SweepSpec:
             raise ValueError(f"unknown sweep outputs: {sorted(bad)}")
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row dict per grid point, beta-major order, zipped from the columns
-    of ``_sweep_columns`` (the ``sweep`` command writes those without rows).
-
-    ``D`` is None for separable and unphysical points; eigenvalue columns are
-    computed from the unchecked construction so unphysical points are probed
-    too. Every value equals the one of the single-point functions bit for bit.
-    """
-    names, alphas, betas, columns = _sweep_columns(spec)
-    # one float object per grid coordinate, shared by the rows that hold it
-    alpha = (a for _ in betas for a in alphas)
-    beta = (b for b in betas for _ in alphas)
-    return [dict(zip(names, row)) for row in zip(alpha, beta, *columns)]
-
-
-def _sweep_columns(spec: SweepSpec):
-    """Column names, the alpha and beta coordinates as lists, and a lazy
-    beta-major column per output. Regions and D take the rule ``plane_distance``
-    applies to one point; each beta row of states and of their partial
-    transposes is diagonalized as one stack."""
+def _sweep_rows(spec: SweepSpec):
+    """The grid one beta row at a time: the alpha coordinates (one list for all
+    rows), beta, and a list per output in column order. Region codes (of
+    ``_PLANE_REGIONS``) and D, None off the entangled regions, take the rule of
+    ``plane_distance``; the row's states, built unchecked, and their partial
+    transposes are diagonalized as one stack each."""
     plane = PLANES[spec.family]
     alphas = np.linspace(*spec.alpha_range[:2], spec.alpha_range[2])
-    betas = np.linspace(*spec.beta_range[:2], spec.beta_range[2])
-    region, distance = _plane_distances(plane, np.tile(alphas, len(betas)),
-                                        np.repeat(betas, len(alphas)))
-    beta_list = betas.tolist()
-    columns = {}
-    if "region" in spec.outputs:
-        columns["region"] = map([label.value for label in _PLANE_REGIONS].__getitem__,
-                                region.tolist())
-    if "hs_measure" in spec.outputs:
-        columns["D"] = iter(distance)
+    alpha_list, alpha_column = alphas.tolist(), alphas[:, None, None]
     ops = plane.operators()
     pt_ops = [partial_transpose(op, "B", plane.subdim) for op in ops]
-    for output, stack_ops in (("min_eigenvalue", ops), ("ppt_min_eigenvalue", pt_ops)):
-        if output in spec.outputs:
-            columns[_SWEEP_COLUMNS[output]] = _min_eigenvalues(plane, alphas, beta_list, stack_ops)
-    names = [col for o, col in _SWEEP_COLUMNS.items() if o in spec.outputs]
-    return ["alpha", "beta", *names], alphas.tolist(), beta_list, [columns[n] for n in names]
-
-
-def _min_eigenvalues(plane, alphas, betas, ops):
-    """Smallest eigenvalue at each point of a beta-major grid, built by
-    ``plane.mix`` from ``ops``; one beta row is one stack for eigvalsh."""
-    column = alphas[:, None, None]
-    for beta in betas:
-        yield from np.linalg.eigvalsh(plane.mix(column, beta, ops))[:, 0].tolist()
+    # each requested stack's operators and one array for all its rows: a new array
+    # per row, once freed, would let the allocator return pages and fault them in again
+    stacks = {o: (stack_ops, np.empty((len(alphas), *ops[0].shape), complex))
+              for o, stack_ops in (("min_eigenvalue", ops), ("ppt_min_eigenvalue", pt_ops))
+              if o in spec.outputs}
+    outputs = [o for o in _SWEEP_COLUMNS if o in spec.outputs]
+    for beta in np.linspace(*spec.beta_range[:2], spec.beta_range[2]).tolist():
+        columns = {o: np.linalg.eigvalsh(plane.mix(alpha_column, beta, *stack))[:, 0].tolist()
+                   for o, stack in stacks.items()}
+        region, distance = _plane_distances(plane, alphas, beta)
+        columns.update(region=region.tolist(), hs_measure=distance.tolist())
+        yield alpha_list, beta, [columns[o] for o in outputs]
 
 
 def _cmd_sweep(args) -> int:
@@ -367,30 +338,33 @@ def _cmd_sweep(args) -> int:
 
     spec = SweepSpec(args.family, grid_range(*args.alpha), grid_range(*args.beta),
                      tuple(args.outputs))
-    names, alphas, betas, columns = _sweep_columns(spec)
+    names = ["alpha", "beta", *(col for o, col in _SWEEP_COLUMNS.items() if o in spec.outputs)]
     # cells as the JSON or CSV document writes them: null or empty for None,
     # region labels quoted or bare
     as_json = args.format == "json"
-    none = "null" if as_json else ""
-    quoted = {label.value: json.dumps(label.value) for label in RegionLabel}
-    cells = []
-    for name, column in zip(names[2:], columns):
-        if name == "region":
-            cells.append(map(quoted.__getitem__, column) if as_json else column)
-        else:       # of the float columns only D holds None
-            cells.append(_float_cells(column, none) if name == "D" else map(_fmt, column))
-    # one block per beta row of the beta-major grid, each coordinate formatted once
-    alpha_cells = list(map(_fmt, alphas))
-    blocks = (zip(alpha_cells, repeat(beta), *(islice(c, len(alphas)) for c in cells))
-              for beta in map(_fmt, betas))
+    labels = [json.dumps(label.value) if as_json else label.value for label in _PLANE_REGIONS]
+
+    def cells(name, column):
+        # of the float columns only D holds None
+        if name == "D":
+            return _float_cells(column, "null" if as_json else "")
+        return map(labels.__getitem__ if name == "region" else _fmt, column)
+
+    def blocks():
+        # one block per beta row; the alphas, alike in every row, are formatted once
+        alpha_cells = None
+        for alphas, beta, columns in _sweep_rows(spec):
+            alpha_cells = alpha_cells or list(map(_fmt, alphas))
+            yield zip(alpha_cells, repeat(_fmt(beta)), *map(cells, names[2:], columns))
+
     if as_json:
         # the bytes of _json_dumps({"family": ..., "columns": ..., "rows": rows}),
         # with one row template filled per grid point
         row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in names) + "}"
         _emit(_json_blocks({"family": spec.family, "columns": names}, "rows",
-                           (", ".join(map(row.__mod__, rows)) for rows in blocks)), args.out)
+                           (", ".join(map(row.__mod__, rows)) for rows in blocks())), args.out)
     else:
-        _emit(_csv_blocks(names, blocks), args.out)
+        _emit(_csv_blocks(names, blocks()), args.out)
     return 0
 
 

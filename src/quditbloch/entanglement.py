@@ -212,14 +212,14 @@ def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel
     return _PLANE_REGIONS[_plane_region(plane, float(alpha), float(beta))]
 
 
-def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: np.ndarray):
-    """Region codes of plane points given as arrays, and their closed-form D
-    as an object array: a float in Regions I and II, None elsewhere."""
+def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: float):
+    """Region codes of plane points, an alpha array at one beta, and their
+    closed-form D as an object array: a float in Regions I and II, None elsewhere."""
     region = _plane_region(plane, alpha, beta)
     distance = np.full(region.shape, None, dtype=object)
     for code, formula in ((2, plane.distance_i), (3, plane.distance_ii)):
         mask = region == code
-        distance[mask] = formula(alpha[mask], beta[mask]).tolist()
+        distance[mask] = formula(alpha[mask], beta).tolist()
     return region, distance
 
 
@@ -228,7 +228,7 @@ def plane_distance(plane: PlaneFamily, alpha: float,
     """Region label and, for entangled points, the closed-form distance D;
     builds no state. Raises ``ValueError`` where ``_check_finite`` does."""
     _check_finite(alpha=alpha, beta=beta)
-    region, distance = _plane_distances(plane, np.array([alpha]), np.array([beta]))
+    region, distance = _plane_distances(plane, np.array([alpha]), float(beta))
     return _PLANE_REGIONS[region[0]], distance[0]
 
 

@@ -211,13 +211,15 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
+    """Inverse of :func:`matrix_to_json`; ``dim`` must be an integer, not a float or bool."""
     try:
-        d = int(obj["dim"])
+        d = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise ValueError(f"matrix JSON dim must be an integer, got {d!r}")
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"matrix JSON arrays do not match dim={d}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -125,12 +125,15 @@ class PlaneFamily:
     def distance_i(self, a, b):
         return region_i_distance(self.subdim, a, b)
 
-    def mix(self, alpha, beta, ops) -> np.ndarray:
-        """rho(alpha, beta) for ops = operators(), its partial transpose for
-        theirs; an alpha column (m, 1, 1) stacks m points, bit for bit alike.
-        Takes parameters its caller has checked (``_check_finite``, ``SweepSpec``)."""
+    def mix(self, alpha, beta, ops, out=None) -> np.ndarray:
+        """rho(alpha, beta) for ops = operators(), its partial transpose for theirs,
+        into ``out`` if given; an alpha column (m, 1, 1) stacks m points, bit for bit
+        alike. Takes parameters its caller has checked (``_check_finite``, ``SweepSpec``)."""
         ident, p, qr = ops
-        return (1 - alpha - beta) / self.subdim ** 2 * ident + alpha * p + beta / 2 * qr
+        out = np.multiply((1 - alpha - beta) / self.subdim ** 2, ident, out=out)
+        out += alpha * p
+        out += beta / 2 * qr
+        return out
 
     def state(self, alpha: float, beta: float, checked: bool = True) -> BipartiteState:
         """rho(alpha, beta); ``checked`` rejects points outside the triangle,

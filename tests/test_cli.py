@@ -14,14 +14,31 @@ import pytest
 
 import quditbloch as qb
 from quditbloch import cli
-from quditbloch.cli import (SweepSpec, _csv_text, _fmt, _json_dumps, _label_str, cli_main,
-                            run_sweep)
+from quditbloch.cli import SweepSpec, _csv_blocks, _fmt, _json_dumps, _label_str, cli_main
 
 
 def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def qutrit_sweep_peak(tmp_path, fmt, beta_steps):
+    """The tracemalloc peak of a qutrit sweep of 121 alpha steps and
+    ``beta_steps`` beta rows written to a file, after a small sweep has filled
+    the caches."""
+    def sweep(alpha, beta):
+        return cli_main(["sweep", "--family", "qutrit2p", "--alpha", "-0.4", "1.1", alpha,
+                         "--beta", "-0.6", "1.2", beta, "--format", fmt,
+                         "--out", str(tmp_path / f"plane.{fmt}")])
+
+    assert sweep("3", "3") == 0
+    tracemalloc.start()
+    try:
+        assert sweep("121", beta_steps) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBasisDump:
@@ -210,14 +227,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec("heisenberg", (0, 1, 5), (0, 1, 5))
 
-    def test_boundaries_within_one_cell(self):
+    def test_boundaries_within_one_cell(self, capsys):
         # region transitions recovered from the dataset sit within one grid
         # cell of the analytic boundary lines
-        spec = SweepSpec("qubit2p", (-1.2, 1.2, 41), (-1.2, 1.2, 41))
-        rows = run_sweep(spec)
+        code, out, _ = run_cli(capsys, "sweep", "--family", "qubit2p",
+                               "--alpha", "-1.2", "1.2", "41", "--beta", "-1.2", "1.2", "41")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 41 * 41
         cell = 2.4 / 40
         for row in rows:
-            a, b = row["alpha"], row["beta"]
+            a, b = float(row["alpha"]), float(row["beta"])
             if row["region"] == "EntangledRegionI":
                 assert a > b / 3 + 1 / 3 - cell
             elif row["region"] == "Separable":
@@ -226,25 +246,21 @@ class TestSweep:
 
     def test_csv_sweep_holds_no_rows(self, tmp_path):
         # the CSV is written from columns, one beta row at a time: the peak is
-        # about 1.0 MB on this grid, and a dict per point took it to 10.7 MB
-        def sweep(alpha_steps, beta_steps):
-            return cli_main(["sweep", "--family", "qutrit2p",
-                             "--alpha", "-0.4", "1.1", alpha_steps,
-                             "--beta", "-0.6", "1.2", beta_steps, "--format", "csv",
-                             "--out", str(tmp_path / "plane.csv")])
-
-        assert sweep("3", "3") == 0       # fills the caches before tracing
-        tracemalloc.start()
-        try:
-            assert sweep("121", "145") == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # about 0.79 MB on this grid, and a dict per point took it to 10.7 MB
+        peak = qutrit_sweep_peak(tmp_path, "csv", "145")
         assert peak < 7.5e6
+
+    def test_sweep_memory_is_one_row(self, tmp_path):
+        # the sweep holds one beta row at a time, so four times the rows leave
+        # the peak where it was (0.79 and 0.80 MB); whole-grid region and D
+        # arrays took it from 0.97 to 2.67 MB
+        small = qutrit_sweep_peak(tmp_path, "csv", "145")
+        large = qutrit_sweep_peak(tmp_path, "csv", "580")
+        assert large - small < 0.25e6
 
 
 class TestCsvWriter:
-    # _csv_text fills one row template and quotes nothing, so no cell it is
+    # _csv_blocks fills one row template and quotes nothing, so no cell it is
     # given may hold a character that csv.writer would quote
     QUOTED = set(',"\r\n')
 
@@ -272,7 +288,7 @@ class TestCsvWriter:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(zip(*columns))
-        assert _csv_text(header, columns) == out.getvalue()
+        assert "".join(_csv_blocks(header, [zip(*columns)])) == out.getvalue()
 
 
 class TestStreamedOutput:
@@ -290,7 +306,7 @@ class TestStreamedOutput:
         rows = [(_label_str(lab), r, c, _fmt(el[r, c].real), _fmt(el[r, c].imag))
                 for lab, el in zip(basis.labels, basis.elements)
                 for r in range(d) for c in range(d)]
-        return _csv_text(["label", "row", "col", "re", "im"], list(zip(*rows)))
+        return "".join(_csv_blocks(["label", "row", "col", "re", "im"], [rows]))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -305,22 +321,10 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_peak_memory(self, tmp_path, fmt):
-        # the demo qutrit grid, 17,545 points: the peak is about 1.0 MB in
+        # the demo qutrit grid, 17,545 points: the peak is about 0.8 MB in
         # either format; a whole document in memory took it to 5.1 MB (CSV)
         # and 9.5 MB (JSON)
-        def sweep(alpha_steps, beta_steps):
-            return cli_main(["sweep", "--family", "qutrit2p",
-                             "--alpha", "-0.4", "1.1", alpha_steps,
-                             "--beta", "-0.6", "1.2", beta_steps, "--format", fmt,
-                             "--out", str(tmp_path / f"plane.{fmt}")])
-
-        assert sweep("3", "3") == 0       # fills the caches before tracing
-        tracemalloc.start()
-        try:
-            assert sweep("121", "145") == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = qutrit_sweep_peak(tmp_path, fmt, "145")
         assert peak < 2e6
 
     @pytest.mark.parametrize("argv", [

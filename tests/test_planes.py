@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quditbloch as qb
-from quditbloch.cli import SweepSpec, _csv_text, _float_cells, _json_dumps, cli_main, run_sweep
+from quditbloch.cli import _csv_blocks, _float_cells, _json_dumps, cli_main
 
 # bounding box of each positivity triangle, widened so unphysical points are drawn too
 _WIDEN = 0.25
@@ -24,6 +24,21 @@ FAMILIES = {
 
 def _coordinate(lo, hi):
     return st.floats(lo - _WIDEN, hi + _WIDEN, allow_subnormal=False)
+
+
+def _sweep_stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["sweep", *argv]) == 0
+    return out.getvalue()
+
+
+def _csv_sweep_rows(*argv) -> list[dict]:
+    """The rows of the CSV the sweep command writes, its cells read back:
+    float() of a 17-significant-digit cell is the float that was written."""
+    rows = csv.DictReader(io.StringIO(_sweep_stdout(*argv, "--format", "csv")))
+    return [{col: cell if col == "region" else None if cell == "" else float(cell)
+             for col, cell in row.items()} for row in rows]
 
 
 def _check_row(family, row):
@@ -47,7 +62,8 @@ def test_sweep_rows_match_scalar_path(family):
     def check(a1, a2, b1, b2):
         assume(a1 < a2 and b1 < b2)
         # a two-step range holds exactly its two end points
-        rows = run_sweep(SweepSpec(family, (a1, a2, 2), (b1, b2, 2)))
+        rows = _csv_sweep_rows("--family", family, "--alpha", repr(a1), repr(a2), "2",
+                               "--beta", repr(b1), repr(b2), "2")
         assert [(r["alpha"], r["beta"]) for r in rows] == [(a1, b1), (a2, b1), (a1, b2), (a2, b2)]
         for row in rows:
             _check_row(family, row)
@@ -96,13 +112,6 @@ def _reference_csv(header, records):
     return out.getvalue()
 
 
-def _sweep_stdout(*argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli_main(["sweep", *argv]) == 0
-    return out.getvalue()
-
-
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_sweep_bytes_match_row_by_row_reference(family):
     below_zero = st.floats(-2.5, 0.0, allow_subnormal=False)
@@ -129,5 +138,6 @@ def test_signed_zeros_keep_their_sign_in_csv():
     # 0.0 == -0.0, so a formatter cached by value would write one for the other
     column = [0.0, -0.0, None, -0.0, 0.0]
     # a row of one empty cell is quoted, so it is not read as a blank line
-    assert _csv_text(["x"], [_float_cells(column)]) == 'x\n0\n-0\n""\n-0\n0\n'
-    assert _csv_text(["x"], [_float_cells(column)]) == _reference_csv(["x"], ([v] for v in column))
+    text = "".join(_csv_blocks(["x"], [zip(_float_cells(column))]))
+    assert text == 'x\n0\n-0\n""\n-0\n0\n'
+    assert text == _reference_csv(["x"], ([v] for v in column))

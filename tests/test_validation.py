@@ -146,6 +146,22 @@ class TestMatrixJson:
         assert cli_main(["decompose", "--kind", "ggb", "--in", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [2.0, 2.5, True, math.inf, "2", None])
+    def test_dim_must_be_an_integer(self, dim):
+        # int() would read 2.5 as 2 and True as 1, and overflow on inf
+        doc = {"dim": dim, "re": [[1.0]], "im": [[0.0]]}
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            qb.matrix_from_json(doc)
+
+    @pytest.mark.parametrize("dim", ["1e400", "2.5", "true"])
+    def test_cli_decompose_dim_exit_code(self, capsys, tmp_path, dim):
+        # JSON reads 1e400 as inf
+        path = tmp_path / "state.json"
+        path.write_text(f'{{"dim": {dim}, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}}')
+        assert cli_main(["decompose", "--kind", "ggb", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dim must be an integer" in captured.err
+
 
 class TestOracleInputs:
     oracle = staticmethod(qb.nearest_separable_numeric)
