@@ -39,14 +39,14 @@ for family, a_rng, b_rng in (("qubit2p", (-1.3, 1.3, 105), (-2.2, 1.3, 141)),
 verdicts = []
 print("\nqubit plane:")
 for alpha, beta in ((0.8, 0.1), (-0.7, -1.5)):
-    label, res = qb.hs_measure_qubit_plane(alpha, beta)
+    label, res = qb.hs_measure_plane(qb.QUBIT_PLANE, alpha, beta)
     verdicts.append(res.witness.verdict)
     print(f"  ({alpha:+.2f}, {beta:+.2f}): {label.value:<18} D = {res.distance:.6f} "
           f"witness {res.witness.verdict.value}")
 
 print("qutrit plane:")
 for alpha, beta in ((0.6, 0.0), (0.1, 0.7)):
-    label, res = qb.hs_measure_qutrit_plane(alpha, beta)
+    label, res = qb.hs_measure_plane(qb.QUTRIT_PLANE, alpha, beta)
     verdicts.append(res.witness.verdict)
     print(f"  ({alpha:+.2f}, {beta:+.2f}): {label.value:<18} D = {res.distance:.6f} "
           f"witness {res.witness.verdict.value}")
@@ -55,7 +55,7 @@ if any(verdict is not qb.WitnessVerdict.WITNESS for verdict in verdicts):
                      + ", ".join(verdict.value for verdict in verdicts))
 
 # the nearest separable state always sits on the PPT boundary
-label, res = qb.hs_measure_qutrit_plane(0.6, 0.0)
+label, res = qb.hs_measure_plane(qb.QUTRIT_PLANE, 0.6, 0.0)
 _, pt_min = qb.ppt_verdict(res.nearest_separable)
 print(f"\nnearest separable state of (0.6, 0.0): PT min eigenvalue {pt_min:+.2e}")
 

@@ -34,8 +34,8 @@ from .states import (
 from .entanglement import (
     TOL_WIT, HSMeasureResult, RegionLabel, WitnessMethod, WitnessReport,
     WitnessVerdict, classify_isotropic, classify_plane, classify_qubit_plane,
-    classify_qutrit_plane, hs_measure_isotropic, hs_measure_plane, hs_measure_qubit_plane,
-    hs_measure_qutrit_plane, plane_distance, ppt_verdict, verify_witness, witness_candidate,
+    classify_qutrit_plane, hs_measure_isotropic, hs_measure_plane, plane_distance,
+    ppt_verdict, verify_witness, witness_candidate,
 )
 from .gilbert import (
     WEYL_DIAGONAL_TOL, GilbertConfig, GilbertResult, best_product_state,

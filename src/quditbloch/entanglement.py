@@ -263,22 +263,14 @@ def hs_measure_plane(plane: PlaneFamily, alpha: float,
 
 
 def classify_qubit_plane(alpha: float, beta: float) -> RegionLabel:
-    """Region of a point of the two-qubit plane; boundaries count as separable."""
+    """``classify_plane`` on the two-qubit plane (Region I around phi+, Region II
+    around phi-). Kept only because ``perfbench/workloads.py`` reads it at import
+    time; the benchmark revision of ROADMAP item 1 retires it."""
     return classify_plane(QUBIT_PLANE, alpha, beta)
 
 
-def hs_measure_qubit_plane(alpha: float, beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
-    """``hs_measure_plane`` on the two-qubit plane (Region I around phi+,
-    Region II around phi-; formulas in ``QUBIT_PLANE``)."""
-    return hs_measure_plane(QUBIT_PLANE, alpha, beta)
-
-
 def classify_qutrit_plane(alpha: float, beta: float) -> RegionLabel:
-    """Region of a point of the two-qutrit plane; for this family the PPT
-    states are exactly the separable ones."""
+    """``classify_plane`` on the two-qutrit plane, whose PPT states are exactly
+    the separable ones. Kept only because ``perfbench/workloads.py`` reads it at
+    import time; the benchmark revision of ROADMAP item 1 retires it."""
     return classify_plane(QUTRIT_PLANE, alpha, beta)
-
-
-def hs_measure_qutrit_plane(alpha: float, beta: float) -> tuple[RegionLabel, HSMeasureResult | None]:
-    """``hs_measure_plane`` on the two-qutrit plane (formulas in ``QUTRIT_PLANE``)."""
-    return hs_measure_plane(QUTRIT_PLANE, alpha, beta)

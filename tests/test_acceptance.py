@@ -193,14 +193,13 @@ def test_criterion_06_isotropic_entanglement():
         raise
 
 
-def _plane_criterion(crit, family, region_i, region_ii, dist_i, dist_ii,
-                     measure, make_state, ctilde_i, ctilde_ii):
+def _plane_criterion(crit, family, region_i, region_ii, dist_i, dist_ii, ctilde_i, ctilde_ii):
     worst_d, worst_c = 0.0, 0.0
     for points, dist_fn, ctilde in ((region_i, dist_i, ctilde_i),
                                     (region_ii, dist_ii, ctilde_ii)):
         expected_label = RegionLabel.ENTANGLED_I if points is region_i else RegionLabel.ENTANGLED_II
         for alpha, beta in points:
-            label, res = measure(alpha, beta)
+            label, res = qb.hs_measure_plane(qb.PLANES[family], alpha, beta)
             assert label is expected_label, (family, alpha, beta, label)
             worst_d = max(worst_d, abs(res.distance - dist_fn(alpha, beta)))
             worst_c = max(worst_c, float(np.abs(res.witness.operator - ctilde).max()))
@@ -238,8 +237,7 @@ def test_criterion_07_qubit_plane():
                      - qb.tensor(qb.PAULI[3], qb.PAULI[3])) / (2 * np.sqrt(3))
         worst_d, worst_c = _plane_criterion(
             crit, "qubit2p", QUBIT_REGION_I, QUBIT_REGION_II,
-            qubit_region_i_distance, qubit_region_ii_distance,
-            qb.hs_measure_qubit_plane, qb.two_param_qubit, ctilde_i, ctilde_ii)
+            qubit_region_i_distance, qubit_region_ii_distance, ctilde_i, ctilde_ii)
         ops = [qb.tensor(qb.PAULI[1], qb.PAULI[1]) - qb.tensor(qb.PAULI[2], qb.PAULI[2]),
                qb.tensor(qb.PAULI[3], qb.PAULI[3])]
         mc = _lemma_monte_carlo(2, ops, 1.0, 10_000, np.random.default_rng(7))
@@ -263,8 +261,7 @@ def test_criterion_08_qutrit_plane():
         ctilde_ii = (2 * np.eye(9) + u1 - u2) / (6 * np.sqrt(2))
         worst_d, worst_c = _plane_criterion(
             crit, "qutrit2p", QUTRIT_REGION_I, QUTRIT_REGION_II,
-            qutrit_region_i_distance, qutrit_region_ii_distance,
-            qb.hs_measure_qutrit_plane, qb.two_param_qutrit, ctilde_i, ctilde_ii)
+            qutrit_region_i_distance, qutrit_region_ii_distance, ctilde_i, ctilde_ii)
         assert abs(qb.hs_norm(u) - 6 * np.sqrt(2)) <= 1e-12
         assert abs(qb.hs_norm(qb.composite_operator("sigma", 2)) - 2 * np.sqrt(3)) <= 1e-12
         mc = _lemma_monte_carlo(3, [u1, u2], 2.0, 10_000, np.random.default_rng(8))

@@ -313,19 +313,19 @@ class TestQubitPlane:
         assert qb.classify_qubit_plane(beta / 3 + 1 / 3, beta) is RegionLabel.SEPARABLE
 
     def test_measure_at_bell_point(self):
-        label, res = qb.hs_measure_qubit_plane(1.0, 0.0)
+        label, res = qb.hs_measure_plane(qb.QUBIT_PLANE, 1.0, 0.0)
         assert label is RegionLabel.ENTANGLED_I
         assert res.distance == pytest.approx(1 / np.sqrt(3), abs=1e-12)
         iso = qb.hs_measure_isotropic(2, 1.0)
         assert res.distance == pytest.approx(iso.distance, abs=1e-14)
 
     def test_separable_point_has_no_measure(self):
-        label, res = qb.hs_measure_qubit_plane(0.0, 0.0)
+        label, res = qb.hs_measure_plane(qb.QUBIT_PLANE, 0.0, 0.0)
         assert label is RegionLabel.SEPARABLE and res is None
 
     @pytest.mark.parametrize("alpha,beta", QUBIT_REGION_I)
     def test_region_i_closed_form(self, alpha, beta):
-        label, res = qb.hs_measure_qubit_plane(alpha, beta)
+        label, res = qb.hs_measure_plane(qb.QUBIT_PLANE, alpha, beta)
         assert label is RegionLabel.ENTANGLED_I
         assert res.distance == pytest.approx(qubit_region_i_distance(alpha, beta), abs=1e-12)
         direct = qb.hs_norm(res.nearest_separable.matrix - qb.two_param_qubit(alpha, beta).matrix)
@@ -334,7 +334,7 @@ class TestQubitPlane:
 
     @pytest.mark.parametrize("alpha,beta", QUBIT_REGION_II)
     def test_region_ii_closed_form(self, alpha, beta):
-        label, res = qb.hs_measure_qubit_plane(alpha, beta)
+        label, res = qb.hs_measure_plane(qb.QUBIT_PLANE, alpha, beta)
         assert label is RegionLabel.ENTANGLED_II
         assert res.distance == pytest.approx(qubit_region_ii_distance(alpha, beta), abs=1e-12)
         direct = qb.hs_norm(res.nearest_separable.matrix - qb.two_param_qubit(alpha, beta).matrix)
@@ -364,13 +364,13 @@ class TestQutritPlane:
         assert qb.classify_qutrit_plane(-0.4, 0.9) is RegionLabel.UNPHYSICAL
 
     def test_measure_at_bell_point(self):
-        label, res = qb.hs_measure_qutrit_plane(1.0, 0.0)
+        label, res = qb.hs_measure_plane(qb.QUTRIT_PLANE, 1.0, 0.0)
         assert label is RegionLabel.ENTANGLED_I
         assert res.distance == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
 
     @pytest.mark.parametrize("alpha,beta", QUTRIT_REGION_I)
     def test_region_i_closed_form(self, alpha, beta):
-        label, res = qb.hs_measure_qutrit_plane(alpha, beta)
+        label, res = qb.hs_measure_plane(qb.QUTRIT_PLANE, alpha, beta)
         assert label is RegionLabel.ENTANGLED_I
         assert res.distance == pytest.approx(qutrit_region_i_distance(alpha, beta), abs=1e-12)
         direct = qb.hs_norm(res.nearest_separable.matrix - qb.two_param_qutrit(alpha, beta).matrix)
@@ -379,7 +379,7 @@ class TestQutritPlane:
 
     @pytest.mark.parametrize("alpha,beta", QUTRIT_REGION_II)
     def test_region_ii_closed_form(self, alpha, beta):
-        label, res = qb.hs_measure_qutrit_plane(alpha, beta)
+        label, res = qb.hs_measure_plane(qb.QUTRIT_PLANE, alpha, beta)
         assert label is RegionLabel.ENTANGLED_II
         assert res.distance == pytest.approx(qutrit_region_ii_distance(alpha, beta), abs=1e-12)
         direct = qb.hs_norm(res.nearest_separable.matrix - qb.two_param_qutrit(alpha, beta).matrix)
@@ -389,7 +389,7 @@ class TestQutritPlane:
 
     def test_nearest_separable_is_ppt(self):
         for alpha, beta in QUTRIT_REGION_I + QUTRIT_REGION_II:
-            _, res = qb.hs_measure_qutrit_plane(alpha, beta)
+            _, res = qb.hs_measure_plane(qb.QUTRIT_PLANE, alpha, beta)
             is_ppt, _ = qb.ppt_verdict(res.nearest_separable)
             assert is_ppt
 
@@ -447,12 +447,12 @@ class TestVerdictNearZero:
     @pytest.mark.parametrize("region", sorted(LINES))
     def test_lemma_path(self, region):
         alpha, beta, into = self.LINES[region]
-        label, near = qb.hs_measure_qubit_plane(alpha + into * 1e-11, beta)
+        label, near = qb.hs_measure_plane(qb.QUBIT_PLANE, alpha + into * 1e-11, beta)
         assert label.value == "EntangledRegion" + region
         assert 0 < near.distance < TOL_WIT
         assert near.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
         assert near.witness.verdict is WitnessVerdict.INCONCLUSIVE
-        _, far = qb.hs_measure_qubit_plane(alpha + into * 1e-6, beta)
+        _, far = qb.hs_measure_plane(qb.QUBIT_PLANE, alpha + into * 1e-6, beta)
         assert far.witness.method is WitnessMethod.PARTIAL_TRANSPOSE
         assert far.witness.verdict is WitnessVerdict.WITNESS
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 
 import numpy as np
@@ -16,9 +17,9 @@ from quditbloch.cli import _csv_blocks, _float_cells, _json_dumps, cli_main
 _WIDEN = 0.25
 FAMILIES = {
     "qubit2p": ((-1.0, 1.0), (-2.0, 1.0), qb.classify_qubit_plane,
-                qb.hs_measure_qubit_plane, qb.two_param_qubit),
+                functools.partial(qb.hs_measure_plane, qb.QUBIT_PLANE), qb.two_param_qubit),
     "qutrit2p": ((-1 / 6, 1.0), (-1 / 3, 1.0), qb.classify_qutrit_plane,
-                 qb.hs_measure_qutrit_plane, qb.two_param_qutrit),
+                 functools.partial(qb.hs_measure_plane, qb.QUTRIT_PLANE), qb.two_param_qutrit),
 }
 
 

@@ -378,8 +378,8 @@ _PLANE_ENTRY_POINTS = {
     "two_param_qutrit unchecked": lambda a, b: qb.two_param_qutrit(a, b, checked=False),
     "classify_qubit_plane": qb.classify_qubit_plane,
     "classify_qutrit_plane": qb.classify_qutrit_plane,
-    "hs_measure_qubit_plane": qb.hs_measure_qubit_plane,
-    "hs_measure_qutrit_plane": qb.hs_measure_qutrit_plane,
+    "hs_measure_qubit_plane": functools.partial(qb.hs_measure_plane, qb.QUBIT_PLANE),
+    "hs_measure_qutrit_plane": functools.partial(qb.hs_measure_plane, qb.QUTRIT_PLANE),
 }
 
 _NON_FINITE = ["nan", "inf", "-inf", repr(PAST_BOUND)]
