@@ -13,7 +13,7 @@ import csv
 import os
 
 import quditbloch as qb
-from quditbloch import cli_main
+from quditbloch.cli import cli_main
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT_DIR, exist_ok=True)

@@ -6,6 +6,8 @@ operator bases, Bloch-vector encoding/decoding of density matrices in any of
 them, the Bell/isotropic and two-parameter state families, closed-form
 Hilbert-Schmidt entanglement measures with optimal witnesses, and an
 independent Frank-Wolfe numeric oracle for the nearest separable state.
+The batch command line, ``quditbloch.cli.cli_main``, is a front end that
+importing the package does not load.
 """
 
 from .linalg import (
@@ -41,6 +43,5 @@ from .gilbert import (
     WEYL_DIAGONAL_TOL, GilbertConfig, GilbertResult, best_product_state,
     min_product_expectation, nearest_separable_numeric, nearest_separable_weyl,
 )
-from .cli import SweepSpec, cli_main
 
 __version__ = "0.1.0"

@@ -13,11 +13,8 @@ import argparse
 import functools
 import json
 import math
-import numbers
 import os
-import re
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -36,12 +33,23 @@ class _UsageError(Exception):
     pass
 
 
+class _NegativeNumber:
+    """argparse's negative-number test: a token that float reads and that starts with "-"."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-5.5e-05" and "-inf" for options; read them as
-        # numbers, as it reads "-5.5"
-        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$|^-inf$")
+        # argparse's own pattern takes "-5.5e-05", "-inf" or "-1." for an option
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message):
         raise _UsageError(message)
@@ -280,41 +288,31 @@ _SWEEP_COLUMNS = {
 MAX_SWEEP_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid over the (alpha, beta) plane of a two-parameter family."""
-
-    family: str                        # a key of states.PLANES
-    alpha_range: tuple[float, float, int]
-    beta_range: tuple[float, float, int]
-    outputs: tuple[str, ...] = tuple(_SWEEP_COLUMNS)
-
-    def __post_init__(self):
-        if self.family not in PLANES:
-            raise ValueError(f"unknown sweep family {self.family!r}")
-        for name, (lo, hi, steps) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
-            if not (isinstance(steps, numbers.Integral) and steps >= 2):
-                raise ValueError(f"{name} steps must be an integer >= 2, got {steps!r}")
-            # the family parameter rule, so max - min, linspace's step, is finite too
-            _check_finite(**{f"{name} min": lo, f"{name} max": hi})
-            if not lo < hi:
-                raise ValueError(f"{name} range needs min < max, got [{lo}, {hi}]")
-        points = self.alpha_range[2] * self.beta_range[2]
-        if points > MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep grid of {points} points exceeds {MAX_SWEEP_POINTS}")
-        bad = set(self.outputs) - _SWEEP_COLUMNS.keys()
-        if bad:
-            raise ValueError(f"unknown sweep outputs: {sorted(bad)}")
+def _grid_axes(alpha, beta) -> list[tuple[float, float, int]]:
+    """``--alpha`` and ``--beta`` as (min, max, steps), each checked in turn, then
+    the grid's size against ``MAX_SWEEP_POINTS``, before any coordinate is made."""
+    axes = []
+    for name, (lo, hi, steps) in (("alpha", alpha), ("beta", beta)):
+        steps = int(steps) if steps.is_integer() else steps
+        if not (isinstance(steps, int) and steps >= 2):
+            raise ValueError(f"{name} steps must be an integer >= 2, got {steps!r}")
+        # the family parameter rule, so max - min, linspace's step, is finite too
+        _check_finite(**{f"{name} min": lo, f"{name} max": hi})
+        if not lo < hi:
+            raise ValueError(f"{name} range needs min < max, got [{lo}, {hi}]")
+        axes.append((lo, hi, steps))
+    points = axes[0][2] * axes[1][2]
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid of {points} points exceeds {MAX_SWEEP_POINTS}")
+    return axes
 
 
-def _sweep_rows(spec: SweepSpec):
+def _sweep_rows(plane, alphas, betas, outputs):
     """The grid one beta row at a time: the alpha coordinates (one list for all
-    rows), beta, and a list per output in column order. Region codes (of
+    rows), beta, and a list per output name in column order. Region codes (of
     ``_PLANE_REGIONS``) and D, None off the entangled regions, take the rule of
     ``plane_distance``; the row's states, built unchecked, and their partial
     transposes are diagonalized as one stack each."""
-    plane = PLANES[spec.family]
-    alphas = np.linspace(*spec.alpha_range[:2], spec.alpha_range[2])
     alpha_list, alpha_column = alphas.tolist(), alphas[:, None, None]
     ops = plane.operators()
     pt_ops = [partial_transpose(op, "B", plane.subdim) for op in ops]
@@ -322,9 +320,9 @@ def _sweep_rows(spec: SweepSpec):
     # per row, once freed, would let the allocator return pages and fault them in again
     stacks = {o: (stack_ops, np.empty((len(alphas), *ops[0].shape), complex))
               for o, stack_ops in (("min_eigenvalue", ops), ("ppt_min_eigenvalue", pt_ops))
-              if o in spec.outputs}
-    outputs = [o for o in _SWEEP_COLUMNS if o in spec.outputs]
-    for beta in np.linspace(*spec.beta_range[:2], spec.beta_range[2]).tolist():
+              if o in outputs}
+    outputs = [o for o in _SWEEP_COLUMNS if o in outputs]
+    for beta in betas.tolist():
         columns = {o: np.linalg.eigvalsh(plane.mix(alpha_column, beta, *stack))[:, 0].tolist()
                    for o, stack in stacks.items()}
         region, distance = _plane_distances(plane, alphas, beta)
@@ -333,12 +331,10 @@ def _sweep_rows(spec: SweepSpec):
 
 
 def _cmd_sweep(args) -> int:
-    def grid_range(lo, hi, steps):
-        return lo, hi, int(steps) if steps.is_integer() else steps
-
-    spec = SweepSpec(args.family, grid_range(*args.alpha), grid_range(*args.beta),
-                     tuple(args.outputs))
-    names = ["alpha", "beta", *(col for o, col in _SWEEP_COLUMNS.items() if o in spec.outputs)]
+    alpha_axis, beta_axis = _grid_axes(args.alpha, args.beta)
+    grid = _sweep_rows(PLANES[args.family], np.linspace(*alpha_axis), np.linspace(*beta_axis),
+                       args.outputs)
+    names = ["alpha", "beta", *(col for o, col in _SWEEP_COLUMNS.items() if o in args.outputs)]
     # cells as the JSON or CSV document writes them: null or empty for None,
     # region labels quoted or bare
     as_json = args.format == "json"
@@ -353,7 +349,7 @@ def _cmd_sweep(args) -> int:
     def blocks():
         # one block per beta row; the alphas, alike in every row, are formatted once
         alpha_cells = None
-        for alphas, beta, columns in _sweep_rows(spec):
+        for alphas, beta, columns in grid:
             alpha_cells = alpha_cells or list(map(_fmt, alphas))
             yield zip(alpha_cells, repeat(_fmt(beta)), *map(cells, names[2:], columns))
 
@@ -361,7 +357,7 @@ def _cmd_sweep(args) -> int:
         # the bytes of _json_dumps({"family": ..., "columns": ..., "rows": rows}),
         # with one row template filled per grid point
         row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in names) + "}"
-        _emit(_json_blocks({"family": spec.family, "columns": names}, "rows",
+        _emit(_json_blocks({"family": args.family, "columns": names}, "rows",
                            (", ".join(map(row.__mod__, rows)) for rows in blocks())), args.out)
     else:
         _emit(_csv_blocks(names, blocks()), args.out)

@@ -14,7 +14,7 @@ import pytest
 
 import quditbloch as qb
 from quditbloch import cli
-from quditbloch.cli import SweepSpec, _csv_blocks, _fmt, _json_dumps, _label_str, cli_main
+from quditbloch.cli import _csv_blocks, _fmt, _json_dumps, _label_str, cli_main
 
 
 def run_cli(capsys, *argv):
@@ -219,13 +219,18 @@ class TestSweep:
         assert doc["columns"] == ["alpha", "beta", "region", "D", "min_eig", "ppt_min_eig"]
         assert len(doc["rows"]) == 9
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec("qubit2p", (0, 1, 1), (0, 1, 5))
-        with pytest.raises(ValueError):
-            SweepSpec("qubit2p", (1, 0, 5), (0, 1, 5))
-        with pytest.raises(ValueError):
-            SweepSpec("heisenberg", (0, 1, 5), (0, 1, 5))
+    def test_spec_validation(self, capsys):
+        # a refused grid exits 2 with one error line and nothing on stdout
+        for alpha, message in ((("0", "1", "1"), "alpha steps must be an integer >= 2, got 1"),
+                               (("1", "0", "5"), "alpha range needs min < max, got [1.0, 0.0]"),
+                               (("1", "1", "5"), "alpha range needs min < max, got [1.0, 1.0]")):
+            assert run_cli(capsys, "sweep", "--family", "qubit2p", "--alpha", *alpha,
+                           "--beta", "0", "1", "5") == (2, "", f"error: {message}\n")
+        # a family with no plane is argparse's usage error
+        code, out, err = run_cli(capsys, "sweep", "--family", "heisenberg",
+                                 "--alpha", "0", "1", "5", "--beta", "0", "1", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument --family: invalid choice: 'heisenberg'")
 
     def test_boundaries_within_one_cell(self, capsys):
         # region transitions recovered from the dataset sit within one grid
@@ -417,8 +422,20 @@ class TestNegativeExponentArguments:
                        "--beta", *plain[1]) == (0, out, "")
 
     def test_option_names_still_options(self, capsys):
-        assert run_cli(capsys, "measure", "--family", "qubit2p", "--alpha", "-e5",
-                       "--beta", "0")[0] == 1
+        for token in ("-e5", "-x"):
+            assert run_cli(capsys, "measure", "--family", "qubit2p", "--alpha", token,
+                           "--beta", "0")[0] == 1
+
+    @pytest.mark.parametrize("token", ["-1.", "-1.e-1", "-Infinity", "-nan", "-1_0"])
+    def test_every_float_spelling_is_a_number(self, capsys, token):
+        # a token that float() reads and that starts with "-" is a number, and
+        # exits as its positive spelling does: 0 if finite, 2 if not
+        code = 0 if math.isfinite(float(token)) else 2
+        for beta in (token, token[1:]):
+            assert run_cli(capsys, "measure", "--family", "qubit2p", "--alpha", "0",
+                           "--beta", beta)[0] == code
+        assert run_cli(capsys, "sweep", "--family", "qubit2p", "--alpha", token, "1", "3",
+                       "--beta", "0", "1", "3")[0] == code
 
 
 def run_module(*argv):
@@ -433,6 +450,14 @@ class TestModuleEntryPoint:
         proc = run_module(*argv)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli(capsys, *argv)[1]
+
+    def test_package_import_loads_no_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, quditbloch; "
+             "print(sorted({'quditbloch.cli', 'argparse'} & sys.modules.keys()))"],
+            capture_output=True, text=True, env=env, check=False, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_module_exit_code(self):
         proc = run_module("frobnicate")

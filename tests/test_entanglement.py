@@ -8,6 +8,7 @@ import pytest
 
 import quditbloch as qb
 from quditbloch import RegionLabel, WitnessMethod, WitnessVerdict, entanglement
+from quditbloch.cli import cli_main
 from quditbloch.entanglement import TOL_WIT, _isotropic_witness
 
 QUBIT_REGION_I = [(0.5, 0.0), (0.7, 0.0), (0.9, 0.0), (0.6, 0.2), (0.7, 0.25),
@@ -472,7 +473,7 @@ class TestVerdictNearZero:
         base = ["measure", "--family", "qubit2p", "--beta", "-0.3", "--alpha"]
         verdicts = []
         for alpha in ("0.23333333334333334", "0.23333433333333334"):
-            assert qb.cli_main(base + [alpha]) == 0
+            assert cli_main(base + [alpha]) == 0
             verdicts.append(json.loads(capsys.readouterr().out)["witness"]["verdict"])
         assert verdicts == ["Inconclusive", "Witness"]
 

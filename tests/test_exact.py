@@ -4,7 +4,9 @@ Every float input is an exact binary rational, so the true D at a contract
 point is an algebraic number that sympy computes exactly. Each printed D and
 B (the optimal witness's expectation, equal to D in exact arithmetic) is
 held to a budget of ulps of that exact value: a change that moves a last
-digit shows whether it moved towards the true number or away from it.
+digit shows whether it moved towards the true number or away from it. At
+points drawn over the planes and the isotropic range, the library's D is held
+to an absolute budget instead, since D cancels near the region lines.
 """
 
 import io
@@ -13,13 +15,20 @@ import math
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quditbloch import (PLANES, RegionLabel, classify_isotropic, hs_measure_isotropic,
+                        plane_distance)
 from quditbloch.cli import cli_main
 
 sympy = pytest.importorskip("sympy")
 
 D_ULPS = 2
 B_ULPS = 8
+# |D - exact| at drawn points; a budget in ulps of D cannot hold there, as D
+# cancels near the region lines (qutrit Region II reached 27 ulps with D >= 0.01)
+D_ABS = 2 * 2.0 ** -52
 
 
 def _region_i(d, alpha, beta):
@@ -68,3 +77,41 @@ def test_printed_measure_within_ulps_of_exact(family, d, alpha, beta, region):
     assert exact > 0
     assert _ulps(result["D"], exact) <= D_ULPS
     assert _ulps(result["B"], exact) <= B_ULPS
+
+
+def _abs_error(computed: float, exact) -> float:
+    """|computed - exact| at 40 significant digits: a float is exact there, and
+    an exact D, a rational times a square root, is evaluated without cancellation."""
+    return float(abs(sympy.Float(computed, 40) - exact.evalf(40)))
+
+
+# the bounding box of each plane's physical triangle: (alpha range, beta range)
+BOXES = {"qubit2p": ((-1, 1), (-2, 1)), "qutrit2p": ((-1 / 6, 1), (-1 / 3, 1))}
+
+
+@pytest.mark.parametrize("family", list(BOXES))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_plane_distance_at_drawn_points(family, data):
+    (a_lo, a_hi), (b_lo, b_hi) = BOXES[family]
+    # ten points per example, of which the entangled ones have a D
+    points = data.draw(st.lists(st.tuples(st.floats(a_lo, a_hi), st.floats(b_lo, b_hi)),
+                                min_size=10, max_size=10))
+    for alpha, beta in points:
+        label, distance = plane_distance(PLANES[family], alpha, beta)
+        if distance is None:
+            continue
+        a, b = sympy.Rational(alpha), sympy.Rational(beta)
+        exact = (REGION_II[family](a, b) if label is RegionLabel.ENTANGLED_II
+                 else _region_i(PLANES[family].subdim, a, b))
+        assert _abs_error(distance, exact) <= D_ABS
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(2, 8))
+def test_isotropic_distance_at_drawn_points(data, d):
+    alpha = data.draw(st.floats(1 / (d + 1), 1, exclude_min=True))
+    if classify_isotropic(d, alpha) is not RegionLabel.ENTANGLED:
+        return      # within TOL_EDGE of the threshold, which counts as separable
+    exact = _region_i(d, sympy.Rational(alpha), sympy.Rational(0))
+    assert _abs_error(hs_measure_isotropic(d, alpha).distance, exact) <= D_ABS

@@ -11,7 +11,7 @@ import pytest
 
 import quditbloch as qb
 from quditbloch.bases import MAX_DIM
-from quditbloch.cli import MAX_SWEEP_POINTS, SweepSpec, cli_main
+from quditbloch.cli import MAX_SWEEP_POINTS, _grid_axes, cli_main
 from quditbloch.linalg import MAX_ENTRY
 
 # one step past the magnitude bound of matrix entries and family parameters
@@ -102,24 +102,45 @@ class TestSamplerAndProjectorRules:
 
 
 class TestSweepSpec:
-    @pytest.mark.parametrize("steps", [2.5, 2.0, "5"])
-    def test_non_integer_steps(self, steps):
-        with pytest.raises(ValueError, match="integer"):
-            SweepSpec("qubit2p", (0, 1, steps), (0, 1, 3))
+    """The sweep's grid spec, ``--alpha`` and ``--beta`` MIN MAX STEPS: a
+    refused grid exits 2 with nothing on stdout and one error line."""
+
+    @staticmethod
+    def error(capsys, alpha, beta=("0", "1", "3")):
+        assert cli_main(["sweep", "--family", "qutrit2p", "--alpha", *alpha,
+                         "--beta", *beta]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize("steps", [2.5, math.inf])
+    def test_non_integer_steps(self, capsys, steps):
+        assert self.error(capsys, ("0", "1", repr(steps))) == (
+            f"error: alpha steps must be an integer >= 2, got {steps!r}\n")
 
     @pytest.mark.parametrize("lo,hi", [(0, math.inf), (-math.inf, 1), (math.nan, 1),
                                        (-1e308, 1e308), (0, PAST_BOUND)])
-    def test_non_finite_bounds(self, lo, hi):
-        with pytest.raises(ValueError, match="finite"):
-            SweepSpec("qubit2p", (0, 1, 3), (lo, hi, 3))
+    def test_non_finite_bounds(self, capsys, lo, hi):
+        err = self.error(capsys, ("0", "1", "3"), (repr(lo), repr(hi), "3"))
+        end, value = ("min", lo) if not abs(lo) <= MAX_ENTRY else ("max", hi)
+        bound = f" and at most {MAX_ENTRY:g} in magnitude" if math.isfinite(value) else ""
+        assert err == f"error: beta {end} must be finite{bound}, got {value}\n"
 
-    def test_grid_cap(self):
-        # construction only: an oversized grid is never run
-        with pytest.raises(ValueError, match="exceeds"):
-            SweepSpec("qutrit2p", (0, 1, 10**9), (0, 1, 10**9))
-        with pytest.raises(ValueError, match="exceeds"):
-            SweepSpec("qutrit2p", (0, 1, MAX_SWEEP_POINTS // 2 + 1), (0, 1, 2))
-        SweepSpec("qutrit2p", (0, 1, MAX_SWEEP_POINTS // 2), (0, 1, 2))
+    def test_grid_cap(self, capsys):
+        # the checks alone at the cap: a 10^6-point grid is never run
+        assert _grid_axes((0.0, 1.0, float(MAX_SWEEP_POINTS // 2)), (0.0, 1.0, 2.0)) == [
+            (0.0, 1.0, MAX_SWEEP_POINTS // 2), (0.0, 1.0, 2)]
+        assert self.error(capsys, ("0", "1", str(MAX_SWEEP_POINTS // 2 + 1)), ("0", "1", "2")) == (
+            f"error: sweep grid of {MAX_SWEEP_POINTS + 2} points exceeds {MAX_SWEEP_POINTS}\n")
+        # refused before any coordinate is made
+        tracemalloc.start()
+        try:
+            err = self.error(capsys, ("0", "1", "1e9"), ("0", "1", "1e9"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err == f"error: sweep grid of {10**18} points exceeds {MAX_SWEEP_POINTS}\n"
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("alpha", [("0", "1", "2.7"), ("0", "inf", "5"), ("nan", "1", "5"),
                                        ("-1e308", "1e308", "2"), ("0", repr(PAST_BOUND), "5")])

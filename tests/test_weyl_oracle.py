@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quditbloch as qb
+from quditbloch.cli import cli_main
 from test_properties import TRIANGLES
 
 FAMILIES = [*TRIANGLES, 2, 3, 4]     # the two planes and isotropic d = 2..4
@@ -105,8 +106,8 @@ def test_off_diagonal_tolerance(size, refused):
 
 
 def test_cli_oracle_reports_the_reduced_run(capsys):
-    assert qb.cli_main(["measure", "--family", "qutrit2p", "--alpha", "0", "--beta", "0.6",
-                        "--oracle", "--seed", "3"]) == 0
+    assert cli_main(["measure", "--family", "qutrit2p", "--alpha", "0", "--beta", "0.6",
+                     "--oracle", "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     res = qb.nearest_separable_weyl(qb.two_param_qutrit(0.0, 0.6), qb.GilbertConfig(seed=3))
     assert doc["oracle_D"] == res.distance
