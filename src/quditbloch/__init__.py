@@ -11,9 +11,8 @@ importing the package does not load.
 """
 
 from .linalg import (
-    TOL_EIG, TOL_HERM, TOL_PSD, TOL_TRACE,
-    BipartiteState, DensityMatrix,
-    as_hermitian, as_matrix, hermitian_eigen, hs_inner, hs_norm, is_hermitian, is_psd,
+    TOL_HERM, TOL_PSD, TOL_TRACE, BipartiteState, DensityMatrix,
+    as_hermitian, as_matrix, hs_inner, hs_norm, is_hermitian, is_psd,
     matrix_from_json, matrix_to_json, min_eigenvalue,
     partial_trace, partial_transpose, tensor,
 )

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cg import clebsch_gordan
-from .linalg import _frozen, as_matrix
+from .linalg import MAX_ENTRY, _frozen, as_matrix
 
 Label = tuple
 
@@ -285,11 +285,14 @@ def expand_standard_wob(d: int, j: int, k: int) -> dict[Label, complex]:
 
 
 def reconstruct(basis: OperatorBasis, coeffs: dict[Label, complex]) -> np.ndarray:
-    """Assemble sum coeff * element from a coefficient map of finite numbers."""
+    """Assemble sum coeff * element from a coefficient map of finite numbers of
+    modulus at most d^2 ``MAX_ENTRY``, as Bloch-vector components, else ``ValueError``."""
+    bound = basis.dim ** 2 * MAX_ENTRY
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for label, c in coeffs.items():
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient of {label!r} is not finite: {c!r}")
+        if not np.abs(c) <= bound:    # NaN fails the comparison too
+            raise ValueError(f"coefficient of {label!r} must be finite and at most "
+                             f"{bound:g} in modulus, got {c!r}")
         out += c * basis.element(label)
     return out
 

@@ -67,13 +67,11 @@ def _float_cells(column, none=""):
 def _csv_blocks(header, blocks):
     """CSV text of the header, then of each block of rows (tuples of cells,
     strings or ints), one row template per row. No cell holds a comma, quote
-    or line break; as csv.writer does, a row of one empty cell is written
-    ``""``, so that it is not read as a blank line."""
+    or line break, and the header has at least two columns, so no row is
+    written as a blank line."""
     row = ",".join(["%s"] * len(header)) + "\n"
     yield row % tuple(header)
     for rows in blocks:
-        if len(header) == 1:
-            rows = (('""',) if cells == ("",) else cells for cells in rows)
         yield "".join(map(row.__mod__, rows))
 
 
@@ -297,7 +295,7 @@ def _grid_axes(alpha, beta) -> list[tuple[float, float, int]]:
         if not (isinstance(steps, int) and steps >= 2):
             raise ValueError(f"{name} steps must be an integer >= 2, got {steps!r}")
         # the family parameter rule, so max - min, linspace's step, is finite too
-        _check_finite(**{f"{name} min": lo, f"{name} max": hi})
+        lo, hi = _check_finite(**{f"{name} min": lo, f"{name} max": hi})
         if not lo < hi:
             raise ValueError(f"{name} range needs min < max, got [{lo}, {hi}]")
         axes.append((lo, hi, steps))

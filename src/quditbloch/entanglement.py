@@ -147,9 +147,10 @@ def verify_witness(a: np.ndarray, rho_ent) -> WitnessReport:
 def classify_isotropic(d: int, alpha: float) -> RegionLabel:
     """Region of an isotropic state: entangled iff alpha > 1/(d+1); the
     boundary counts as separable. Raises ``ValueError`` for a dimension
-    outside 2..MAX_DIM."""
+    outside 2..MAX_DIM, and where ``_check_finite`` does."""
     if not isotropic_physical(d, alpha):
         return RegionLabel.UNPHYSICAL
+    (alpha,) = _check_finite(alpha=alpha)
     if alpha > line_i_alpha(d, 0.0) + TOL_EDGE:
         return RegionLabel.ENTANGLED
     return RegionLabel.SEPARABLE
@@ -182,6 +183,7 @@ def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
     if classify_isotropic(d, alpha) is not RegionLabel.ENTANGLED:
         raise ValueError(f"isotropic alpha={alpha} is not in the entangled range "
                          f"(1/(d+1), 1] of d={d}")
+    (alpha,) = _check_finite(alpha=alpha)
     rho_ent = isotropic_state(d, alpha)
     rho0 = isotropic_state(d, line_i_alpha(d, 0.0))
     distance = region_i_distance(d, alpha, 0.0)
@@ -208,8 +210,7 @@ def _plane_region(plane: PlaneFamily, alpha, beta):
 def classify_plane(plane: PlaneFamily, alpha: float, beta: float) -> RegionLabel:
     """Region of a point of a two-parameter plane; boundaries count as separable.
     Raises ``ValueError`` where ``_check_finite`` does."""
-    _check_finite(alpha=alpha, beta=beta)
-    return _PLANE_REGIONS[_plane_region(plane, float(alpha), float(beta))]
+    return _PLANE_REGIONS[_plane_region(plane, *_check_finite(alpha=alpha, beta=beta))]
 
 
 def _plane_distances(plane: PlaneFamily, alpha: np.ndarray, beta: float):
@@ -227,8 +228,8 @@ def plane_distance(plane: PlaneFamily, alpha: float,
                    beta: float) -> tuple[RegionLabel, float | None]:
     """Region label and, for entangled points, the closed-form distance D;
     builds no state. Raises ``ValueError`` where ``_check_finite`` does."""
-    _check_finite(alpha=alpha, beta=beta)
-    region, distance = _plane_distances(plane, np.array([alpha]), float(beta))
+    alpha, beta = _check_finite(alpha=alpha, beta=beta)
+    region, distance = _plane_distances(plane, np.array([alpha]), beta)
     return _PLANE_REGIONS[region[0]], distance[0]
 
 
@@ -251,6 +252,7 @@ def hs_measure_plane(plane: PlaneFamily, alpha: float,
     nearest separable state, D, and the region's optimal witness (the same
     operator at every point of the region, built read-only on each call)
     certified by its positive semidefinite partial transpose."""
+    alpha, beta = _check_finite(alpha=alpha, beta=beta)
     label, distance = plane_distance(plane, alpha, beta)
     if distance is None:
         return label, None

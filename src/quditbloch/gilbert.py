@@ -133,27 +133,25 @@ def _bloch_of(kets: np.ndarray) -> np.ndarray:
     return h / h[..., :1]
 
 
-def _ket_of_bloch(h: np.ndarray, dtype) -> np.ndarray:
+def _ket_of_bloch(h: np.ndarray) -> np.ndarray:
     """A unit qubit ket with Bloch vector ``h[1:]``; its larger component is
     real and positive."""
     _, x, y, z = h
     c = math.sqrt((1 + abs(z)) / 2)
-    off = (x + 1j * y if np.issubdtype(dtype, np.complexfloating) else x) / (2 * c)
-    return np.array([c, off] if z >= 0 else [np.conj(off), c], dtype=dtype)
+    off = (x + 1j * y) / (2 * c)
+    return np.array([c, off] if z >= 0 else [np.conj(off), c])
 
 
 def _half_steps(g: np.ndarray, d: int, kets: np.ndarray):
     """The seesaw's kernel, its operators for the a and b half-steps, the
     runs' starting points in its coordinates, and the map back to kets."""
-    dtype = np.result_type(g, kets)
     if d == 2:
         t = (_PAULI_PRODUCTS * g.ravel()).sum(-1).real.reshape(4, 4) / 4
-        return (_bloch_step, (t, t.T.copy()), _bloch_of(kets),
-                lambda h: _ket_of_bloch(h, dtype))
+        return _bloch_step, (t, t.T.copy()), _bloch_of(kets), _ket_of_bloch
     gr = g.reshape(d, d, d, d)
     ops = (gr.transpose(1, 3, 0, 2), gr.transpose(0, 2, 1, 3))
-    return (_eigh_step, tuple(np.ascontiguousarray(m.reshape(d * d, d * d), dtype=dtype)
-                             for m in ops), kets.astype(dtype, copy=False), lambda k: k)
+    return (_eigh_step, tuple(np.ascontiguousarray(m.reshape(d * d, d * d)) for m in ops),
+            kets.astype(complex, copy=False), lambda k: k)
 
 
 def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
@@ -174,7 +172,7 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
     on the others, so the result equals that of one run at a time, bit for
     bit. ``g`` must be finite and Hermitian, else ``ValueError``.
     """
-    as_hermitian(g, "operator")   # checks only: a real g stays real below
+    g = as_hermitian(g, "operator")
     step, (op_a, op_b), start, ket_of = _half_steps(g, d, _initial_kets(d, rng, restarts, warm))
     a, b = start[:, 0], start[:, 1]
     val = np.full(len(start), -np.inf)

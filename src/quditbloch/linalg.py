@@ -1,5 +1,5 @@
 """Dense complex-matrix substrate: Hilbert-Schmidt geometry, tensor products,
-partial transpose/trace, and Hermitian eigendecomposition.
+partial transpose/trace, and Hermitian and positivity checks.
 
 All functions operate on square ``numpy`` arrays of ``complex128``. Bipartite
 matrices on a d x d space use the composite index ``i = d*i_A + i_B``
@@ -16,7 +16,6 @@ import numpy as np
 TOL_HERM = 1e-10     # Hermiticity of density matrices
 TOL_TRACE = 1e-10    # unit-trace check
 TOL_PSD = 1e-9       # eigenvalue slack for positivity verdicts
-TOL_EIG = 1e-12      # relative eigendecomposition reconstruction error
 
 # largest magnitude of a matrix entry or family parameter. Density matrices
 # have entries of at most 1, and no transform sums more than d^4 products of
@@ -128,17 +127,6 @@ def is_psd(a: np.ndarray) -> bool:
 def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
     return bool(np.abs(a - a.conj().T).max() <= TOL_HERM)
-
-
-def hermitian_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, V)`` with real eigenvalues ``w`` sorted in descending order
-    and the matching eigenvectors as columns of ``V``. Raises ``ValueError``
-    if the input is not finite or not Hermitian within ``TOL_HERM``.
-    """
-    w, v = np.linalg.eigh(as_hermitian(a, "hermitian_eigen input"))
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

@@ -34,14 +34,25 @@ PAULI = {
 TOL_EDGE = 1e-12
 
 
-def _check_finite(**params: float) -> None:
-    """Reject a family parameter that is NaN, infinite or larger than
-    ``MAX_ENTRY`` in magnitude with ``ValueError``. Scalar, so single-point
-    calls pay little for it."""
+def _check_finite(**params: float) -> list[float]:
+    """The family parameters as Python floats, so that a numpy float32 is
+    computed in double precision; ``ValueError`` for one that is NaN, infinite
+    or larger than ``MAX_ENTRY`` in magnitude, ``TypeError`` for one that is
+    not a real number. Scalar, so single-point calls pay little for it."""
+    values = []
     for name, value in params.items():
-        if not abs(value) <= MAX_ENTRY:
-            bound = f" and at most {MAX_ENTRY:g} in magnitude" if math.isfinite(value) else ""
+        # float() would parse a string, and drop a numpy complex's imaginary part
+        if isinstance(value, (str, bytes, bytearray, np.complexfloating)):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        try:
+            x = float(value)         # TypeError for any other non-number
+        except OverflowError:        # an int past the float range, as 10**400:
+            x = 2 * MAX_ENTRY        # finite, and past the bound
+        if not abs(x) <= MAX_ENTRY:
+            bound = f" and at most {MAX_ENTRY:g} in magnitude" if math.isfinite(x) else ""
             raise ValueError(f"{name} must be finite{bound}, got {value}")
+        values.append(x)
+    return values
 
 
 def bell_state(d: int) -> BipartiteState:
@@ -73,8 +84,7 @@ def isotropic_physical(d: int, alpha: float) -> bool:
     """Positivity of the isotropic state, -1/(d^2 - 1) <= alpha <= 1. Raises ``ValueError``
     where ``_check_finite`` does, or for a d outside 2..MAX_DIM (the family needs d >= 2)."""
     _check_dim(d)
-    _check_finite(alpha=alpha)
-    return physical_triangle(d, alpha, 0.0)
+    return physical_triangle(d, *_check_finite(alpha=alpha), 0.0)
 
 
 def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteState:
@@ -84,8 +94,9 @@ def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteStat
     range construction requires ``checked=False``. Raises ``ValueError`` for
     a dimension outside 2..MAX_DIM or an alpha ``_check_finite`` refuses either way.
     """
-    physical = isotropic_physical(d, alpha)
-    if checked and not physical:
+    d = _check_dim(d)
+    (alpha,) = _check_finite(alpha=alpha)
+    if checked and not physical_triangle(d, alpha, 0.0):
         raise ValueError(f"isotropic alpha={alpha} outside [-1/(d^2 - 1), 1] for d={d}")
     mat = alpha * bell_state(d).matrix + (1 - alpha) / (d * d) * np.eye(d * d)
     return BipartiteState(mat, d, validate=False)
@@ -138,7 +149,7 @@ class PlaneFamily:
     def state(self, alpha: float, beta: float, checked: bool = True) -> BipartiteState:
         """rho(alpha, beta); ``checked`` rejects points outside the triangle,
         and ones ``_check_finite`` refuses are rejected either way."""
-        _check_finite(alpha=alpha, beta=beta)
+        alpha, beta = _check_finite(alpha=alpha, beta=beta)
         if checked and not self.physical(alpha, beta):
             raise ValueError(f"{self.name} plane point ({alpha}, {beta}) is unphysical")
         return BipartiteState(self.mix(alpha, beta, self.operators()), self.subdim, validate=False)
@@ -193,7 +204,7 @@ def two_param_qubit(alpha: float, beta: float, checked: bool = True) -> Bipartit
 def two_param_qubit_pauli(alpha: float, beta: float) -> np.ndarray:
     """The same family written in the Pauli basis:
     (1/4)(1 + a(s1 x s1 - s2 x s2) + (a - b) s3 x s3)."""
-    _check_finite(alpha=alpha, beta=beta)
+    alpha, beta = _check_finite(alpha=alpha, beta=beta)
     mat = np.eye(4, dtype=complex)
     mat += alpha * (tensor(PAULI[1], PAULI[1]) - tensor(PAULI[2], PAULI[2]))
     mat += (alpha - beta) * tensor(PAULI[3], PAULI[3])

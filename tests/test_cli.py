@@ -282,9 +282,9 @@ class TestCsvWriter:
         assert not [c for c in cells if self.QUOTED & set(c)]
 
     @pytest.mark.parametrize("header,columns", [
-        (["x"], [["1.5", "", "-0", "", "nan"]]),
+        (["x", "y"], [["1.5", "", "-0", "", "nan"], ["", "", "2", "", ""]]),
         (["x"], [[0, 3, -2]]),
-        (["x"], [[""]]),
+        (["x", "y"], [[""], [""]]),
         (["label", "row", "re", "im"],
          [["I", "s:0:1", "0:2"], [0, 1, 12], ["", "-inf", ""], ["", "", ""]]),
     ])

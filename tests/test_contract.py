@@ -2,15 +2,21 @@
 
 The CLI promises byte-identical output for identical invocations; these
 digests pin that output so a refactor cannot move the last digit of a
-17-significant-digit float unnoticed. The two demo-grid CSV digests are the
-ones the benchmark checks its sweep workload against.
+17-significant-digit float unnoticed. The sweep CSV digests, of the two demo
+grids and two tiny grids, are read from ``perfbench/golden.json``, which the
+benchmark checks its sweep workload against.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from quditbloch.cli import cli_main
+
+with open(Path(__file__).resolve().parents[1] / "perfbench" / "golden.json") as _fh:
+    SWEEP_CSV_SHA256 = json.load(_fh)["sweep_csv_sha256"]
 
 
 def _sha256_stdout(capsys, *argv) -> str:
@@ -19,10 +25,13 @@ def _sha256_stdout(capsys, *argv) -> str:
 
 
 @pytest.mark.parametrize("family,alpha,beta,digest", [
-    ("qubit2p", ("-1.3", "1.3", "105"), ("-2.2", "1.3", "141"),
-     "9e3affc671ad82ec3f4ea7fa0ae67482448a0162d96fc4c1e72fcec0f940c841"),
-    ("qutrit2p", ("-0.4", "1.1", "121"), ("-0.6", "1.2", "145"),
-     "ecd33631708e7645976eb4dde3646f311901a557be80349fa979e25589ed8a54"),
+    (family, alpha, beta, SWEEP_CSV_SHA256[f"{family} {alpha[2]}x{beta[2]}"])
+    for family, alpha, beta in (
+        ("qubit2p", ("-1.3", "1.3", "105"), ("-2.2", "1.3", "141")),
+        ("qutrit2p", ("-0.4", "1.1", "121"), ("-0.6", "1.2", "145")),
+        ("qubit2p", ("-1.3", "1.3", "7"), ("-2.2", "1.3", "9")),
+        ("qutrit2p", ("-0.4", "1.1", "9"), ("-0.6", "1.2", "11")),
+    )
 ])
 def test_sweep_csv_demo_grid(tmp_path, family, alpha, beta, digest):
     path = tmp_path / "plane.csv"

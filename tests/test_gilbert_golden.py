@@ -185,8 +185,8 @@ def test_real_warm_kets_match_scalar_loop(complex_g):
         warm = [(np.eye(d)[0], np.ones(d) / np.sqrt(d)), (np.eye(d)[1], np.eye(d)[d - 1])]
         want_val, want_a, want_b = _reference_seesaw(g, d, None, 0, warm)
         val, a, b = best_product_state(g, d, None, 0, warm)
-        # a real G with real kets keeps the kets real
-        assert a.dtype == b.dtype == (complex if complex_g else float)
+        # the kets are complex for a real G too
+        assert a.dtype == b.dtype == complex
         assert val == want_val
         assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
 

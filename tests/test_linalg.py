@@ -126,33 +126,6 @@ class TestPartialTrace:
             qb.partial_trace(np.eye(8), "B")
 
 
-class TestHermitianEigen:
-    def test_diagonal(self):
-        w, _ = qb.hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3, 2, 1])
-
-    def test_pauli_x(self):
-        w, _ = qb.hermitian_eigen(qb.PAULI[1])
-        assert np.allclose(w, [1, -1])
-
-    def test_pure_isotropic(self):
-        w, _ = qb.hermitian_eigen(qb.isotropic_state(3, 1.0).matrix)
-        assert w[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(w[1:]).max() < 1e-12
-
-    def test_reconstruction(self, rng):
-        a = random_matrix(rng, 6)
-        a = a + a.conj().T
-        w, v = qb.hermitian_eigen(a)
-        assert qb.hs_norm(a - (v * w) @ v.conj().T) <= qb.TOL_EIG * qb.hs_norm(a)
-        assert np.sum(w) == pytest.approx(np.trace(a).real, abs=1e-10)
-        assert (np.diff(w) <= 1e-12).all()
-
-    def test_rejects_non_hermitian(self, rng):
-        with pytest.raises(ValueError):
-            qb.hermitian_eigen(random_matrix(rng, 3))
-
-
 class TestDensityMatrix:
     def test_valid(self, rng):
         rho = qb.random_density_matrix(4, rng)

@@ -137,8 +137,8 @@ def test_sweep_bytes_match_row_by_row_reference(family):
 
 def test_signed_zeros_keep_their_sign_in_csv():
     # 0.0 == -0.0, so a formatter cached by value would write one for the other
-    column = [0.0, -0.0, None, -0.0, 0.0]
-    # a row of one empty cell is quoted, so it is not read as a blank line
-    text = "".join(_csv_blocks(["x"], [zip(_float_cells(column))]))
-    assert text == 'x\n0\n-0\n""\n-0\n0\n'
-    assert text == _reference_csv(["x"], ([v] for v in column))
+    x = [0.0, -0.0, None, -0.0, 0.0]
+    y = [-0.0, 0.0, None, 0.0, -0.0]
+    text = "".join(_csv_blocks(["x", "y"], [zip(_float_cells(x), _float_cells(y))]))
+    assert text == 'x,y\n0,-0\n-0,0\n,\n-0,0\n0,-0\n'
+    assert text == _reference_csv(["x", "y"], zip(x, y))

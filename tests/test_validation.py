@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -255,7 +256,6 @@ ENTRY_POINTS = {
     "witness_candidate(state)": lambda m: qb.witness_candidate(_STATE, m),
     "verify_witness(operator)": lambda m: qb.verify_witness(m, _STATE),
     "verify_witness(state)": lambda m: qb.verify_witness(np.eye(4), m),
-    "hermitian_eigen": qb.hermitian_eigen,
     "min_eigenvalue": qb.min_eigenvalue,
     "ppt_verdict": qb.ppt_verdict,
     "best_product_state": lambda m: qb.best_product_state(m, 2, np.random.default_rng(0)),
@@ -265,9 +265,9 @@ ENTRY_POINTS = {
     "nearest_separable_numeric": lambda m: qb.nearest_separable_numeric(
         m, qb.GilbertConfig(max_iterations=2)),
 }
-HERMITIAN_REQUIRED = ["verify_witness(operator)", "hermitian_eigen", "min_eigenvalue",
-                      "ppt_verdict", "best_product_state", "min_product_expectation",
-                      "DensityMatrix", "nearest_separable_numeric"]
+HERMITIAN_REQUIRED = ["verify_witness(operator)", "min_eigenvalue", "ppt_verdict",
+                      "best_product_state", "min_product_expectation", "DensityMatrix",
+                      "nearest_separable_numeric"]
 NON_FINITE = {"nan": np.full((4, 4), np.nan), "inf": np.diag([np.inf, 0.0, 0.0, 0.0]),
               "past the bound": np.diag([PAST_BOUND, 0.0, 0.0, 0.0])}
 NON_HERMITIAN = np.triu(np.ones((4, 4)))
@@ -370,6 +370,14 @@ class TestBasisLayerFiniteness:
         coeffs = {("I",): 0.5, ("s", 1, 2): bad}
         _raises_without_warnings(lambda: qb.reconstruct(qb.ggb_basis(2), coeffs), "finite")
 
+    def test_reconstruct_beyond_the_bound(self):
+        # finite, but their sum overflowed to inf; the bound is Bloch-vector
+        # components' d^2 MAX_ENTRY, 4e100 here, and inclusive
+        coeffs = {("s", 1, 2): 1e308, ("a", 1, 2): 1e308j, ("l", 1): 1e308}
+        _raises_without_warnings(lambda: qb.reconstruct(qb.ggb_basis(2), coeffs),
+                                 "at most 4e\\+100")
+        assert qb.reconstruct(qb.ggb_basis(2), {("s", 1, 2): 4e100})[0, 1] == 4e100
+
     def test_finite_input_keeps_its_bits(self):
         basis = qb.pob_basis(3)
         m = np.arange(9.0).reshape(3, 3) + 1j
@@ -456,6 +464,53 @@ class TestNonFiniteFamilyParameters:
         assert cli_main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be finite, got -inf" in captured.err
+
+
+class TestFamilyParameterTypes:
+    """Family parameters are converted to Python floats before use: a numpy
+    float32 or float16 gives the bits of the same value as a float, with no
+    numeric warning (single-precision arithmetic left D 6.45e-9 off at
+    qubit2p (0.8, 0.1)); an integer past the float range is refused as too
+    large; a string or a complex is not a real number."""
+
+    @staticmethod
+    def _same_bits(call, *params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = call(*params)
+        assert pickle.dumps(got) == pickle.dumps(call(*map(float, params)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("name", _ISOTROPIC_ENTRY_POINTS)
+    def test_isotropic_numpy_scalar(self, name, dtype):
+        self._same_bits(functools.partial(_ISOTROPIC_ENTRY_POINTS[name], 3), dtype(0.9))
+
+    @pytest.mark.parametrize("point", [(0.8, 0.1), (0.1, 0.7)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("name", _PLANE_ENTRY_POINTS)
+    def test_plane_numpy_scalar(self, name, dtype, point):
+        self._same_bits(_PLANE_ENTRY_POINTS[name], *map(dtype, point))
+
+    @pytest.mark.parametrize("name", _ISOTROPIC_ENTRY_POINTS)
+    def test_isotropic_integer_past_the_float_range(self, name):
+        with pytest.raises(ValueError, match="alpha must be finite and at most"):
+            _ISOTROPIC_ENTRY_POINTS[name](3, 10**400)
+
+    @pytest.mark.parametrize("name", _PLANE_ENTRY_POINTS)
+    def test_plane_integer_past_the_float_range(self, name):
+        with pytest.raises(ValueError, match="alpha must be finite and at most"):
+            _PLANE_ENTRY_POINTS[name](-10**400, 0.0)
+        with pytest.raises(ValueError, match="beta must be finite and at most"):
+            _PLANE_ENTRY_POINTS[name](0.1, 10**400)
+
+    @pytest.mark.parametrize("bad", ["0.9", b"0.9", None, 0.9j, np.complex64(0.9)])
+    def test_non_numbers(self, bad):
+        for call in _ISOTROPIC_ENTRY_POINTS.values():
+            with pytest.raises(TypeError):
+                call(3, bad)
+        for call in _PLANE_ENTRY_POINTS.values():
+            with pytest.raises(TypeError):
+                call(0.1, bad)
 
 
 def _overflowing(d=2, entry=1e308):
