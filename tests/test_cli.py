@@ -41,6 +41,13 @@ def qutrit_sweep_peak(tmp_path, fmt, beta_steps):
         tracemalloc.stop()
 
 
+@pytest.fixture(scope="session")
+def qutrit_csv_peak(tmp_path_factory):
+    """``qutrit_sweep_peak`` of the demo-grid CSV (121 x 145), traced once for
+    every test that bounds it."""
+    return qutrit_sweep_peak(tmp_path_factory.mktemp("sweep"), "csv", "145")
+
+
 class TestBasisDump:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "basis", "dump", "--kind", "wob", "--dim", "3")
@@ -249,19 +256,12 @@ class TestSweep:
                 assert a <= b / 3 + 1 / 3 + cell
                 assert a >= -b - 1 - cell
 
-    def test_csv_sweep_holds_no_rows(self, tmp_path):
-        # the CSV is written from columns, one beta row at a time: the peak is
-        # about 0.79 MB on this grid, and a dict per point took it to 10.7 MB
-        peak = qutrit_sweep_peak(tmp_path, "csv", "145")
-        assert peak < 7.5e6
-
-    def test_sweep_memory_is_one_row(self, tmp_path):
+    def test_sweep_memory_is_one_row(self, tmp_path, qutrit_csv_peak):
         # the sweep holds one beta row at a time, so four times the rows leave
         # the peak where it was (0.79 and 0.80 MB); whole-grid region and D
         # arrays took it from 0.97 to 2.67 MB
-        small = qutrit_sweep_peak(tmp_path, "csv", "145")
         large = qutrit_sweep_peak(tmp_path, "csv", "580")
-        assert large - small < 0.25e6
+        assert large - qutrit_csv_peak < 0.25e6
 
 
 class TestCsvWriter:
@@ -325,11 +325,11 @@ class TestStreamedOutput:
         assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_sweep_peak_memory(self, tmp_path, fmt):
+    def test_sweep_peak_memory(self, tmp_path, qutrit_csv_peak, fmt):
         # the demo qutrit grid, 17,545 points: the peak is about 0.8 MB in
         # either format; a whole document in memory took it to 5.1 MB (CSV)
-        # and 9.5 MB (JSON)
-        peak = qutrit_sweep_peak(tmp_path, fmt, "145")
+        # and 9.5 MB (JSON), and a dict per point to 10.7 MB (CSV)
+        peak = qutrit_csv_peak if fmt == "csv" else qutrit_sweep_peak(tmp_path, fmt, "145")
         assert peak < 2e6
 
     @pytest.mark.parametrize("argv", [

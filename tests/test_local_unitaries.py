@@ -9,8 +9,15 @@ general oracle's only known nonzero answers off the simplex.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditbloch as qb
+
+# the largest changes over the drawn orbits below: 3.9e-16 in the ppt_verdict
+# minimum, and 1.3e-15 in the scaled correlation trace norms, across orbits and bases
+PPT_BUDGET = 1e-15
+TRACE_NORM_BUDGET = 4e-15
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -44,12 +51,12 @@ def _closed_forms():
 CASES = _closed_forms()
 
 
-def _orbit(name):
+def _orbit(name, seed=None):
     """The closed form's state, its measure, and one point of its orbit with
-    the matching rotation of an operator."""
+    the matching rotation of an operator; the seed defaults to one per case."""
     state, measure = CASES[name]
     d = state.subdim
-    w = local_unitary(d, [2031, sorted(CASES).index(name)])
+    w = local_unitary(d, [2031, sorted(CASES).index(name)] if seed is None else seed)
 
     def rotate(m):
         return w @ m @ w.conj().T
@@ -92,6 +99,21 @@ def test_rotated_witness_is_certified(name):
     assert report.verdict is qb.WitnessVerdict.WITNESS
     assert report.method is qb.WitnessMethod.PARTIAL_TRANSPOSE
     assert report.ent_expectation == pytest.approx(measure.witness.ent_expectation, abs=1e-13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(CASES)), seed=st.integers(0, 2**32 - 1))
+def test_drawn_orbits_keep_the_invariants(name, seed):
+    state, measure, moved, rotate = _orbit(name, seed)
+    assert abs(qb.ppt_verdict(moved)[1] - qb.ppt_verdict(state)[1]) <= PPT_BUDGET
+    # times ortho_const, the trace norm is one number in GGB, POB and WOB too
+    norms = [np.linalg.norm(qb.bipartite_decompose(rho, kind).correlation, "nuc")
+             * qb.get_basis(kind, state.subdim).ortho_const
+             for kind in qb.BasisKind for rho in (state, moved)]
+    assert max(norms) - min(norms) <= TRACE_NORM_BUDGET
+    report = qb.verify_witness(rotate(measure.witness.operator), moved)
+    assert report.verdict is qb.WitnessVerdict.WITNESS
+    assert report.method is qb.WitnessMethod.PARTIAL_TRANSPOSE
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -449,6 +449,8 @@ class TestNonFiniteFamilyParameters:
          "--unchecked"),
         ("sweep", "--family", "qutrit2p", "--alpha", "1e307", "1e308", "2",
          "--beta", "1e307", "1e308", "2"),
+        # "-nan" is a number, not an option name
+        ("measure", "--family", "qubit2p", "--alpha", "-nan", "--beta", "0"),
     ])
     def test_cli_exit_code(self, capsys, argv, bad):
         assert cli_main([arg.format(bad) for arg in argv]) == 2
