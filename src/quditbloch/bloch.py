@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisKind, _frame, _frame_product, get_basis
-from .linalg import MAX_ENTRY, _bipartite_matrix, as_matrix, is_psd
+from .linalg import MAX_ENTRY, _bipartite_matrix, _realign, as_matrix, is_psd
 
 
 class Convention(str, Enum):
@@ -158,11 +158,6 @@ class BipartiteBlochDecomposition:
         k = np.block([[1 / (s * s), self.local_b / s],
                       [self.local_a[:, None] / s, self.correlation]])
         return _realign(f.T @ k @ f, d)
-
-
-def _realign(m: np.ndarray, d: int) -> np.ndarray:
-    """R(m)[(a b), (c e)] = m[(a c), (b e)]; realignment is its own inverse."""
-    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochDecomposition:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import _frame, get_basis
-from .linalg import BipartiteState, as_hermitian
+from .linalg import BipartiteState, _realign, as_hermitian
 from .states import PAULI
 
 # largest off-diagonal Weyl Bell element |<Phi_nk|rho|Phi_n'k'>| that
@@ -106,7 +106,7 @@ def _initial_kets(d: int, rng, restarts: int, warm) -> np.ndarray:
 
 def _eigh_step(m: np.ndarray, fixed: np.ndarray, cur: np.ndarray):
     """One half-step at any d: the top eigenpair of each run's d x d matrix,
-    the product of the fixed ket's outer product with a reshuffled G."""
+    the product of the fixed ket's outer product with a realigned G."""
     r, d = fixed.shape
     x = (fixed.conj()[:, :, None] * fixed[:, None, :]).reshape(r, 1, d * d)
     w, v = np.linalg.eigh((x @ m).reshape(r, d, d))
@@ -148,9 +148,8 @@ def _half_steps(g: np.ndarray, d: int, kets: np.ndarray):
     if d == 2:
         t = (_PAULI_PRODUCTS * g.ravel()).sum(-1).real.reshape(4, 4) / 4
         return _bloch_step, (t, t.T.copy()), _bloch_of(kets), _ket_of_bloch
-    gr = g.reshape(d, d, d, d)
-    ops = (gr.transpose(1, 3, 0, 2), gr.transpose(0, 2, 1, 3))
-    return (_eigh_step, tuple(np.ascontiguousarray(m.reshape(d * d, d * d)) for m in ops),
+    r = _realign(g, d)
+    return (_eigh_step, (np.ascontiguousarray(r.T), r),
             kets.astype(complex, copy=False), lambda k: k)
 
 
@@ -165,7 +164,7 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
 
     All runs advance together, and a run leaves the stack once its value
     rises by less than ``stop`` in a sweep. At d > 2 each half-step is one
-    stacked product of the fixed factor's outer product with G, reshuffled
+    stacked product of the fixed factor's outer product with G, realigned
     once per call, and one stacked ``eigh``. At d = 2 it is the same
     eigenpair in closed form, on Bloch vectors and the real 4 x 4 matrix
     T = Tr(G sigma_mu (x) sigma_nu) / 4. A run's arithmetic does not depend

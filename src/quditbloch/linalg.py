@@ -78,6 +78,11 @@ def partial_transpose(rho, subsystem: str = "B", subdim: int | None = None) -> n
     return r.reshape(d * d, d * d)
 
 
+def _realign(m: np.ndarray, d: int) -> np.ndarray:
+    """R(m)[(a b), (c e)] = m[(a c), (b e)]; realignment is its own inverse."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def partial_trace(rho, subsystem: str = "B", subdim: int | None = None) -> np.ndarray:
     """Trace out one subsystem of a bipartite matrix; returns a d x d matrix."""
     mat, subdim = _bipartite_matrix(rho, subdim)
@@ -198,12 +203,24 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def _json_entries(rows) -> np.ndarray:
+    """``rows`` as a float array. A string or bool entry raises ``ValueError``,
+    as ``float`` would read "1" and true as numbers; so does an integer past
+    the float range, where ``float`` raises ``OverflowError``."""
+    for x in np.asarray(rows, dtype=object).flat:
+        if isinstance(x, (str, bool, np.bool_)):
+            raise ValueError(f"matrix JSON entries must be finite numbers, got {x!r}")
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"matrix JSON entries must be finite numbers: {exc}") from exc
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; ``dim`` must be an integer, not a float or bool."""
     try:
         d = obj["dim"]
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re, im = _json_entries(obj["re"]), _json_entries(obj["im"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):

@@ -242,7 +242,10 @@ _COMPOSITE_BASES = {
     CompositeKind.U: BasisKind.WOB,
     CompositeKind.U1: BasisKind.WOB,
     CompositeKind.U2: BasisKind.WOB,
+    CompositeKind.SIGMA: BasisKind.GGB,
 }
+# the one dimension a kind is defined at, where it is not defined at every d
+_COMPOSITE_DIMS = {CompositeKind.U1: 3, CompositeKind.U2: 3, CompositeKind.SIGMA: 2}
 
 
 def composite_operator(kind, d: int) -> np.ndarray:
@@ -256,16 +259,12 @@ def composite_operator(kind, d: int) -> np.ndarray:
     T = d P+ - 1/d and U = d^2 P+ - 1, so these sums check the entry-by-entry
     isotropic witness (1 - d P+)/sqrt(d^2-1) of ``entanglement``.
     U1 and U2 are the m != 0 and m == 0 parts of the sum for U at d = 3;
-    SIGMA is the d = 2 form of LAMBDA written in Pauli matrices.
+    SIGMA is LAMBDA at d = 2, the GGB sum s1 x s1 - s2 x s2 + s3 x s3.
     """
     kind = CompositeKind(kind)
-    if kind is CompositeKind.SIGMA:
-        if d != 2:
-            raise ValueError("SIGMA is defined for d = 2 only")
-        return (tensor(PAULI[1], PAULI[1]) - tensor(PAULI[2], PAULI[2])
-                + tensor(PAULI[3], PAULI[3]))
-    if kind in (CompositeKind.U1, CompositeKind.U2) and d != 3:
-        raise ValueError(f"{kind.name} is defined for d = 3 only")
+    only = _COMPOSITE_DIMS.get(kind, d)
+    if d != only:
+        raise ValueError(f"{kind.name} is defined for d = {only} only")
     basis = get_basis(_COMPOSITE_BASES[kind], d)
     out = np.zeros((d * d, d * d), dtype=complex)
     for label, el in zip(basis.labels[1:], basis.elements[1:]):

@@ -33,12 +33,6 @@ class TestHSInner:
 
 
 class TestHSNorm:
-    def test_sigma_composite(self):
-        assert qb.hs_norm(qb.composite_operator("sigma", 2)) == pytest.approx(2 * np.sqrt(3), abs=1e-12)
-
-    def test_u_composite_qutrit(self):
-        assert qb.hs_norm(qb.composite_operator("u", 3)) == pytest.approx(6 * np.sqrt(2), abs=1e-12)
-
     def test_zero(self):
         assert qb.hs_norm(np.zeros((3, 3))) == 0.0
 

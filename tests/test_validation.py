@@ -152,7 +152,11 @@ class TestSweepSpec:
 
 
 class TestMatrixJson:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # float() would read "1", " 1 " and true as 1.0, and overflow on 10**400
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, pytest.param("1", id="string"),
+        pytest.param(" 1 ", id="padded-string"), pytest.param(True, id="true"),
+        pytest.param(10 ** 400, id="huge-int")])
     def test_non_finite_rejected(self, bad):
         doc = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, bad], [0.0, 0.0]]}
         with pytest.raises(ValueError, match="finite"):
@@ -161,10 +165,17 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="finite"):
             qb.matrix_from_json(doc)
 
-    def test_cli_decompose_exit_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize("re,im", [
+        ([[0.5, 0.0], [0.0, 0.5]], [[0.0, math.nan], [0.0, 0.0]]),
+        # read as numbers, each of these is the pure state |0><0|
+        ([["1", "0"], ["0", "0"]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[" 1 ", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[10 ** 400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    ], ids=["nan", "string", "padded-string", "true", "huge-int"])
+    def test_cli_decompose_exit_code(self, capsys, tmp_path, re, im):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]],
-                                    "im": [[0.0, math.nan], [0.0, 0.0]]}))
+        path.write_text(json.dumps({"dim": 2, "re": re, "im": im}))
         assert cli_main(["decompose", "--kind", "ggb", "--in", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
@@ -442,6 +453,13 @@ class TestNonFiniteFamilyParameters:
         ("state", "make", "--family", "isotropic", "--dim", "3", "--alpha={}", "--unchecked"),
         ("state", "make", "--family", "qubit2p", "--alpha={}", "--beta", "0", "--unchecked"),
         ("state", "make", "--family", "qutrit2p", "--alpha", "0.1", "--beta={}"),
+    ])
+    def test_cli_exit_code(self, capsys, argv, bad):
+        assert cli_main([arg.format(bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+
+    @pytest.mark.parametrize("argv", [
         # finite parameters above linalg.MAX_ENTRY, refused where they enter
         ("state", "make", "--family", "qutrit2p", "--alpha", "1e308", "--beta", "1e308",
          "--unchecked"),
@@ -452,8 +470,8 @@ class TestNonFiniteFamilyParameters:
         # "-nan" is a number, not an option name
         ("measure", "--family", "qubit2p", "--alpha", "-nan", "--beta", "0"),
     ])
-    def test_cli_exit_code(self, capsys, argv, bad):
-        assert cli_main([arg.format(bad) for arg in argv]) == 2
+    def test_cli_exit_code_fixed_argv(self, capsys, argv):
+        assert cli_main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be finite" in captured.err
 
