@@ -4,7 +4,14 @@ import pytest
 import quditbloch as qb
 from quditbloch.bases import BasisKind
 
+from reference_matrices import PRINTED
+
 KINDS = ["ggb", "pob", "wob"]
+
+
+def gram(basis):
+    stack = basis.stacked
+    return np.einsum("iab,jab->ij", stack.conj(), stack)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -20,6 +27,14 @@ class TestBasisStructure:
         basis = qb.get_basis(kind, d)
         for el in basis.elements[1:]:
             assert abs(np.trace(el)) < 1e-12
+
+    def test_orthogonality(self, kind, d):
+        basis = qb.get_basis(kind, d)
+        g = gram(basis)
+        off = g - np.diag(np.diag(g))
+        assert np.abs(off).max() < 1e-12
+        diag = np.diag(g).real
+        assert np.abs(diag[1:] - basis.ortho_const).max() < 1e-12
 
     def test_completeness(self, kind, d, rng):
         basis = qb.get_basis(kind, d)
@@ -71,6 +86,14 @@ class TestBasisFamilies:
         assert b1 is b2
         with pytest.raises(ValueError):
             b1.elements[1][0, 0] = 5
+
+
+@pytest.mark.parametrize("kind,d", sorted(PRINTED))
+def test_printed_matrices(kind, d):
+    basis = qb.get_basis(kind, d)
+    for label, expected in PRINTED[(kind, d)].items():
+        got = basis.element(label)
+        assert np.abs(got - np.asarray(expected, dtype=complex)).max() <= 1e-12, (kind, d, label)
 
 
 class TestQubitBasisEquivalences:

@@ -27,6 +27,22 @@ class TestEncode:
             vec = qb.bloch_encode(rho, kind)
             assert vec.radius < qb.radius_bound(kind, 3) - 1e-6
 
+    def test_round_trip(self, kind, rng):
+        for d in (2, 3, 4, 5):
+            for _ in range(30):
+                rho = qb.random_density_matrix(d, rng)
+                dec = qb.bloch_decode(qb.bloch_encode(rho, kind))
+                assert qb.hs_norm(dec.matrix - rho.matrix) <= 1e-10
+                assert dec.is_physical
+
+    def test_purity_identity(self, kind, rng):
+        for d in (2, 3, 4):
+            n = qb.get_basis(kind, d).ortho_const
+            for _ in range(20):
+                rho = qb.random_density_matrix(d, rng)
+                vec = qb.bloch_encode(rho, kind)
+                assert qb.purity(rho) == pytest.approx(1 / d + n * vec.radius ** 2, abs=1e-10)
+
 
 def test_pure_qutrit_projector_in_ggb():
     # |1><1| touches only diagonal labels; coefficients from the expansion map
@@ -59,6 +75,17 @@ class TestConventions:
         ev = qb.bloch_encode(rho, "wob", Convention.EXPECTATION)
         ec = qb.bloch_encode(rho, "wob", Convention.EXPANSION)
         assert np.abs(ev.components - 4 * np.conj(ec.components)).max() < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_wob_conjugacy_relation(self, d, rng):
+        rho = qb.random_density_matrix(d, rng)
+        ev = qb.bloch_encode(rho, "wob", Convention.EXPECTATION)
+        comp = dict(zip(ev.labels, ev.components))
+        comp[(0, 0)] = 1.0 + 0j      # Tr(U_00 rho)
+        for (n, m), v in comp.items():
+            partner = comp[((-n) % d, (-m) % d)]
+            assert np.conj(v) == pytest.approx(np.exp(2j * np.pi * n * m / d) * partner,
+                                               abs=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_decode_accepts_both_conventions(self, kind, rng):

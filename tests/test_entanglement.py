@@ -54,6 +54,20 @@ class TestPPTVerdict:
             _, lo = qb.ppt_verdict(rho)
             assert lo == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_isotropic_flip_located_by_bisection(self, d):
+        def pt_min_eig(alpha):
+            return qb.ppt_verdict(qb.isotropic_state(d, alpha))[1]
+
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if pt_min_eig(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        assert (lo + hi) / 2 == pytest.approx(1 / (d + 1), abs=1e-9)
+
 
 class TestWitnessCandidate:
     def test_qubit_region_i_form(self):
@@ -262,6 +276,29 @@ class TestIsotropicMeasure:
         with pytest.raises(ValueError):
             qb.hs_measure_isotropic(3, 1.5)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bnt_identities(self, d):
+        alpha = 0.9
+        res = qb.hs_measure_isotropic(d, alpha)
+        rho_ent = qb.isotropic_state(d, alpha)
+        # distance against the matrix-norm oracle
+        direct = qb.hs_norm(res.nearest_separable.matrix - rho_ent.matrix)
+        assert res.distance == pytest.approx(direct, abs=1e-10)
+        assert res.max_violation == pytest.approx(res.distance, abs=1e-10)
+        a_opt = res.witness.operator
+        assert qb.hs_inner(rho_ent.matrix, a_opt).real == pytest.approx(-res.distance, abs=1e-10)
+        assert abs(qb.hs_inner(res.nearest_separable.matrix, a_opt).real) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_witness_basis_equivalent_forms(self, d):
+        res = qb.hs_measure_isotropic(d, 0.8)
+        shift = np.sqrt((d - 1) / (d + 1)) / d * np.eye(d * d)
+        lam_form = shift - qb.composite_operator("lambda", d) / (2 * np.sqrt(d * d - 1))
+        t_form = shift - qb.composite_operator("t", d) / np.sqrt(d * d - 1)
+        u_form = shift - qb.composite_operator("u", d) / (d * np.sqrt(d * d - 1))
+        for form in (lam_form, t_form, u_form):
+            assert np.abs(res.witness.operator - form).max() <= 1e-10
+
 
 class TestQubitPlane:
     def test_classification_points(self):
@@ -368,6 +405,34 @@ class TestQutritPlane:
                     assert is_ppt, (alpha, beta)
                 else:
                     assert not is_ppt, (alpha, beta, label)
+
+
+class TestSeparableExpectationLemmas:
+    def test_lemma_qubit_monte_carlo_small(self, rng):
+        sigma_ops = [qb.tensor(qb.PAULI[i], qb.PAULI[i]) for i in (1, 2, 3)]
+        worst = np.inf
+        for seed in range(1000):
+            rho = qb.sample_separable(2, seed=seed, mixture_count=1 + seed % 6)
+            t = [qb.hs_inner(op, rho.matrix).real for op in sigma_ops]
+            for _ in range(10):
+                a = rng.uniform(0.05, 2.0)
+                c1, c2 = rng.uniform(-1, 1, size=2)
+                worst = min(worst, a * (1 + c1 * (t[0] - t[1]) + c2 * t[2]))
+        assert worst >= -1e-12
+
+    def test_lemma_qutrit_monte_carlo_small(self, rng):
+        u1 = qb.composite_operator("u1", 3)
+        u2 = qb.composite_operator("u2", 3)
+        worst = np.inf
+        for seed in range(1000):
+            rho = qb.sample_separable(3, seed=seed, mixture_count=1 + seed % 6)
+            t1 = qb.hs_inner(u1, rho.matrix).real
+            t2 = qb.hs_inner(u2, rho.matrix).real
+            for _ in range(10):
+                a = rng.uniform(0.05, 2.0)
+                c1, c2 = rng.uniform(-1, 1, size=2)
+                worst = min(worst, a * (2 + c1 * t1 + c2 * t2))
+        assert worst >= -1e-12
 
 
 class TestVerdictNearZero:

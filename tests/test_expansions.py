@@ -4,6 +4,28 @@ import pytest
 import quditbloch as qb
 
 
+def standard_matrix(d, j, k):
+    """|j><k| with 1-based indices."""
+    m = np.zeros((d, d), dtype=complex)
+    m[j - 1, k - 1] = 1
+    return m
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_reconstruction_all_pairs(d):
+    ggb, pob, wob = qb.ggb_basis(d), qb.pob_basis(d), qb.wob_basis(d)
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            target = standard_matrix(d, j, k)
+            for basis, coeffs in [
+                (ggb, qb.expand_standard_ggb(d, j, k)),
+                (pob, qb.expand_standard_pob(d, j, k)),
+                (wob, qb.expand_standard_wob(d, j - 1, k - 1)),
+            ]:
+                got = qb.reconstruct(basis, coeffs)
+                assert np.abs(got - target).max() <= 1e-12, (basis.kind, d, j, k)
+
+
 class TestGGBExpansion:
     def test_offdiagonal_map(self):
         coeffs = qb.expand_standard_ggb(3, 1, 2)

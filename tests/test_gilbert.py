@@ -38,6 +38,11 @@ class TestNearestSeparableNumeric:
         assert expected - 1e-6 <= res.distance <= expected + 1e-3
         assert res.converged
 
+    def test_qutrit_two_param_point(self):
+        res = qb.nearest_separable_numeric(qb.two_param_qutrit(0.8, 0.1))
+        expected = 2 * np.sqrt(2) / 3 * (0.8 - 0.25 - 0.0125)
+        assert expected - 1e-6 <= res.distance <= expected + 1e-3
+
     def test_deterministic(self):
         cfg = GilbertConfig(max_iterations=60, seed=9)
         r1 = qb.nearest_separable_numeric(qb.isotropic_state(2, 0.8), cfg)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quditbloch as qb
+from quditbloch.linalg import _realign
 
 
 def random_matrix(rng, d):
@@ -33,6 +34,12 @@ class TestHSInner:
 
 
 class TestHSNorm:
+    def test_sigma_composite(self):
+        assert qb.hs_norm(qb.composite_operator("sigma", 2)) == pytest.approx(2 * np.sqrt(3), abs=1e-12)
+
+    def test_u_composite_qutrit(self):
+        assert qb.hs_norm(qb.composite_operator("u", 3)) == pytest.approx(6 * np.sqrt(2), abs=1e-12)
+
     def test_zero(self):
         assert qb.hs_norm(np.zeros((3, 3))) == 0.0
 
@@ -97,6 +104,15 @@ class TestPartialTranspose:
             qb.partial_transpose(np.eye(6), "B", 4)
         with pytest.raises(ValueError):
             qb.partial_transpose(np.eye(4), "C")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_realign_of_product_is_outer_product_of_vectorisations(d, rng):
+    # R(A x B)[(a b), (c e)] = A[a, b] B[c, e]; realignment is its own inverse
+    a, b = random_matrix(rng, d), random_matrix(rng, d)
+    m = qb.tensor(a, b)
+    assert np.array_equal(_realign(m, d), np.outer(a.ravel(), b.ravel()))
+    assert np.array_equal(_realign(_realign(m, d), d), m)
 
 
 class TestPartialTrace:

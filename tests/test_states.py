@@ -32,8 +32,27 @@ class TestBellState:
         for sub in ("A", "B"):
             assert np.abs(qb.partial_trace(state, sub) - np.eye(d) / d).max() < 1e-13
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_composite_expansions(self, d):
+        eye = np.eye(d * d) / d ** 2
+        bell = qb.bell_state(d).matrix
+        lam = qb.composite_operator("lambda", d)
+        t = qb.composite_operator("t", d)
+        u = qb.composite_operator("u", d)
+        assert np.abs(bell - (eye + lam / (2 * d))).max() < 1e-10
+        assert np.abs(bell - (eye + t / d)).max() < 1e-10
+        assert np.abs(bell - (eye + u / d ** 2)).max() < 1e-10
+
 
 class TestCompositeOperators:
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_proportionality(self, d):
+        lam = qb.composite_operator("lambda", d)
+        t = qb.composite_operator("t", d)
+        u = qb.composite_operator("u", d)
+        assert np.abs(lam - 2 * t).max() < 1e-10
+        assert np.abs(t - u / d).max() < 1e-10
+
     @pytest.mark.parametrize("d", range(2, 7))
     def test_norms_and_structure(self, d):
         for tag in ("lambda", "t", "u"):

@@ -152,11 +152,11 @@ class TestSweepSpec:
 
 
 class TestMatrixJson:
-    # float() would read "1", " 1 " and true as 1.0, and overflow on 10**400
+    # float() would read "1", " 1 ", true and false as numbers, and overflow on 10**400
     @pytest.mark.parametrize("bad", [
         math.nan, math.inf, -math.inf, pytest.param("1", id="string"),
         pytest.param(" 1 ", id="padded-string"), pytest.param(True, id="true"),
-        pytest.param(10 ** 400, id="huge-int")])
+        pytest.param(False, id="false"), pytest.param(10 ** 400, id="huge-int")])
     def test_non_finite_rejected(self, bad):
         doc = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, bad], [0.0, 0.0]]}
         with pytest.raises(ValueError, match="finite"):
@@ -171,8 +171,9 @@ class TestMatrixJson:
         ([["1", "0"], ["0", "0"]], [[0.0, 0.0], [0.0, 0.0]]),
         ([[" 1 ", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
         ([[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[1.0, 0.0], [0.0, False]], [[0.0, 0.0], [0.0, 0.0]]),
         ([[10 ** 400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
-    ], ids=["nan", "string", "padded-string", "true", "huge-int"])
+    ], ids=["nan", "string", "padded-string", "true", "false", "huge-int"])
     def test_cli_decompose_exit_code(self, capsys, tmp_path, re, im):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"dim": 2, "re": re, "im": im}))
