@@ -107,9 +107,10 @@ def _check_dim(d: int) -> int:
 
 
 def _check_indices(d: int, first: int, what: str, *indices) -> None:
-    """Matrix or operator indices are integers in first..first + d - 1."""
+    """Matrix or operator indices are integers in first..first + d - 1; a bool is not one."""
     for x in indices:
-        if not isinstance(x, (int, np.integer)) or not first <= x < first + d:
+        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                or not first <= x < first + d):
             raise ValueError(f"{what} indices must be integers in "
                              f"{first}..{first + d - 1}, got {indices!r}")
 

@@ -162,9 +162,13 @@ class BipartiteBlochDecomposition:
 
 def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochDecomposition:
     """Local Bloch vectors and correlations of a bipartite state, read-only views of
-    K = conj(F) R(rho) F^dag / N: a_0 n_i in column 0, a_0 m_j in row 0, N c_ij elsewhere."""
+    K = conj(F) R(rho) F^dag / N: a_0 n_i in column 0, a_0 m_j in row 0, N c_ij elsewhere.
+    ``subdim``, if given, must be the matrix's own d (``ValueError``); kept only because
+    ``perfbench/workloads.py`` passes it, until the benchmark revision of ROADMAP item 1."""
     kind = BasisKind(kind)
-    mat, d = _bipartite_matrix(rho, subdim)
+    mat, d = _bipartite_matrix(rho)
+    if subdim not in (None, d):
+        raise ValueError(f"subdim {subdim} does not match a matrix of dimension {d * d}")
     basis = get_basis(kind, d)
     fc = _frame(basis).conj()
     k = fc @ _realign(mat, d) @ fc.T / basis.ortho_const

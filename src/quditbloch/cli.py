@@ -313,7 +313,7 @@ def _sweep_rows(plane, alphas, betas, outputs):
     transposes are diagonalized as one stack each."""
     alpha_list, alpha_column = alphas.tolist(), alphas[:, None, None]
     ops = plane.operators()
-    pt_ops = [partial_transpose(op, "B", plane.subdim) for op in ops]
+    pt_ops = [partial_transpose(op) for op in ops]
     # each requested stack's operators and one array for all its rows: a new array
     # per row, once freed, would let the allocator return pages and fault them in again
     stacks = {o: (stack_ops, np.empty((len(alphas), *ops[0].shape), complex))

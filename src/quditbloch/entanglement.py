@@ -12,14 +12,15 @@ violation of the witness inequality over separable states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .gilbert import min_product_expectation
-from .linalg import (BipartiteState, _bipartite_matrix, as_hermitian, as_matrix, hs_inner,
-                     hs_norm, min_eigenvalue, partial_transpose, TOL_PSD)
+from .linalg import (BipartiteState, as_hermitian, as_matrix, hs_norm, min_eigenvalue,
+                     partial_transpose, TOL_PSD)
 from .states import (QUBIT_PLANE, QUTRIT_PLANE, TOL_EDGE, PlaneFamily, _check_finite,
                      isotropic_physical, isotropic_state, line_i_alpha, region_i_distance)
 
@@ -74,10 +75,9 @@ class HSMeasureResult:
     max_violation: float
 
 
-def ppt_verdict(rho, subdim: int | None = None) -> tuple[bool, float]:
+def ppt_verdict(rho) -> tuple[bool, float]:
     """(is_ppt, smallest eigenvalue of the partial transpose)."""
-    pt = partial_transpose(rho, "B", subdim)
-    lo = min_eigenvalue(pt)
+    lo = min_eigenvalue(partial_transpose(rho))
     return lo >= -TOL_PSD, lo
 
 
@@ -123,18 +123,22 @@ def verify_witness(a: np.ndarray, rho_ent) -> WitnessReport:
     verdict: ``NotWitness`` if <rho_ent, A> > TOL_WIT or the seesaw finds a
     product state below -TOL_WIT; ``Witness`` if the certificate holds and
     <rho_ent, A> < -TOL_WIT; otherwise ``Inconclusive`` (an expectation
-    within TOL_WIT of 0 decides nothing).
+    within TOL_WIT of 0 decides nothing). <rho_ent, A> is the exactly rounded
+    sum of the entries' rounded products, whatever the BLAS kernel.
     """
     a = as_hermitian(a, "witness operator")
-    me, d = _bipartite_matrix(rho_ent, None)
-    ent = hs_inner(me, a).real   # raises ValueError unless a and rho_ent have one shape
+    me = as_matrix(rho_ent)
+    if me.shape != a.shape:
+        raise ValueError(f"dimension mismatch: {me.shape} vs {a.shape}")
+    terms = me.real * a.real + me.imag * a.imag
+    ent = math.fsum(terms[terms != 0])
 
-    certified = ppt_verdict(a, d)[1] >= -TOL_WIT * hs_norm(a)
+    certified = ppt_verdict(a)[1] >= -TOL_WIT * hs_norm(a)
     if certified:
         method, sep_min = WitnessMethod.PARTIAL_TRANSPOSE, 0.0
     else:   # no certificate holds: fall back to the one-sided numeric bound
         method = WitnessMethod.SEESAW
-        sep_min = min_product_expectation(a, d, np.random.default_rng(0))
+        sep_min = min_product_expectation(a, np.random.default_rng(0))
     if ent > TOL_WIT or sep_min < -TOL_WIT:
         verdict = WitnessVerdict.NOT_WITNESS
     elif certified and ent < -TOL_WIT:

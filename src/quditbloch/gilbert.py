@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import _frame, get_basis
-from .linalg import BipartiteState, _realign, as_hermitian
+from .linalg import BipartiteState, _realign, _subdim, as_hermitian
 from .states import PAULI
 
 # largest off-diagonal Weyl Bell element |<Phi_nk|rho|Phi_n'k'>| that
@@ -55,13 +55,17 @@ class GilbertConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
-            raise ValueError(f"max_iterations must be an integer >= 0, "
-                             f"got {self.max_iterations!r}")
+        _check_count("max_iterations", self.max_iterations, 0)
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_count("seed", self.seed, 0)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """``ValueError`` unless ``value`` is an integer >= ``least``; a bool is not one."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,14 +157,15 @@ def _half_steps(g: np.ndarray, d: int, kets: np.ndarray):
             kets.astype(complex, copy=False), lambda k: k)
 
 
-def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
-                       restarts: int = 5, warm=None, sweeps: int = 80, stop: float = 1e-15):
+def best_product_state(g: np.ndarray, rng: np.random.Generator, restarts: int = 5,
+                       warm=None, sweeps: int = 80, stop: float = 1e-15):
     """Approximately maximize <a b| G |a b> over product vectors.
 
     Alternating exact maximization: with one factor fixed the objective is a
     Hermitian quadratic form on the other, maximized by its top eigenvector.
     Returns ``(value, a, b)`` for the best run over ``warm`` and ``restarts``
     random initializations, drawn in one call; ties go to the earliest run.
+    ``sweeps`` must be an integer >= 1 and ``restarts`` one >= 0, else ``ValueError``.
 
     All runs advance together, and a run leaves the stack once its value
     rises by less than ``stop`` in a sweep. At d > 2 each half-step is one
@@ -169,9 +174,12 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
     eigenpair in closed form, on Bloch vectors and the real 4 x 4 matrix
     T = Tr(G sigma_mu (x) sigma_nu) / 4. A run's arithmetic does not depend
     on the others, so the result equals that of one run at a time, bit for
-    bit. ``g`` must be finite and Hermitian, else ``ValueError``.
+    bit. ``g`` must be a finite Hermitian d^2 x d^2 matrix, else ``ValueError``.
     """
+    _check_count("sweeps", sweeps, 1)
+    _check_count("restarts", restarts, 0)
     g = as_hermitian(g, "operator")
+    d = _subdim(g)
     step, (op_a, op_b), start, ket_of = _half_steps(g, d, _initial_kets(d, rng, restarts, warm))
     a, b = start[:, 0], start[:, 1]
     val = np.full(len(start), -np.inf)
@@ -195,10 +203,10 @@ def best_product_state(g: np.ndarray, d: int, rng: np.random.Generator,
     return val[best], ket_of(a[best]), ket_of(b[best])
 
 
-def min_product_expectation(a_op: np.ndarray, d: int, rng: np.random.Generator) -> float:
+def min_product_expectation(a_op: np.ndarray, rng: np.random.Generator) -> float:
     """Smallest <a b| A |a b> found over product states by a 20-restart
     seesaw (an upper bound on the separable minimum)."""
-    val, _, _ = best_product_state(-np.asarray(a_op, dtype=complex), d, rng, restarts=20)
+    val, _, _ = best_product_state(-np.asarray(a_op, dtype=complex), rng, restarts=20)
     return -val
 
 
@@ -254,7 +262,7 @@ def _product_atom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(ab, ab.conj()).ravel()
 
 
-def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConfig):
+def _frank_wolfe(target: np.ndarray, atom_of, operator, cfg: GilbertConfig):
     """Fully corrective Frank-Wolfe from ``target`` (a vector) toward its
     nearest point in the hull of the atoms.
 
@@ -268,7 +276,7 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
     # shrinks by a ratio q <= 0.99 per sweep then ends within tolerance / 10
     # of its limit, so the gap proxy keeps the precision it is compared at
     stop = max(1e-15, cfg.tolerance * 1e-3)
-    _, a, b = best_product_state(operator(target), d, rng, restarts=RESTARTS, stop=stop)
+    _, a, b = best_product_state(operator(target), rng, restarts=RESTARTS, stop=stop)
     atoms = atom_of(a, b)[None, :]        # one row per atom, C-contiguous
     weights = np.array([1.0])
     warm = [(a, b)]
@@ -277,13 +285,13 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
         rho = atoms.T @ weights
         g = target - rho
         gmat = operator(g)
-        _, a, b = best_product_state(gmat, d, rng, restarts=RESTARTS, warm=warm, stop=stop)
+        _, a, b = best_product_state(gmat, rng, restarts=RESTARTS, warm=warm, stop=stop)
         warm = [(a, b)]
         atom = atom_of(a, b)
         gap = float(np.real(np.vdot(atom - rho, g)))
         if gap <= cfg.tolerance:
             # confirm with fresh restarts before trusting the inner search
-            _, a2, b2 = best_product_state(gmat, d, rng, restarts=CONFIRM_RESTARTS, stop=stop)
+            _, a2, b2 = best_product_state(gmat, rng, restarts=CONFIRM_RESTARTS, stop=stop)
             atom2 = atom_of(a2, b2)
             gap2 = float(np.real(np.vdot(atom2 - rho, g)))
             if gap2 <= cfg.tolerance:
@@ -300,13 +308,9 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, d: int, cfg: GilbertConf
     return atoms.T @ weights, False, cfg.max_iterations, gap
 
 
-def _checked_state(rho_ent) -> tuple[np.ndarray, int]:
-    """The matrix and subsystem dimension of a state; a plain array must be a
-    d (x) d density matrix, else ``ValueError``."""
-    if isinstance(rho_ent, BipartiteState):
-        return rho_ent.matrix, rho_ent.subdim
-    target = np.asarray(rho_ent, dtype=complex)
-    return target, BipartiteState(target).subdim   # raises ValueError unless a state
+def _checked_state(rho_ent) -> BipartiteState:
+    """A state as it is, or a plain array as a d (x) d density matrix, else ``ValueError``."""
+    return rho_ent if isinstance(rho_ent, BipartiteState) else BipartiteState(rho_ent)
 
 
 def nearest_separable_numeric(rho_ent, config: GilbertConfig | None = None) -> GilbertResult:
@@ -321,14 +325,14 @@ def nearest_separable_numeric(rho_ent, config: GilbertConfig | None = None) -> G
     ``ValueError``; a ``BipartiteState`` is taken as it is.
     """
     cfg = config or GilbertConfig()
-    target, d = _checked_state(rho_ent)
-    n = d * d
+    target = _checked_state(rho_ent).matrix
+    shape = target.shape
     te = target.ravel()
     rho, converged, iterations, gap = _frank_wolfe(te, _product_atom,
-                                                   lambda g: g.reshape(n, n), d, cfg)
+                                                   lambda g: g.reshape(shape), cfg)
     g = te - rho
     dist = float(np.sqrt(np.real(np.vdot(g, g))))
-    return GilbertResult(BipartiteState(rho.reshape(n, n), d, validate=False), dist,
+    return GilbertResult(BipartiteState(rho.reshape(shape), validate=False), dist,
                          converged, iterations, gap)
 
 
@@ -350,7 +354,8 @@ def nearest_separable_weyl(rho_ent, config: GilbertConfig | None = None) -> Gilb
     ||rho - rho0|| on the matrices, is a certified upper bound as before.
     """
     cfg = config or GilbertConfig()
-    target, d = _checked_state(rho_ent)
+    state = _checked_state(rho_ent)
+    target, d = state.matrix, state.subdim
     frame = _frame(get_basis("wob", d)) / math.sqrt(d)                 # rows: |Phi_nk>
     bell = frame.conj() @ target @ frame.T                             # <Phi_nk|rho|Phi_n'k'>
     off = float(np.abs(bell - np.diag(np.diag(bell))).max())
@@ -364,8 +369,7 @@ def nearest_separable_weyl(rho_ent, config: GilbertConfig | None = None) -> Gilb
     def atom_of(a, b):
         return np.abs(frame.conj() @ np.kron(a, b)) ** 2
 
-    p, converged, iterations, gap = _frank_wolfe(np.diag(bell).real, atom_of,
-                                                 operator, d, cfg)
+    p, converged, iterations, gap = _frank_wolfe(np.diag(bell).real, atom_of, operator, cfg)
     rho0 = operator(p)
-    return GilbertResult(BipartiteState(rho0, d, validate=False),
+    return GilbertResult(BipartiteState(rho0, validate=False),
                          float(np.linalg.norm(target - rho0)), converged, iterations, gap)

@@ -50,24 +50,22 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _subdim(mat: np.ndarray, subdim: int | None) -> int:
+def _subdim(mat: np.ndarray) -> int:
     n = mat.shape[0]
-    if subdim is None:
-        subdim = math.isqrt(n)
-    if subdim * subdim != n:
+    d = math.isqrt(n)
+    if d * d != n:
         raise ValueError(f"matrix of dimension {n} is not a d x d bipartite square")
-    return subdim
+    return d
 
 
-def partial_transpose(rho, subsystem: str = "B", subdim: int | None = None) -> np.ndarray:
+def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
     """Partial transpose of a bipartite matrix on a d (x) d space.
 
-    ``rho`` may be a plain square array of dimension d^2 or any object with a
-    ``.matrix``/``.subdim`` pair (e.g. ``BipartiteState``). ``subsystem``
+    ``rho`` may be a plain square array of dimension d^2 or a ``DensityMatrix``
+    (e.g. ``BipartiteState``); d is read from its shape. ``subsystem``
     selects which factor is transposed.
     """
-    mat, subdim = _bipartite_matrix(rho, subdim)
-    d = subdim
+    mat, d = _bipartite_matrix(rho)
     r = mat.reshape(d, d, d, d)
     if subsystem == "B":
         r = r.transpose(0, 3, 2, 1)
@@ -83,10 +81,9 @@ def _realign(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def partial_trace(rho, subsystem: str = "B", subdim: int | None = None) -> np.ndarray:
+def partial_trace(rho, subsystem: str = "B") -> np.ndarray:
     """Trace out one subsystem of a bipartite matrix; returns a d x d matrix."""
-    mat, subdim = _bipartite_matrix(rho, subdim)
-    d = subdim
+    mat, d = _bipartite_matrix(rho)
     r = mat.reshape(d, d, d, d)
     if subsystem == "B":
         return np.einsum("ikjk->ij", r)
@@ -95,10 +92,10 @@ def partial_trace(rho, subsystem: str = "B", subdim: int | None = None) -> np.nd
     raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
-def _bipartite_matrix(rho, subdim: int | None) -> tuple[np.ndarray, int]:
-    """``as_matrix(rho)`` and its subsystem dimension (``rho.subdim`` wins)."""
+def _bipartite_matrix(rho) -> tuple[np.ndarray, int]:
+    """``as_matrix(rho)`` and its subsystem dimension."""
     mat = as_matrix(rho)
-    return mat, _subdim(mat, getattr(rho, "subdim", subdim))
+    return mat, _subdim(mat)
 
 
 def as_matrix(x) -> np.ndarray:
@@ -180,14 +177,13 @@ class BipartiteState(DensityMatrix):
 
     __slots__ = ("subdim",)
 
-    def __init__(self, matrix, subdim: int | None = None, *, validate: bool = True):
+    def __init__(self, matrix, *, validate: bool = True):
         super().__init__(matrix, validate=validate)
-        self.subdim = _subdim(self.matrix, subdim)
+        self.subdim = _subdim(self.matrix)
 
     def reduced(self, subsystem: str = "B") -> DensityMatrix:
         """Reduced state after tracing out ``subsystem``."""
-        return DensityMatrix(partial_trace(self.matrix, subsystem, self.subdim),
-                             validate=False)
+        return DensityMatrix(partial_trace(self, subsystem), validate=False)
 
     def __repr__(self):
         return f"BipartiteState(subdim={self.subdim})"

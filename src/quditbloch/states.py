@@ -41,8 +41,9 @@ def _check_finite(**params: float) -> list[float]:
     not a real number. Scalar, so single-point calls pay little for it."""
     values = []
     for name, value in params.items():
-        # float() would parse a string, and drop a numpy complex's imaginary part
-        if isinstance(value, (str, bytes, bytearray, np.complexfloating)):
+        # float() would parse a string, drop a numpy complex's imaginary part
+        # and read a bool as 0 or 1
+        if isinstance(value, (str, bytes, bytearray, np.complexfloating, bool, np.bool_)):
             raise TypeError(f"{name} must be a real number, got {value!r}")
         try:
             x = float(value)         # TypeError for any other non-number
@@ -60,7 +61,7 @@ def bell_state(d: int) -> BipartiteState:
     d = _check_dim(d)
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
-    return BipartiteState(np.outer(psi, psi.conj()), d, validate=False)
+    return BipartiteState(np.outer(psi, psi.conj()), validate=False)
 
 
 def physical_triangle(d: int, a, b):
@@ -99,7 +100,7 @@ def isotropic_state(d: int, alpha: float, checked: bool = True) -> BipartiteStat
     if checked and not physical_triangle(d, alpha, 0.0):
         raise ValueError(f"isotropic alpha={alpha} outside [-1/(d^2 - 1), 1] for d={d}")
     mat = alpha * bell_state(d).matrix + (1 - alpha) / (d * d) * np.eye(d * d)
-    return BipartiteState(mat, d, validate=False)
+    return BipartiteState(mat, validate=False)
 
 
 def weyl_bell_projector(d: int, n: int, k: int) -> BipartiteState:
@@ -110,7 +111,7 @@ def weyl_bell_projector(d: int, n: int, k: int) -> BipartiteState:
     _check_indices(d, 0, "projector", n, k)
     u = wob_basis(d).element((n, k))
     a = tensor(u, np.eye(d))
-    return BipartiteState(a @ bell_state(d).matrix @ a.conj().T, d, validate=False)
+    return BipartiteState(a @ bell_state(d).matrix @ a.conj().T, validate=False)
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ class PlaneFamily:
         alpha, beta = _check_finite(alpha=alpha, beta=beta)
         if checked and not self.physical(alpha, beta):
             raise ValueError(f"{self.name} plane point ({alpha}, {beta}) is unphysical")
-        return BipartiteState(self.mix(alpha, beta, self.operators()), self.subdim, validate=False)
+        return BipartiteState(self.mix(alpha, beta, self.operators()), validate=False)
 
 
 def _read_only(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -307,4 +308,4 @@ def sample_separable(d: int, seed, mixture_count: int = 4) -> BipartiteState:
     for w in weights:
         ab = np.kron(random_ket(d, rng), random_ket(d, rng))   # draws a, then b
         mat += w * np.outer(ab, ab.conj())
-    return BipartiteState(mat, d, validate=False)
+    return BipartiteState(mat, validate=False)

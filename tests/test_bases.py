@@ -170,7 +170,8 @@ class TestWeylProduct:
             qb.weyl_product(3, (3, 0), (0, 0))
 
     @pytest.mark.parametrize("nm,lk", [((0.5, 0), (1, 1.5)), ((1.0, 0), (0, 1)),
-                                       ((0, 0), (np.float64(2), 0)), ((0, 1), (1, 1 + 0j))])
+                                       ((0, 0), (np.float64(2), 0)), ((0, 1), (1, 1 + 0j)),
+                                       ((True, 0), (0, 1))])
     def test_non_integer_indices_raise(self, nm, lk):
         with pytest.raises(ValueError, match="Weyl indices must be integers"):
             qb.weyl_product(3, nm, lk)

@@ -186,8 +186,8 @@ def _dense_decompose(mat, kind, d):
     """Reference: the partial-trace and three-operand einsum formulas."""
     basis = qb.get_basis(kind, d)
     stack, n = basis.stacked[1:], basis.ortho_const
-    local_a = qb.bloch_encode(qb.partial_trace(mat, "B", d), kind).components
-    local_b = qb.bloch_encode(qb.partial_trace(mat, "A", d), kind).components
+    local_a = qb.bloch_encode(qb.partial_trace(mat, "B"), kind).components
+    local_b = qb.bloch_encode(qb.partial_trace(mat, "A"), kind).components
     r = mat.reshape(d, d, d, d)
     corr = np.einsum("iab,jce,acbe->ij", stack.conj(), stack.conj(), r) / (n * n)
     return local_a, local_b, corr

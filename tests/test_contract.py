@@ -81,7 +81,7 @@ def test_basis_dump_csv(capsys, kind, digest):
     ("qutrit2p", -0.4, 0.9, "f4876704c38e8145a96ba7cb916c81cc65018a9d26c8286ca49d08a063c27c8f"),
     ("qutrit2p", 0.0, 0.0, "e388f85291de512d0bddc22fbc382cd5d8b66df3f96ea89d564300c9e02386b0"),
     ("qutrit2p", 0.6, 0.0, "a63be0d7e5afee303f1fc5da6b66016eefefa2c34e26b94ea0cffbbe1d49edbd"),
-    ("qutrit2p", 0.1, 0.7, "5f4539510436e2df3ef2c02887f0172962bb793760e409990b96834082bfe3ce"),
+    ("qutrit2p", 0.1, 0.7, "55dc4b212c76106789e0b9addd60566583df1ac8f23f54cdc36b9504036fc4f5"),
 ])
 def test_measure_plane_regions(capsys, family, alpha, beta, digest):
     assert _sha256_stdout(capsys, "measure", "--family", family, "--alpha", repr(alpha),

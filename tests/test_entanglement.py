@@ -45,7 +45,7 @@ class TestPPTVerdict:
     def test_product_state(self, rng):
         ra = qb.random_density_matrix(3, rng).matrix
         rb = qb.random_density_matrix(3, rng).matrix
-        is_ppt, lo = qb.ppt_verdict(qb.tensor(ra, rb), subdim=3)
+        is_ppt, lo = qb.ppt_verdict(qb.tensor(ra, rb))
         assert is_ppt and lo > -1e-12
 
     def test_qutrit_ppt_boundary(self):
@@ -192,8 +192,8 @@ class TestVerifyWitness:
         # holds and the seesaw leaves the verdict open
         a = np.eye(4) + qb.tensor(qb.PAULI[1], qb.PAULI[1]) - qb.tensor(qb.PAULI[2], qb.PAULI[2])
         phi_m = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
-        assert qb.ppt_verdict(a, 2)[1] == pytest.approx(-1.0, abs=1e-12)
-        report = qb.verify_witness(a, qb.BipartiteState(np.outer(phi_m, phi_m), 2))
+        assert qb.ppt_verdict(a)[1] == pytest.approx(-1.0, abs=1e-12)
+        report = qb.verify_witness(a, qb.BipartiteState(np.outer(phi_m, phi_m)))
         assert report.ent_expectation == pytest.approx(-1.0, abs=1e-12)
         assert report.method is WitnessMethod.SEESAW
         assert report.verdict is WitnessVerdict.INCONCLUSIVE
@@ -462,7 +462,7 @@ class TestVerdictNearZero:
         # (the swap over 2) is not PSD; <phi-|A|phi-> = 0 exactly
         a = 0.5 * np.array([[1.0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])
         rho = qb.BipartiteState(
-            0.5 * np.array([[1.0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]]), 2)
+            0.5 * np.array([[1.0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]]))
         report = qb.verify_witness(a, rho)
         assert report.method is WitnessMethod.SEESAW
         assert report.ent_expectation == 0.0

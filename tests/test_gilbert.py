@@ -15,13 +15,13 @@ class TestBestProductState:
         b = qb.random_ket(3, rng)
         ab = np.kron(a, b)
         op = np.outer(ab, ab.conj())
-        val, _, _ = qb.best_product_state(op, 3, rng, restarts=5)
+        val, _, _ = qb.best_product_state(op, rng, restarts=5)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_min_product_expectation_values(self, rng):
-        assert qb.min_product_expectation(np.eye(4) / 2, 2, rng) == pytest.approx(0.5, abs=1e-12)
+        assert qb.min_product_expectation(np.eye(4) / 2, rng) == pytest.approx(0.5, abs=1e-12)
         a = -qb.tensor(qb.PAULI[3], qb.PAULI[3])
-        assert qb.min_product_expectation(a, 2, rng) == pytest.approx(-1.0, abs=1e-9)
+        assert qb.min_product_expectation(a, rng) == pytest.approx(-1.0, abs=1e-9)
 
 
 class TestNearestSeparableNumeric:
@@ -118,8 +118,7 @@ def _final_residual(state, seed=0):
     g = state.matrix - rho0
 
     def gap_of(stop):
-        _, a, b = qb.best_product_state(g, state.subdim, np.random.default_rng(1),
-                                        restarts=200, stop=stop)
+        _, a, b = qb.best_product_state(g, np.random.default_rng(1), restarts=200, stop=stop)
         ab = np.kron(a, b)
         return np.real(ab.conj() @ g @ ab) - np.real(np.vdot(rho0, g))
 
@@ -157,7 +156,7 @@ def _check_full_oracle_certificate(state, closed):
     assert abs(res.distance - np.linalg.norm(state.matrix - rho0)) <= 1e-12
     hermitian = (rho0 + rho0.conj().T) / 2
     assert np.linalg.eigvalsh(hermitian)[0] >= -1e-9
-    assert np.linalg.eigvalsh(qb.partial_transpose(hermitian, subdim=state.subdim))[0] >= -1e-9
+    assert np.linalg.eigvalsh(qb.partial_transpose(hermitian))[0] >= -1e-9
 
 
 @pytest.mark.parametrize("family,alpha,beta,region", [

@@ -89,14 +89,14 @@ def _reference_seesaw(g, d, rng, restarts=5, warm=None, sweeps=80):
 
 def seesaw_golden(d: int, warm: bool, restarts: int):
     g, rng, pairs = _seesaw_inputs(d, 100 + d, warm)
-    val, a, b = best_product_state(g, d, rng, restarts=restarts, warm=pairs)
+    val, a, b = best_product_state(g, rng, restarts=restarts, warm=pairs)
     # the generator's next draw pins how many kets the seesaw consumed
     return repr(float(val)), _sha256(a, b, rng.standard_normal(1))
 
 
 def min_product_golden(d: int, alpha: float) -> str:
     op = qb.hs_measure_isotropic(d, alpha).witness.operator
-    return repr(float(min_product_expectation(op, d, np.random.default_rng(5))))
+    return repr(float(min_product_expectation(op, np.random.default_rng(5))))
 
 
 def oracle_golden(state, config):
@@ -172,7 +172,7 @@ def test_batched_seesaw_matches_scalar_loop(d, seed, warm, restarts, sweeps):
     g, _, pairs = _seesaw_inputs(d, seed, warm)
     want_val, want_a, want_b = _reference_seesaw(g, d, np.random.default_rng(seed), restarts,
                                                  pairs, sweeps)
-    val, a, b = best_product_state(g, d, np.random.default_rng(seed), restarts, pairs, sweeps)
+    val, a, b = best_product_state(g, np.random.default_rng(seed), restarts, pairs, sweeps)
     assert val == want_val
     assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
 
@@ -184,7 +184,7 @@ def test_real_warm_kets_match_scalar_loop(complex_g):
         g = _hermitian(d, rng) if complex_g else _hermitian(d, rng).real
         warm = [(np.eye(d)[0], np.ones(d) / np.sqrt(d)), (np.eye(d)[1], np.eye(d)[d - 1])]
         want_val, want_a, want_b = _reference_seesaw(g, d, None, 0, warm)
-        val, a, b = best_product_state(g, d, None, 0, warm)
+        val, a, b = best_product_state(g, None, 0, warm)
         # the kets are complex for a real G too
         assert a.dtype == b.dtype == complex
         assert val == want_val
@@ -199,7 +199,7 @@ def test_seesaw_matches_einsum_eigh_loop(d, seed, warm, real, restarts):
     g = g.real if real else g
     rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = _einsum_seesaw(g, d, want_rng, restarts, pairs)[0]
-    val, _, _ = best_product_state(g, d, rng, restarts, pairs)
+    val, _, _ = best_product_state(g, rng, restarts, pairs)
     assert abs(val - want) <= 1e-12 * (1 + np.linalg.norm(g, 2))
     # one draw of all restarts leaves the generator where per-ket draws did
     assert rng.standard_normal() == want_rng.standard_normal()
@@ -211,7 +211,7 @@ def test_degenerate_qubit_operators(kind):
     h = np.array([[0.3, 1 - 2j], [1 + 2j, -0.7]])
     g = {"zero": np.zeros((4, 4)), "identity": np.eye(4),
          "A(x)1": np.kron(h, np.eye(2)), "1(x)B": np.kron(np.eye(2), h)}[kind]
-    val, a, b = best_product_state(g, 2, np.random.default_rng(9))
+    val, a, b = best_product_state(g, np.random.default_rng(9))
     assert np.isfinite(a).all() and np.isfinite(b).all()
     assert np.linalg.norm(a) == pytest.approx(1, abs=1e-15)
     assert np.linalg.norm(b) == pytest.approx(1, abs=1e-15)

@@ -95,13 +95,13 @@ class TestPartialTranspose:
     def test_involution_and_trace(self, rng):
         rho = qb.random_density_matrix(9, rng).matrix
         for sub in ("A", "B"):
-            pt = qb.partial_transpose(rho, sub, 3)
-            assert np.abs(qb.partial_transpose(pt, sub, 3) - rho).max() < 1e-14
+            pt = qb.partial_transpose(rho, sub)
+            assert np.abs(qb.partial_transpose(pt, sub) - rho).max() < 1e-14
             assert np.trace(pt) == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            qb.partial_transpose(np.eye(6), "B", 4)
+            qb.partial_transpose(np.eye(6), "B")
         with pytest.raises(ValueError):
             qb.partial_transpose(np.eye(4), "C")
 
@@ -167,7 +167,7 @@ class TestDensityMatrix:
         state = qb.bell_state(3)
         assert state.subdim == 3 and state.dim == 9
         with pytest.raises(ValueError):
-            qb.BipartiteState(np.eye(6) / 6, subdim=None)
+            qb.BipartiteState(np.eye(6) / 6)
 
 
 class TestMatrixJson:

@@ -61,7 +61,7 @@ def _orbit(name, seed=None):
     def rotate(m):
         return w @ m @ w.conj().T
 
-    return state, measure, qb.BipartiteState(rotate(state.matrix), d), rotate
+    return state, measure, qb.BipartiteState(rotate(state.matrix)), rotate
 
 
 def test_haar_unitary_is_unitary():

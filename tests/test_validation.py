@@ -96,7 +96,7 @@ class TestSamplerAndProjectorRules:
                 build()
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("n,k", [(0.5, 0), (0, 0.5), (3, 0), (0, -1)])
+    @pytest.mark.parametrize("n,k", [(0.5, 0), (0, 0.5), (3, 0), (0, -1), (True, 0)])
     def test_projector_index(self, n, k):
         with pytest.raises(ValueError, match="projector indices must be integers in 0..2"):
             qb.weyl_bell_projector(3, n, k)
@@ -235,7 +235,7 @@ class TestGilbertConfig:
         {"max_iterations": -7}, {"max_iterations": None}, {"max_iterations": "10"},
         {"tolerance": -math.inf}, {"tolerance": -1.0}, {"max_iterations": -1},
         {"max_iterations": 10.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
-        {"tolerance": -1e-9},
+        {"tolerance": -1e-9}, {"max_iterations": True},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -251,6 +251,19 @@ class TestGilbertConfig:
                                            qb.GilbertConfig(max_iterations=0))
         assert not res.converged and res.iterations == 0
         assert res.distance >= qb.hs_measure_isotropic(2, 0.9).distance
+
+
+class TestSeesawRunCounts:
+    """``best_product_state`` takes ``sweeps`` as an integer >= 1 and
+    ``restarts`` as one >= 0; a bool is neither."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sweeps": 0}, {"sweeps": -3}, {"sweeps": 2.0}, {"sweeps": True},
+        {"restarts": -5}, {"restarts": 1.5}, {"restarts": None}, {"restarts": False},
+    ])
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be an integer"):
+            qb.best_product_state(np.eye(4), np.random.default_rng(0), **kwargs)
 
 
 _STATE = qb.isotropic_state(2, 0.9)
@@ -270,9 +283,8 @@ ENTRY_POINTS = {
     "verify_witness(state)": lambda m: qb.verify_witness(np.eye(4), m),
     "min_eigenvalue": qb.min_eigenvalue,
     "ppt_verdict": qb.ppt_verdict,
-    "best_product_state": lambda m: qb.best_product_state(m, 2, np.random.default_rng(0)),
-    "min_product_expectation": lambda m: qb.min_product_expectation(m, 2,
-                                                                    np.random.default_rng(0)),
+    "best_product_state": lambda m: qb.best_product_state(m, np.random.default_rng(0)),
+    "min_product_expectation": lambda m: qb.min_product_expectation(m, np.random.default_rng(0)),
     "DensityMatrix": qb.DensityMatrix,
     "nearest_separable_numeric": lambda m: qb.nearest_separable_numeric(
         m, qb.GilbertConfig(max_iterations=2)),
@@ -524,7 +536,8 @@ class TestFamilyParameterTypes:
         with pytest.raises(ValueError, match="beta must be finite and at most"):
             _PLANE_ENTRY_POINTS[name](0.1, 10**400)
 
-    @pytest.mark.parametrize("bad", ["0.9", b"0.9", None, 0.9j, np.complex64(0.9)])
+    @pytest.mark.parametrize("bad", ["0.9", b"0.9", None, 0.9j, np.complex64(0.9), True,
+                                     np.True_])
     def test_non_numbers(self, bad):
         for call in _ISOTROPIC_ENTRY_POINTS.values():
             with pytest.raises(TypeError):
@@ -656,7 +669,7 @@ class TestMagnitudeBound:
 
 
 class TestGilbertConfigSeed:
-    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3", True])
     def test_rejects(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             qb.GilbertConfig(seed=seed)

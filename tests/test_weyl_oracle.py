@@ -53,7 +53,7 @@ def _check_result(state, closed, res):
     assert abs(res.distance - np.linalg.norm(state.matrix - rho0)) <= 1e-12
     hermitian = (rho0 + rho0.conj().T) / 2
     assert np.linalg.eigvalsh(hermitian)[0] >= -1e-9
-    assert np.linalg.eigvalsh(qb.partial_transpose(hermitian, subdim=d))[0] >= -1e-9
+    assert np.linalg.eigvalsh(qb.partial_transpose(hermitian))[0] >= -1e-9
     frame = _bell_frame(d)
     bell = frame.conj() @ rho0 @ frame.T
     assert np.abs(bell - np.diag(np.diag(bell))).max() <= 1e-12
