@@ -131,7 +131,7 @@ def ggb_basis(d: int) -> OperatorBasis:
     for j in range(1, d + 1):          # antisymmetric: -i|j><k| + i|k><j|
         for k in range(j + 1, d + 1):
             m = np.zeros((d, d), dtype=complex)
-            m[j - 1, k - 1] = -1j
+            m[j - 1, k - 1] = complex(0, -1)    # -1j has real part -0.0
             m[k - 1, j - 1] = 1j
             elements.append(m)
             labels.append(("a", j, k))

@@ -44,6 +44,9 @@ KKT_TOL = 1e-13
 # that must confirm an apparent convergence
 RESTARTS = 5
 CONFIRM_RESTARTS = 25
+# the sweeps after which the oracle's own searches keep only the leading
+# half of their live runs (successive halving); the confirming burst keeps all
+_SCREEN_SWEEPS = frozenset({2, 4, 8, 16, 32, 64})
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def _half_steps(g: np.ndarray, d: int, kets: np.ndarray):
 
 
 def best_product_state(g: np.ndarray, rng: np.random.Generator, restarts: int = 5,
-                       warm=None, sweeps: int = 80, stop: float = 1e-15):
+                       warm=None, sweeps: int = 80, stop: float = 1e-15, *, _screen=frozenset()):
     """Approximately maximize <a b| G |a b> over product vectors.
 
     Alternating exact maximization: with one factor fixed the objective is a
@@ -175,6 +178,11 @@ def best_product_state(g: np.ndarray, rng: np.random.Generator, restarts: int = 
     T = Tr(G sigma_mu (x) sigma_nu) / 4. A run's arithmetic does not depend
     on the others, so the result equals that of one run at a time, bit for
     bit. ``g`` must be a finite Hermitian d^2 x d^2 matrix, else ``ValueError``.
+
+    After each sweep numbered in the private ``_screen``, only the leading
+    ceil(k / 2) of the k runs that have not stopped go on, ties to the
+    earlier run; the others leave as a stopped run does (successive halving).
+    The oracle screens its own searches so, not its confirming burst.
     """
     _check_count("sweeps", sweeps, 1)
     _check_count("restarts", restarts, 0)
@@ -186,11 +194,16 @@ def best_product_state(g: np.ndarray, rng: np.random.Generator, restarts: int = 
     # the live runs, compacted: their indices, factors and last values; a run
     # is written back to a, b and val only when it stops
     live, al, bl, vl = np.arange(len(start)), a, b, val
-    for _ in range(sweeps):
+    for sweep in range(1, sweeps + 1):
         al, _ = step(op_a, bl, al)
         bl, w = step(op_b, al, bl)
         done = w - vl < stop
         vl = w
+        if sweep in _screen:
+            # the k runs that go on, best first and ties in run order; the
+            # leading ceil(k / 2) stay
+            order = np.argsort(np.where(done, np.inf, -vl), kind="stable")
+            done[order[(np.count_nonzero(~done) + 1) // 2:]] = True
         if done.any():
             out = live[done]
             a[out], b[out], val[out] = al[done], bl[done], vl[done]
@@ -276,7 +289,8 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, cfg: GilbertConfig):
     # shrinks by a ratio q <= 0.99 per sweep then ends within tolerance / 10
     # of its limit, so the gap proxy keeps the precision it is compared at
     stop = max(1e-15, cfg.tolerance * 1e-3)
-    _, a, b = best_product_state(operator(target), rng, restarts=RESTARTS, stop=stop)
+    _, a, b = best_product_state(operator(target), rng, restarts=RESTARTS, stop=stop,
+                                 _screen=_SCREEN_SWEEPS)
     atoms = atom_of(a, b)[None, :]        # one row per atom, C-contiguous
     weights = np.array([1.0])
     warm = [(a, b)]
@@ -285,7 +299,8 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, cfg: GilbertConfig):
         rho = atoms.T @ weights
         g = target - rho
         gmat = operator(g)
-        _, a, b = best_product_state(gmat, rng, restarts=RESTARTS, warm=warm, stop=stop)
+        _, a, b = best_product_state(gmat, rng, restarts=RESTARTS, warm=warm, stop=stop,
+                                     _screen=_SCREEN_SWEEPS)
         warm = [(a, b)]
         atom = atom_of(a, b)
         gap = float(np.real(np.vdot(atom - rho, g)))

@@ -67,6 +67,15 @@ class TestBasisDump:
         assert rows[0] == ["label", "row", "col", "re", "im"]
         assert len(rows) == 1 + 4 * 4
 
+    @pytest.mark.parametrize("kind", ["ggb", "pob", "wob"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_csv_has_no_negative_zero(self, capsys, kind, d):
+        code, out, _ = run_cli(capsys, "basis", "dump", "--kind", kind, "--dim", str(d),
+                               "--format", "csv")
+        assert code == 0
+        cells = [c for row in list(csv.reader(io.StringIO(out)))[1:] for c in row[3:]]
+        assert not [c for c in cells if float(c) == 0 and c.startswith("-")]
+
     def test_bad_dim(self, capsys):
         code, _, err = run_cli(capsys, "basis", "dump", "--kind", "ggb", "--dim", "1")
         assert code == 2 and "error" in err

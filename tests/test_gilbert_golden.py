@@ -2,13 +2,18 @@
 
 The goldens were recorded with the seesaw that draws all restarts in one
 call and runs each half-step as a stacked matrix product and ``eigh`` at
-d > 2, and in Bloch coordinates, with no ``eigh``, at d = 2; the oracle
-values with its seesaw stop at tolerance / 1000. The CLI prints the
-seesaw's ``sep_min_estimate`` to 17 digits and the benchmark compares oracle
-iterates at equal seeds, so a change that moves one bit must re-record them.
-Two property tests at the end check the seesaw against loops: one run at a
-time on the same kernels, bit for bit, and the einsum and ``eigh`` loop that
-it replaced, to 1e-12 (1 + ||G||).
+d > 2, and in Bloch coordinates, with no ``eigh``, at d = 2. The oracle
+goldens were recorded with its seesaw stop at tolerance / 1000 and its own
+searches screened by successive halving: after sweeps 2, 4, 8, ... only the
+leading half of the live runs go on, while the confirming burst runs all 25
+restarts to the stop. The CLI prints the seesaw's ``sep_min_estimate`` to 17
+digits and the benchmark compares oracle iterates at equal seeds, so a change
+that moves one bit must re-record them. Two property tests check the seesaw
+against loops: one run at a time on the same kernels, bit for bit, and the
+einsum and ``eigh`` loop that it replaced, to 1e-12 (1 + ||G||). The tests at
+the end hold the screened search to the exhaustive one: the same draws, the
+same single run, never a higher value, and kets that attain the value it
+returns.
 """
 
 import hashlib
@@ -19,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quditbloch as qb
-from quditbloch import GilbertConfig
-from quditbloch.gilbert import (_half_steps, _initial_kets, best_product_state,
-                                min_product_expectation)
+from quditbloch import GilbertConfig, gilbert
+from quditbloch.gilbert import (_SCREEN_SWEEPS, CONFIRM_RESTARTS, RESTARTS, _half_steps,
+                                _initial_kets, best_product_state, min_product_expectation)
 from quditbloch.states import random_ket
 
 
@@ -135,10 +140,10 @@ SEESAW_GOLDENS = [
 MIN_PRODUCT_GOLDEN = "-1.1102230246252408e-16"
 
 ORACLE_GOLDENS = {
-    "iso(3, 0.85)": ("0.5656854477757081", 56, "2.147903904171367e-07", True,
-                     "c7e21a803219d17e7989b6a8eebad670472cc7314f2efc680fd7f375f26b179e"),
-    "sample_separable(3)": ("0.006859061125576777", 60, "0.00014477066735664045", False,
-                            "a99aaf61a318322e8cf4a98ff1fb4b84d1eac3146ca4d0661f3ec39096b7843a"),
+    "iso(3, 0.85)": ("0.5656855040945677", 54, "8.186138575044072e-07", True,
+                     "0a41192ae0b2bf0f6f52292a779e4771a0daf093172711e7bcf85bac3472a31b"),
+    "sample_separable(3)": ("0.006230408816905542", 60, "0.00020232223129814639", False,
+                            "faa3d969f9c092911b592f2a939d0b65ab9ad3224d429469debc5166149b5b73"),
 }
 
 
@@ -227,13 +232,14 @@ def weyl_oracle_golden(state):
 
 
 # recorded at the default GilbertConfig, with the seesaw stopped at tolerance / 1000
+# and the oracle's own searches screened by successive halving
 WEYL_ORACLE_GOLDENS = {
-    "iso(3, 0.85)": ("0.5656854249855956", 3, "4.5289290343777087e-11", True,
-                     "355317462305ccbb81a2a6ef999d1c49480a9261e4d58ff2e175b33f81410a0b"),
-    "iso(4, 0.9)": ("0.6777720876193918", 6, "1.077958425126091e-08", True,
-                    "24b4720055653d4488d12f03d91cd0ad47dbf5bd8f063b48fae2f5e820054e93"),
-    "qutrit(0, 0.6)": ("0.11785281665902803", 10, "3.57763627757995e-07", True,
-                       "9169cd3132801a96ef97f5790d021dcc151e2b22efe1d4f4319f6b1f9adb56fe"),
+    "iso(3, 0.85)": ("0.5656854249900307", 3, "4.618390549995723e-11", True,
+                     "ccc82882dc15fadd86ec73282b086c21a99eda12833c2dd5fc9ce22ceb129b72"),
+    "iso(4, 0.9)": ("0.6777720928694139", 6, "4.771980963332034e-08", True,
+                    "8578311265fde9f2d6d64f3c0ad80d968dfcf8282fea6375325af7c6bbf4200b"),
+    "qutrit(0, 0.6)": ("0.117852807694413", 10, "3.577521370625138e-07", True,
+                       "75ee4954be08d591b97e6fc191b62c92181d7e9579bb668c8f8a38e1943f5a98"),
 }
 
 
@@ -243,3 +249,89 @@ def test_nearest_separable_weyl_golden(name):
              "iso(4, 0.9)": qb.isotropic_state(4, 0.9),
              "qutrit(0, 0.6)": qb.two_param_qutrit(0.0, 0.6)}[name]   # Region II
     assert weyl_oracle_golden(state) == WEYL_ORACLE_GOLDENS[name]
+
+
+def _screened_and_exhaustive(d, seed, warm, restarts):
+    """The seesaw's results on one input with and without the oracle's
+    screening, and the next draw of each generator."""
+    g, _, pairs = _seesaw_inputs(d, seed, warm)
+    out = []
+    for screen in (_SCREEN_SWEEPS, frozenset()):
+        rng = np.random.default_rng(seed)
+        val, a, b = best_product_state(g, rng, restarts, pairs, _screen=screen)
+        out.append((val, a, b, rng.standard_normal()))
+    return g, out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("warm", [False, True])
+def test_screened_search_draws_as_an_exhaustive_one(d, warm):
+    _, (screened, exhaustive) = _screened_and_exhaustive(d, 200 + d, warm, RESTARTS)
+    assert screened[3] == exhaustive[3]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("warm,restarts", [(True, 0), (False, 1)])
+def test_screening_keeps_a_single_run(d, warm, restarts):
+    _, (screened, exhaustive) = _screened_and_exhaustive(d, 300 + d, warm, restarts)
+    assert screened[0] == exhaustive[0]
+    assert screened[1].tobytes() == exhaustive[1].tobytes()
+    assert screened[2].tobytes() == exhaustive[2].tobytes()
+
+
+def _screened_reference(g, d, rng, restarts, warm):
+    """The screened seesaw replayed per run: each run's values and kets after
+    every sweep to its stop, on the seesaw's own kernels, then the halving
+    applied to those records."""
+    step, (op_a, op_b), start, ket_of = _half_steps(g, d, _initial_kets(d, rng, restarts, warm))
+    paths = []
+    for a, b in start[:, :, None]:
+        path, val = [], -np.inf
+        while len(path) < 80:
+            a, _ = step(op_a, b, a)
+            b, w = step(op_b, a, b)
+            path.append((w[0], a[0], b[0]))
+            if w[0] - val < 1e-15:
+                break
+            val = w[0]
+        paths.append(path)
+    ends = [len(path) for path in paths]
+    for sweep in sorted(_SCREEN_SWEEPS):
+        going = sorted((i for i, n in enumerate(ends) if n > sweep),
+                       key=lambda i: -paths[i][sweep - 1][0])
+        for i in going[(len(going) + 1) // 2:]:
+            ends[i] = sweep
+    val, a, b = max((path[n - 1] for path, n in zip(paths, ends)), key=lambda r: r[0])
+    return val, ket_of(a), ket_of(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), warm=st.booleans(),
+       restarts=st.integers(0, 8))
+def test_screened_value_is_attained_and_at_most_exhaustive(d, seed, warm, restarts):
+    g, ((val, a, b, _), exhaustive) = _screened_and_exhaustive(d, seed, warm, restarts)
+    assert val <= exhaustive[0]
+    ab = np.kron(a, b)
+    assert abs(np.real(ab.conj() @ g @ ab) - val) <= 1e-14 * (1 + np.linalg.norm(g, 2))
+    # the leading runs are the ones kept, and a run's arithmetic is its own
+    want_val, want_a, want_b = _screened_reference(g, d, np.random.default_rng(seed),
+                                                   restarts, _seesaw_inputs(d, seed, warm)[2])
+    assert val == want_val
+    assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+
+
+def test_confirming_burst_is_not_screened(monkeypatch):
+    calls = []
+    seesaw = gilbert.best_product_state
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return seesaw(*args, **kwargs)
+
+    monkeypatch.setattr(gilbert, "best_product_state", recorded)
+    assert qb.nearest_separable_weyl(qb.isotropic_state(3, 0.85)).converged
+    confirm = [k for k in calls if k["restarts"] == CONFIRM_RESTARTS]
+    steps = [k for k in calls if k["restarts"] == RESTARTS]
+    assert confirm and steps and len(confirm) + len(steps) == len(calls)
+    assert all("_screen" not in k for k in confirm)
+    assert all(k["_screen"] == _SCREEN_SWEEPS for k in steps)
