@@ -314,15 +314,13 @@ def _sweep_rows(plane, alphas, betas, outputs):
     alpha_list, alpha_column = alphas.tolist(), alphas[:, None, None]
     ops = plane.operators()
     pt_ops = [partial_transpose(op) for op in ops]
-    # each requested stack's operators and one array for all its rows: a new array
-    # per row, once freed, would let the allocator return pages and fault them in again
-    stacks = {o: (stack_ops, np.empty((len(alphas), *ops[0].shape), complex))
+    stacks = {o: stack_ops
               for o, stack_ops in (("min_eigenvalue", ops), ("ppt_min_eigenvalue", pt_ops))
               if o in outputs}
     outputs = [o for o in _SWEEP_COLUMNS if o in outputs]
     for beta in betas.tolist():
-        columns = {o: np.linalg.eigvalsh(plane.mix(alpha_column, beta, *stack))[:, 0].tolist()
-                   for o, stack in stacks.items()}
+        columns = {o: np.linalg.eigvalsh(plane.mix(alpha_column, beta, stack_ops))[:, 0].tolist()
+                   for o, stack_ops in stacks.items()}
         region, distance = _plane_distances(plane, alphas, beta)
         columns.update(region=region.tolist(), hs_measure=distance.tolist())
         yield alpha_list, beta, [columns[o] for o in outputs]

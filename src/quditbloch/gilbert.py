@@ -98,17 +98,12 @@ _SIGMA = (np.eye(2), PAULI[1], PAULI[2], PAULI[3])
 _PAULI_PRODUCTS = np.array([np.kron(s, t).conj().ravel() for s in _SIGMA for t in _SIGMA])
 
 
-def _initial_kets(d: int, rng, restarts: int, warm) -> np.ndarray:
-    """The (runs, 2, d) starting kets of the seesaw: ``warm``, then random
+def _initial_kets(d: int, rng, restarts: int) -> np.ndarray:
+    """The (runs, 2, d) starting kets of the seesaw, max(restarts, 1) random
     unit kets drawn in one call, in the order of per-ket ``random_ket`` draws."""
-    warm = list(warm or [])
-    runs = max(restarts, 0 if warm else 1)
-    kets = [np.array(warm).reshape(len(warm), 2, d)]
-    if runs:
-        x = rng.standard_normal((runs, 2, 2, d))       # a: re, im; b: re, im
-        z = x[:, :, 0] + 1j * x[:, :, 1]
-        kets.append(z / np.linalg.norm(z, axis=-1, keepdims=True))
-    return np.concatenate(kets)
+    x = rng.standard_normal((max(restarts, 1), 2, 2, d))     # a: re, im; b: re, im
+    z = x[:, :, 0] + 1j * x[:, :, 1]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def _eigh_step(m: np.ndarray, fixed: np.ndarray, cur: np.ndarray):
@@ -156,17 +151,16 @@ def _half_steps(g: np.ndarray, d: int, kets: np.ndarray):
         t = (_PAULI_PRODUCTS * g.ravel()).sum(-1).real.reshape(4, 4) / 4
         return _bloch_step, (t, t.T.copy()), _bloch_of(kets), _ket_of_bloch
     r = _realign(g, d)
-    return (_eigh_step, (np.ascontiguousarray(r.T), r),
-            kets.astype(complex, copy=False), lambda k: k)
+    return _eigh_step, (np.ascontiguousarray(r.T), r), kets, lambda k: k
 
 
 def best_product_state(g: np.ndarray, rng: np.random.Generator, restarts: int = 5,
-                       warm=None, sweeps: int = 80, stop: float = 1e-15, *, _screen=frozenset()):
+                       sweeps: int = 80, stop: float = 1e-15, *, _screen=frozenset()):
     """Approximately maximize <a b| G |a b> over product vectors.
 
     Alternating exact maximization: with one factor fixed the objective is a
     Hermitian quadratic form on the other, maximized by its top eigenvector.
-    Returns ``(value, a, b)`` for the best run over ``warm`` and ``restarts``
+    Returns ``(value, a, b)`` for the best run over ``max(restarts, 1)``
     random initializations, drawn in one call; ties go to the earliest run.
     ``sweeps`` must be an integer >= 1 and ``restarts`` one >= 0, else ``ValueError``.
 
@@ -188,7 +182,7 @@ def best_product_state(g: np.ndarray, rng: np.random.Generator, restarts: int = 
     _check_count("restarts", restarts, 0)
     g = as_hermitian(g, "operator")
     d = _subdim(g)
-    step, (op_a, op_b), start, ket_of = _half_steps(g, d, _initial_kets(d, rng, restarts, warm))
+    step, (op_a, op_b), start, ket_of = _half_steps(g, d, _initial_kets(d, rng, restarts))
     a, b = start[:, 0], start[:, 1]
     val = np.full(len(start), -np.inf)
     # the live runs, compacted: their indices, factors and last values; a run
@@ -293,15 +287,13 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, cfg: GilbertConfig):
                                  _screen=_SCREEN_SWEEPS)
     atoms = atom_of(a, b)[None, :]        # one row per atom, C-contiguous
     weights = np.array([1.0])
-    warm = [(a, b)]
     gap = np.inf
     for it in range(cfg.max_iterations):
         rho = atoms.T @ weights
         g = target - rho
         gmat = operator(g)
-        _, a, b = best_product_state(gmat, rng, restarts=RESTARTS, warm=warm, stop=stop,
+        _, a, b = best_product_state(gmat, rng, restarts=RESTARTS, stop=stop,
                                      _screen=_SCREEN_SWEEPS)
-        warm = [(a, b)]
         atom = atom_of(a, b)
         gap = float(np.real(np.vdot(atom - rho, g)))
         if gap <= cfg.tolerance:
@@ -311,7 +303,7 @@ def _frank_wolfe(target: np.ndarray, atom_of, operator, cfg: GilbertConfig):
             gap2 = float(np.real(np.vdot(atom2 - rho, g)))
             if gap2 <= cfg.tolerance:
                 return rho, True, it, gap2
-            atom, gap, warm = atom2, gap2, [(a2, b2)]
+            atom, gap = atom2, gap2
         atoms = np.vstack((atoms, atom))
         gram = np.real(atoms.conj() @ atoms.T)
         overlap = np.real(atoms.conj() @ target)

@@ -230,6 +230,23 @@ class TestPartialTransposeCertificate:
         assert report.verdict is WitnessVerdict.NOT_WITNESS
         assert report.sep_min_estimate == pytest.approx(-1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_slightly_negative_partial_transpose_is_not_certified(self, d):
+        # A = 1 - (1 + eps)|00><00| is diagonal, so A^Gamma = A, and its least
+        # eigenvalue -eps = -1e-6 ||A|| is far below -TOL_WIT ||A||: the
+        # certificate must fail, and the product state |00> refutes A
+        n = d * d
+        eps = 1e-6 * np.sqrt(n - 1)         # ||A|| = sqrt(n - 1 + eps^2)
+        a = np.eye(n)
+        a[0, 0] = -eps
+        assert qb.ppt_verdict(a)[1] == -eps
+        assert eps / qb.hs_norm(a) == pytest.approx(1e-6, rel=1e-9)
+        report = qb.verify_witness(a, qb.BipartiteState(np.diag(np.eye(n)[0])))
+        assert report.ent_expectation == -eps
+        assert report.method is WitnessMethod.SEESAW
+        assert report.verdict is WitnessVerdict.NOT_WITNESS
+        assert report.sep_min_estimate == pytest.approx(-eps, rel=1e-9)
+
     def test_near_threshold_is_inconclusive(self):
         # D ~ 1e-11 < TOL_WIT: certified, but the expectation decides nothing
         res = qb.hs_measure_isotropic(4, 0.2 + 1e-11)
