@@ -118,6 +118,19 @@ SEESAW_GOLDENS = [
             "9a41a78669a7f37a89a06552c1ae7e2f24fc8c516df2d19a0c5320ed959ae55b")),
     (4, 0, ("4.816774710199187",
             "a54c6ee81a70ae1b5209d2fc05c8b35cb84f19f0da7eca50eaf9177be76d314b")),
+    (5, 5, ("5.240661943237059",
+            "63b04298da57f602cba08d8d52c2377c8cfba8e80b9c79ee1753b57111ac9ec7")),
+    (5, 0, ("5.214089650292195",
+            "7181bcdbe57d0d001e602e410390350a27fcef96f875853a570dc380e69fb6a5")),
+    # the confirming burst's count
+    (2, 25, ("3.7628314294623726",
+             "7b964330a9052f011aff0992141c40b78eb3444ebe8306872f17aacece9df79f")),
+    (3, 25, ("3.4513019880308855",
+             "21baa4c3f5a8fcbda1924d3fb94371b6c80caab972ac292266c9ba61749ed4b8")),
+    (4, 25, ("5.200709209645643",
+             "27a75d16b521bf8c44ca31fcc728488e36a36cdeb15ed4917282b2c66e03f81c")),
+    (5, 25, ("5.240661943237065",
+             "f2a3865c435d047300a2928801b59205c5cbae1810b1e6442fca0598aac8fa87")),
 ]
 
 MIN_PRODUCT_GOLDEN = "-1.1102230246252408e-16"
@@ -164,6 +177,18 @@ def test_batched_seesaw_matches_scalar_loop(d, seed, restarts, sweeps):
     val, a, b = best_product_state(g, np.random.default_rng(seed), restarts, sweeps)
     assert val == want_val
     assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+
+
+@pytest.mark.parametrize("complex_g", [True, False])
+def test_real_and_complex_g_match_scalar_loop(complex_g):
+    for d in (3, 2):
+        g = _hermitian(d, np.random.default_rng(12))
+        g = g if complex_g else g.real
+        want_val, want_a, want_b = _reference_seesaw(g, d, np.random.default_rng(13), 3)
+        val, a, b = best_product_state(g, np.random.default_rng(13), 3)
+        assert a.dtype == b.dtype == complex
+        assert val == want_val
+        assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -236,8 +261,9 @@ def _screened_and_exhaustive(d, seed, restarts):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_screened_search_draws_as_an_exhaustive_one(d):
-    _, (screened, exhaustive) = _screened_and_exhaustive(d, 200 + d, RESTARTS)
+@pytest.mark.parametrize("restarts", [RESTARTS, CONFIRM_RESTARTS])
+def test_screened_search_draws_as_an_exhaustive_one(d, restarts):
+    _, (screened, exhaustive) = _screened_and_exhaustive(d, 200 + d, restarts)
     assert screened[3] == exhaustive[3]
 
 
