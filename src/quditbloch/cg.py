@@ -1,40 +1,31 @@
 """Clebsch-Gordan coefficients in the Condon-Shortley convention.
 
-Coefficients are evaluated from the Racah closed-form sum in exact integer
-arithmetic, followed by one correctly rounded division and one square root:
-the square of a coefficient is the rational num * S^2 / (den * P^2), where
-num / den is the factorial prefactor and S / P the alternating sum over a
-common integer scale P. Each term of the sum follows from the previous one by
-an exact integer ratio, and factorials come from a table grown on demand. No
-coefficient is tabulated, so any half-integer key up to ``MAX_J`` is
-supported.
+Coefficients are evaluated from the Racah closed-form sum written in binomial
+coefficients (Varshalovich, Moskalev & Khersonskii, *Quantum Theory of Angular
+Momentum*, 1988, ch. 8): the sum is an exact integer S, and the square of a
+coefficient is the rational S^2 * num / den, with num / den a factorial
+prefactor, so one correctly rounded division and one square root follow. No
+coefficient is tabulated: any half-integer key up to ``MAX_J`` is supported.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 # bound on every angular momentum of a direct clebsch_gordan call (pob_basis
 # needs j <= d - 1, which bases.MAX_DIM = 64 already caps at 63); the slowest
-# coefficient at the bound, (MAX_J, 0, MAX_J, 0, MAX_J, 0), takes about 3 ms
-# (one core of a 2-core x86-64 Xeon host; about 30 ms at j = 1000)
+# coefficient at the bound, (MAX_J, 0, MAX_J, 0, MAX_J, 0), takes about 2 ms
+# (one core of a 2-core x86-64 Xeon host; about 50 ms at j = 1000)
 MAX_J = 300
 
 
-# n! at index n, grown on demand; at most 3 MAX_J + 2 entries (about 0.44 MB)
-_FACTORIALS = [1]
-
-
-def _factorials(n: int) -> list:
-    """The factorial table, holding at least 0! .. n!."""
-    table = _FACTORIALS
-    while len(table) <= n:
-        table.append(table[-1] * len(table))
-    return table
-
-
 def _twice(x, name: str) -> int:
+    """2 x as an int; ``ValueError`` unless x is a real number, not a bool, and 2 x an integer."""
+    # exact ints and floats skip the slower abstract-class check
+    if type(x) not in (int, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        raise ValueError(f"{name}={x!r} is not a real number")
     two = 2 * x
     try:
         finite = math.isfinite(two)
@@ -42,21 +33,21 @@ def _twice(x, name: str) -> int:
         raise ValueError(f"{name} is beyond the float range") from None
     if not finite:
         raise ValueError(f"{name}={x} is not finite")
-    n = int(round(float(two)))
-    if abs(two - n) > 1e-9:
-        raise ValueError(f"{name}={x} is not a half-integer")
+    n = int(two)
+    if n != two:
+        raise ValueError(f"{name}={x!r} is not a half-integer")
     return n
 
 
 def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>.
 
-    Equals C^{j m}_{j1 m1, j2 m2} in the tensor-coupling notation. Arguments
-    are half-integers (``0.5`` steps are exact in binary floating point).
-    Returns 0 when ``m1 + m2 != m``, when the triangle inequality
-    ``|j1 - j2| <= j <= j1 + j2`` fails, or when a projection is not in the
-    lattice of its angular momentum. Negative ``j``, ``j`` above ``MAX_J`` and
-    non-finite or non-half-integer arguments raise ``ValueError``.
+    Equals C^{j m}_{j1 m1, j2 m2} in the tensor-coupling notation; arguments
+    are half-integers (``0.5`` steps are exact in binary floating point). It is
+    0 when ``m1 + m2 != m``, when ``|j1 - j2| <= j <= j1 + j2`` fails, or when
+    a projection is not in the lattice of its angular momentum. It raises
+    ``ValueError`` for a negative ``j``, ``j`` above ``MAX_J``, a bool or
+    non-real value, or one whose double is not a finite integer.
     """
     tj1 = _twice(j1, "j1")
     tj2 = _twice(j2, "j2")
@@ -86,35 +77,24 @@ def _cg_cached(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> floa
     if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
         return 0.0
 
-    # every factorial argument below is at most (j1 + j2 + j) + 1
-    f = _factorials((tj1 + tj2 + tj) // 2 + 1)
+    # the Racah sum over k of (-1)^k / (k! (a-k)! (b-k)! (c-k)! (e+k)! (g+k)!)
+    # is S / (a! (b+e)! (c+g)!), with the exact integer
+    # S = sum_k (-1)^k C(a, k) C(b+e, b-k) C(c+g, c-k)
     a = (tj1 + tj2 - tj) // 2
     b = (tj1 - tm1) // 2
     c = (tj2 + tm2) // 2
     e = (tj - tj2 + tm1) // 2
     g = (tj - tj1 - tm2) // 2
-    num = (
-        (tj + 1) * f[a] * f[(tj1 - tj2 + tj) // 2] * f[(tj2 - tj1 + tj) // 2]
-        * f[(tj + tm) // 2] * f[(tj - tm) // 2]
-        * f[(tj1 + tm1) // 2] * f[b] * f[c] * f[(tj2 - tm2) // 2]
-    )
-    den = f[(tj1 + tj2 + tj) // 2 + 1]
-
-    # sum_k (-1)^k / (k! (a-k)! (b-k)! (c-k)! (e+k)! (g+k)!) = S / P, with P
-    # the product of the largest factorial of each slot, which every
-    # denominator divides; term k + 1 of S is term k times the exact integer
-    # ratio -(a-k)(b-k)(c-k) / ((k+1)(e+k+1)(g+k+1))
-    kmin = max(0, -e, -g)
-    kmax = min(a, b, c)
-    scale = f[kmax] * f[a - kmin] * f[b - kmin] * f[c - kmin] * f[e + kmax] * f[g + kmax]
-    term = (-1) ** kmin * scale // (
-        f[kmin] * f[a - kmin] * f[b - kmin] * f[c - kmin] * f[e + kmin] * f[g + kmin])
-    total = term
-    for k in range(kmin, kmax):
-        term = -term * (a - k) * (b - k) * (c - k) // ((k + 1) * (e + k + 1) * (g + k + 1))
-        total += term
+    comb, f = math.comb, math.factorial
+    total = 0
+    for k in range(max(0, -e, -g), min(a, b, c) + 1):
+        term = comb(a, k) * comb(b + e, b - k) * comb(c + g, c - k)
+        total += -term if k & 1 else term
     if total == 0:
         return 0.0
+    num = ((tj + 1) * f((tj + tm) // 2) * f((tj - tm) // 2)
+           * f((tj1 + tm1) // 2) * f(b) * f(c) * f((tj2 - tm2) // 2))
+    den = f((tj1 + tj2 + tj) // 2 + 1) * f(a) * f(b + e) * f(c + g)
     # int / int is correctly rounded: the one rounding before the square root
-    value = math.sqrt((num * total * total) / (den * scale * scale))
+    value = math.sqrt((num * total * total) / den)
     return value if total > 0 else -value

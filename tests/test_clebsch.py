@@ -156,10 +156,37 @@ def test_integer_beyond_float_range_raises(position, huge):
         clebsch_gordan(*args)
 
 
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("bad", [True, False, np.True_, np.False_])
+def test_bool_argument_raises(position, bad):
+    # (True, True, False, False, True, True) would read as <1 1; 0 0|1 1> = 1
+    args = [1, 1, 0, 0, 1, 1]
+    args[position] = bad
+    with pytest.raises(ValueError, match="real number"):
+        clebsch_gordan(*args)
+
+
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("offset", [1e-12, -1e-12])
+def test_inexact_half_integer_raises(position, offset):
+    args = [0.5, 0.5, 0, 0, 0.5, 0.5]
+    args[position] += offset
+    with pytest.raises(ValueError, match="half-integer"):
+        clebsch_gordan(*args)
+
+
+def test_module_keeps_no_shared_container():
+    # a module-level list, dict or set is state that callers share across
+    # threads; the kernel needs none
+    shared = [name for name, value in vars(cg).items()
+              if not name.startswith("__") and isinstance(value, (list, dict, set))]
+    assert shared == []
+
+
 def _cg_fraction(tj1, tm1, tj2, tm2, tj, tm):
-    """The Racah sum in ``fractions.Fraction`` arithmetic, as cg computed it
-    before the integer sum; the reference the integer kernel must match bit
-    for bit."""
+    """The Racah sum term by term in ``fractions.Fraction`` arithmetic, as the
+    textbook writes it; the reference the integer kernel must match bit for
+    bit."""
     if tm1 + tm2 != tm:
         return 0.0
     if not (abs(tj1 - tj2) <= tj <= tj1 + tj2):

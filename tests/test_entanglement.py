@@ -2,6 +2,7 @@ import gc
 import json
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,6 +268,60 @@ class TestPartialTransposeCertificate:
         for kind, scale in (("lambda", 2 * root), ("t", root), ("u", d * root)):
             form = shift - qb.composite_operator(kind, d) / scale
             assert np.abs(op - form).max() <= 1e-14
+
+
+def _exact_hermitian_part(a):
+    """The Hermitian part of a complex float matrix in ``fractions``, as a real
+    symmetric matrix: [[Re, -Im], [Im, Re]] where it has an imaginary entry,
+    which is PSD exactly when the Hermitian part is."""
+    re = [[(Fraction(a[i, k].real) + Fraction(a[k, i].real)) / 2 for k in range(len(a))]
+          for i in range(len(a))]
+    im = [[(Fraction(a[i, k].imag) - Fraction(a[k, i].imag)) / 2 for k in range(len(a))]
+          for i in range(len(a))]
+    if not any(x for row in im for x in row):
+        return re
+    return ([r + [-x for x in i] for r, i in zip(re, im)]
+            + [i + r for r, i in zip(re, im)])
+
+
+def _proven_positive_definite(m, eps):
+    """Whether m + eps 1 has an exact LDL^T with positive pivots only, which
+    proves it positive definite; m is a real symmetric list of Fractions."""
+    m = [row[:] for row in m]
+    for i, row in enumerate(m):
+        row[i] += eps
+    for k, pivot_row in enumerate(m):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in m[k + 1:]:
+            if row[k]:
+                ratio = row[k] / pivot
+                for j in range(k + 1, len(row)):
+                    row[j] -= ratio * pivot_row[j]
+    return True
+
+
+class TestExactPartialTransposeProof:
+    """Every closed-form witness A is proven in exact arithmetic, with no
+    tolerance: A^Gamma + 2^-50 1 is positive definite. Floats are binary
+    rationals, and the partial transpose only moves entries, so its exact
+    Hermitian part is that of the float operator."""
+
+    EPS = Fraction(1, 2 ** 50)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_isotropic_witness(self, d):
+        m = _exact_hermitian_part(qb.partial_transpose(_isotropic_witness(d)))
+        assert _proven_positive_definite(m, self.EPS)
+        # A^Gamma = 2 P_antisym / sqrt(d^2 - 1) is singular: no proof without the shift
+        assert not _proven_positive_definite(m, Fraction(0))
+
+    @pytest.mark.parametrize("family", ["qubit2p", "qutrit2p"])
+    def test_region_ii_witness(self, family):
+        a = entanglement._region_witness(qb.PLANES[family], RegionLabel.ENTANGLED_II)
+        m = _exact_hermitian_part(qb.partial_transpose(a))
+        assert _proven_positive_definite(m, self.EPS)
 
 
 class TestIsotropicMeasure:
