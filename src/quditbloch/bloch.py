@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisKind, _frame, _frame_product, get_basis
-from .linalg import MAX_ENTRY, _bipartite_matrix, _realign, as_matrix, is_psd
+from .linalg import MAX_ENTRY, _bipartite_matrix, _frozen, _realign, as_matrix, is_psd
 
 
 class Convention(str, Enum):
@@ -54,8 +54,7 @@ class BlochVector:
     labels: tuple
 
     def __post_init__(self):
-        comp = np.array(self.components, dtype=complex)
-        comp.setflags(write=False)
+        comp = _frozen(self.components)
         object.__setattr__(self, "components", comp)
         if comp.shape != (self.dim * self.dim - 1,):
             raise ValueError(
@@ -175,5 +174,5 @@ def bipartite_decompose(rho, kind, subdim: int | None = None) -> BipartiteBlochD
     k[1:, 0] /= fc[0, 0].real
     k[0, 1:] /= fc[0, 0].real
     k[1:, 1:] /= basis.ortho_const
-    k.setflags(write=False)
+    k = _frozen(k)
     return BipartiteBlochDecomposition(kind, d, k[1:, 0], k[0, 1:], k[1:, 1:])

@@ -24,8 +24,8 @@ from .bloch import Convention, bloch_encode, purity
 from .entanglement import (_PLANE_REGIONS, RegionLabel, _plane_distances, classify_isotropic,
                            hs_measure_isotropic, hs_measure_plane)
 from .gilbert import GilbertConfig, nearest_separable_weyl
-from .linalg import (TOL_TRACE, as_hermitian, is_psd, matrix_from_json, matrix_to_json,
-                     partial_transpose)
+from .linalg import (TOL_TRACE, _check_count, as_hermitian, is_psd, matrix_from_json,
+                     matrix_to_json, partial_transpose)
 from .states import PLANES, _check_finite, bell_state, isotropic_state, weyl_bell_projector
 
 
@@ -292,8 +292,7 @@ def _grid_axes(alpha, beta) -> list[tuple[float, float, int]]:
     axes = []
     for name, (lo, hi, steps) in (("alpha", alpha), ("beta", beta)):
         steps = int(steps) if steps.is_integer() else steps
-        if not (isinstance(steps, int) and steps >= 2):
-            raise ValueError(f"{name} steps must be an integer >= 2, got {steps!r}")
+        _check_count(f"{name} steps", steps, 2)
         # the family parameter rule, so max - min, linspace's step, is finite too
         lo, hi = _check_finite(**{f"{name} min": lo, f"{name} max": hi})
         if not lo < hi:

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .gilbert import min_product_expectation
-from .linalg import (BipartiteState, as_hermitian, as_matrix, hs_norm, min_eigenvalue,
+from .linalg import (BipartiteState, _frozen, as_hermitian, as_matrix, hs_norm, min_eigenvalue,
                      partial_transpose, TOL_PSD)
 from .states import (QUBIT_PLANE, QUTRIT_PLANE, TOL_EDGE, PlaneFamily, _check_finite,
                      isotropic_physical, isotropic_state, line_i_alpha, region_i_distance)
@@ -168,8 +168,7 @@ def _isotropic_witness(d: int) -> np.ndarray:
     jj = np.arange(d) * (d + 1)
     a_opt[np.ix_(jj, jj)] -= 1
     a_opt /= np.sqrt(d * d - 1.0)
-    a_opt.setflags(write=False)
-    return a_opt
+    return _frozen(a_opt)
 
 
 def hs_measure_isotropic(d: int, alpha: float) -> HSMeasureResult:
@@ -245,9 +244,7 @@ def _region_witness(plane: PlaneFamily, label: RegionLabel) -> np.ndarray:
     weights ``plane.witness_ii`` on ``plane.operators()``."""
     if label is RegionLabel.ENTANGLED_I:
         return _isotropic_witness(plane.subdim)
-    a_opt = sum(w * op for w, op in zip(plane.witness_ii, plane.operators()))
-    a_opt.setflags(write=False)
-    return a_opt
+    return _frozen(sum(w * op for w, op in zip(plane.witness_ii, plane.operators())))
 
 
 def hs_measure_plane(plane: PlaneFamily, alpha: float,

@@ -25,14 +25,14 @@ nearest separable state is Weyl-diagonal too (Vollbrecht & Werner, PRA 64,
 
 from __future__ import annotations
 
+import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import _frame, get_basis
-from .linalg import BipartiteState, _realign, _subdim, as_hermitian
+from .linalg import BipartiteState, _check_count, _frozen, _realign, _subdim, as_hermitian
 from .states import PAULI
 
 # largest off-diagonal Weyl Bell element |<Phi_nk|rho|Phi_n'k'>| that
@@ -59,16 +59,10 @@ class GilbertConfig:
 
     def __post_init__(self):
         _check_count("max_iterations", self.max_iterations, 0)
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+        tol = self.tolerance
+        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
         _check_count("seed", self.seed, 0)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """``ValueError`` unless ``value`` is an integer >= ``least``; a bool is not one."""
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,8 @@ class GilbertResult:
 
 # row 4 mu + nu: conj(sigma_mu (x) sigma_nu) flattened, sigma_0 the identity,
 # so that its dot with a flattened Hermitian G is Tr(G sigma_mu (x) sigma_nu)
-_SIGMA = (np.eye(2), PAULI[1], PAULI[2], PAULI[3])
-_PAULI_PRODUCTS = np.array([np.kron(s, t).conj().ravel() for s in _SIGMA for t in _SIGMA])
+_PAULI_PRODUCTS = _frozen([np.kron(s, t).conj().ravel() for s, t in
+                           itertools.product((np.eye(2), *PAULI.values()), repeat=2)])
 
 
 def _initial_kets(d: int, rng, restarts: int) -> np.ndarray:

@@ -9,6 +9,7 @@ matrices on a d x d space use the composite index ``i = d*i_A + i_B``
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -21,6 +22,20 @@ TOL_PSD = 1e-9       # eigenvalue slack for positivity verdicts
 # have entries of at most 1, and no transform sums more than d^4 products of
 # two such numbers (1.7e7 at d = 64), so no result comes near overflow
 MAX_ENTRY = 1e100
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """``ValueError`` unless ``value`` is an integer >= ``least``; a bool is not one."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _frozen(mat) -> np.ndarray:
+    """A read-only complex copy of ``mat``, safe to share between callers and threads."""
+    out = np.array(mat, dtype=complex, order="C")
+    out.setflags(write=False)
+    return out
 
 
 def _as_square(a) -> np.ndarray:
@@ -58,6 +73,19 @@ def _subdim(mat: np.ndarray) -> int:
     return d
 
 
+# each subsystem's axis order on the (d, d, d, d) reshape of a bipartite
+# matrix, which transposes that factor, and its einsum subscripts, which trace it out
+_SUBSYSTEMS = {"A": ((2, 1, 0, 3), "kikj->ij"), "B": ((0, 3, 2, 1), "ikjk->ij")}
+
+
+def _subsystem(subsystem) -> tuple[tuple[int, ...], str]:
+    """The ``_SUBSYSTEMS`` entry of ``subsystem``, "A" or "B", else ``ValueError``."""
+    try:
+        return _SUBSYSTEMS[subsystem]
+    except (KeyError, TypeError):    # TypeError: an unhashable argument
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}") from None
+
+
 def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
     """Partial transpose of a bipartite matrix on a d (x) d space.
 
@@ -66,14 +94,8 @@ def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
     selects which factor is transposed.
     """
     mat, d = _bipartite_matrix(rho)
-    r = mat.reshape(d, d, d, d)
-    if subsystem == "B":
-        r = r.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        r = r.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return r.reshape(d * d, d * d)
+    axes, _ = _subsystem(subsystem)
+    return mat.reshape(d, d, d, d).transpose(axes).reshape(d * d, d * d)
 
 
 def _realign(m: np.ndarray, d: int) -> np.ndarray:
@@ -84,12 +106,8 @@ def _realign(m: np.ndarray, d: int) -> np.ndarray:
 def partial_trace(rho, subsystem: str = "B") -> np.ndarray:
     """Trace out one subsystem of a bipartite matrix; returns a d x d matrix."""
     mat, d = _bipartite_matrix(rho)
-    r = mat.reshape(d, d, d, d)
-    if subsystem == "B":
-        return np.einsum("ikjk->ij", r)
-    if subsystem == "A":
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    _, subscripts = _subsystem(subsystem)
+    return np.einsum(subscripts, mat.reshape(d, d, d, d))
 
 
 def _bipartite_matrix(rho) -> tuple[np.ndarray, int]:
@@ -134,12 +152,6 @@ def is_hermitian(a: np.ndarray) -> bool:
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(as_hermitian(a, "min_eigenvalue input"))[0])
-
-
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=complex, order="C")
-    out.setflags(write=False)
-    return out
 
 
 class DensityMatrix:
@@ -213,14 +225,13 @@ def _json_entries(rows) -> np.ndarray:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; ``dim`` must be an integer, not a float or bool."""
+    """Inverse of :func:`matrix_to_json`; ``dim`` must be an integer >= 1, not a float or bool."""
     try:
         d = obj["dim"]
         re, im = _json_entries(obj["re"]), _json_entries(obj["im"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValueError(f"matrix JSON dim must be an integer, got {d!r}")
+    _check_count("matrix JSON dim", d, 1)
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"matrix JSON arrays do not match dim={d}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -21,12 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .bases import BasisKind, _check_dim, _check_indices, get_basis, wob_basis
-from .linalg import MAX_ENTRY, BipartiteState, DensityMatrix, tensor
+from .linalg import MAX_ENTRY, BipartiteState, DensityMatrix, _check_count, _frozen, tensor
 
 PAULI = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
+    1: _frozen([[0, 1], [1, 0]]),
+    2: _frozen([[0, -1j], [1j, 0]]),
+    3: _frozen([[1, 0], [0, -1]]),
 }
 
 # slack of every family boundary: points on a positivity boundary count as
@@ -156,23 +156,17 @@ class PlaneFamily:
         return BipartiteState(self.mix(alpha, beta, self.operators()), validate=False)
 
 
-def _read_only(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
-    for op in ops:
-        op.setflags(write=False)
-    return ops
-
-
 @functools.cache
 def _qubit_plane_operators() -> tuple[np.ndarray, ...]:
     kets = 1 / np.sqrt(2) * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
     phi_p, psi_p, psi_m = (np.outer(v, v.conj()) for v in kets)
-    return _read_only(np.eye(4, dtype=complex), phi_p, psi_p + psi_m)
+    return tuple(map(_frozen, (np.eye(4), phi_p, psi_p + psi_m)))
 
 
 @functools.cache
 def _qutrit_plane_operators() -> tuple[np.ndarray, ...]:
     p00, p10, p20 = (weyl_bell_projector(3, n, 0).matrix for n in range(3))
-    return _read_only(np.eye(9, dtype=complex), p00, p10 + p20)
+    return tuple(map(_frozen, (np.eye(9), p00, p10 + p20)))
 
 
 QUBIT_PLANE = PlaneFamily(
@@ -286,7 +280,9 @@ def random_density_matrix(d: int, rng: np.random.Generator) -> DensityMatrix:
 
 
 def random_ket(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vector."""
+    """Haar-random pure state vector. Raises ``ValueError`` for a dimension
+    outside 2..MAX_DIM, before any draw."""
+    d = _check_dim(d)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 
@@ -296,12 +292,14 @@ def sample_separable(d: int, seed, mixture_count: int = 4) -> BipartiteState:
     states with flat-Dirichlet weights.
 
     A membership sampler for tests, not a uniform measure on the separable
-    set. Deterministic for a given seed; PPT by construction. Raises
-    ``ValueError`` for a dimension outside 2..MAX_DIM, before any draw.
+    set. Deterministic for a given seed, a ``Generator`` or an integer >= 0;
+    PPT by construction. Raises ``ValueError`` for a dimension outside 2..MAX_DIM,
+    then for a ``mixture_count`` not an integer >= 1 or another seed, before any draw.
     """
     d = _check_dim(d)
-    if mixture_count < 1:
-        raise ValueError("mixture_count must be >= 1")
+    _check_count("mixture_count", mixture_count, 1)
+    if not isinstance(seed, np.random.Generator):
+        _check_count("seed", seed, 0)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(mixture_count))
     mat = np.zeros((d * d, d * d), dtype=complex)

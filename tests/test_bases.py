@@ -87,6 +87,10 @@ class TestBasisFamilies:
         with pytest.raises(ValueError):
             b1.elements[1][0, 0] = 5
 
+    def test_unknown_label(self):
+        with pytest.raises(KeyError, match=r"no element labelled \('x', 1, 2\) in ggb d=3"):
+            qb.ggb_basis(3).element(("x", 1, 2))
+
 
 @pytest.mark.parametrize("kind,d", sorted(PRINTED))
 def test_printed_matrices(kind, d):

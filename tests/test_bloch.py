@@ -181,6 +181,10 @@ class TestBipartiteDecompose:
         with pytest.raises(ValueError):
             qb.bipartite_decompose(np.eye(6) / 6, "ggb")
 
+    def test_subdim_must_match(self):
+        with pytest.raises(ValueError, match="subdim 2 does not match a matrix of dimension 9"):
+            qb.bipartite_decompose(qb.isotropic_state(3, 0.7), "ggb", subdim=2)
+
 
 def _dense_decompose(mat, kind, d):
     """Reference: the partial-trace and three-operand einsum formulas."""

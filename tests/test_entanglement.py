@@ -153,6 +153,10 @@ class TestVerifyWitness:
         assert report.ent_expectation == pytest.approx(expected, abs=1e-12)
         assert report.sep_min_estimate == 0.0
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(9, 9\) vs \(4, 4\)"):
+            qb.verify_witness(np.eye(4) / 2, qb.two_param_qutrit(0.6, 0.0))
+
     def test_positive_operator_is_not_witness(self):
         report = qb.verify_witness(np.eye(4) / 2, qb.two_param_qubit(0.9, 0.0))
         assert report.verdict is WitnessVerdict.NOT_WITNESS

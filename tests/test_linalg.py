@@ -1,3 +1,7 @@
+import importlib
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +139,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             qb.partial_trace(np.eye(8), "B")
 
+    @pytest.mark.parametrize("fn", [qb.partial_trace, qb.partial_transpose])
+    @pytest.mark.parametrize("subsystem", ["C", "b", ["B"], None])
+    def test_subsystem_rule(self, fn, subsystem):
+        with pytest.raises(ValueError, match=f"subsystem must be 'A' or 'B', got "
+                                             f"{re.escape(repr(subsystem))}"):
+            fn(np.eye(4) / 4, subsystem)
+
 
 class TestDensityMatrix:
     def test_valid(self, rng):
@@ -182,3 +193,27 @@ class TestMatrixJson:
             qb.matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
         with pytest.raises(ValueError):
             qb.matrix_from_json({"re": [[1]]})
+
+
+def _arrays(value, path):
+    """(path, array) for every ndarray in ``value``, looking inside tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, (tuple, list)):
+        for i, x in enumerate(value):
+            yield from _arrays(x, f"{path}[{i}]")
+    elif isinstance(value, dict):
+        for k, x in value.items():
+            yield from _arrays(x, f"{path}[{k!r}]")
+
+
+def test_module_level_arrays_are_read_only():
+    # a writable module-level array is state every caller shares: one write,
+    # as PAULI[3][1, 1] = 1, would change every later result built from it
+    writable = []
+    names = ["quditbloch", *(m.name for m in pkgutil.iter_modules(qb.__path__, "quditbloch."))]
+    for module in map(importlib.import_module, names):
+        for name, value in vars(module).items():
+            writable += [path for path, a in _arrays(value, f"{module.__name__}.{name}")
+                         if a.flags.writeable]
+    assert writable == []

@@ -89,12 +89,30 @@ class TestSamplerAndProjectorRules:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         for build in (lambda: qb.random_density_matrix(d, rng),
+                      lambda: qb.random_ket(d, rng),
                       lambda: qb.sample_separable(d, rng),
                       lambda: qb.sample_separable(d, rng, mixture_count=0),
                       lambda: qb.weyl_bell_projector(d, 0, 0)):
             with pytest.raises(ValueError, match=f"dimension must be >= 2 and <= {MAX_DIM}"):
                 build()
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("mixture_count", [True, np.True_, 2.5, "3", 0, np.int64(-1)])
+    def test_mixture_count(self, mixture_count):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="mixture_count must be an integer >= 1"):
+            qb.sample_separable(2, rng, mixture_count)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", [True, np.True_, -1, 2.5, "3", None])
+    def test_separable_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            qb.sample_separable(2, seed)
+
+    def test_separable_numpy_integers(self):
+        a = qb.sample_separable(3, np.int64(5), np.int32(2))
+        assert np.array_equal(a.matrix, qb.sample_separable(3, 5, 2).matrix)
 
     @pytest.mark.parametrize("n,k", [(0.5, 0), (0, 0.5), (3, 0), (0, -1), (True, 0)])
     def test_projector_index(self, n, k):
@@ -235,7 +253,8 @@ class TestGilbertConfig:
         {"max_iterations": -7}, {"max_iterations": None}, {"max_iterations": "10"},
         {"tolerance": -math.inf}, {"tolerance": -1.0}, {"max_iterations": -1},
         {"max_iterations": 10.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
-        {"tolerance": -1e-9}, {"max_iterations": True},
+        {"tolerance": -1e-9}, {"max_iterations": True}, {"tolerance": True},
+        {"tolerance": np.True_},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
