@@ -22,7 +22,7 @@ for kind in ("ggb", "pob", "wob"):
     print(f"{kind}: |b| = {vec.radius:.6f}  (pure-state bound {bound:.6f})")
     dec = qb.bloch_decode(vec)
     print(f"     decode residual {qb.hs_norm(dec.matrix - rho.matrix):.2e}, "
-          f"physical: {dec.is_physical}")
+          f"physical: {qb.is_psd(dec.matrix)}")
 
 purity = qb.purity(rho)
 vec = qb.bloch_encode(rho, "wob")
@@ -40,7 +40,7 @@ labels = qb.ggb_basis(3).labels[1:]
 comp = np.zeros(8)
 comp[labels.index(("l", 1))] = np.sqrt(1 / 3)
 dec = qb.bloch_decode(qb.BlochVector(qb.BasisKind.GGB, 3, Convention.EXPANSION, comp, labels))
-print(f"\nhypersphere-surface vector along ('l', 1): physical = {dec.is_physical}, "
+print(f"\nhypersphere-surface vector along ('l', 1): physical = {qb.is_psd(dec.matrix)}, "
       f"min eigenvalue = {np.linalg.eigvalsh(dec.matrix)[0]:+.4f}")
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisKind, _frame, _frame_product, get_basis
-from .linalg import MAX_ENTRY, _bipartite_matrix, _frozen, _realign, as_matrix, is_psd
+from .linalg import MAX_ENTRY, _bipartite_matrix, _frozen, _realign, as_matrix
 
 
 class Convention(str, Enum):
@@ -105,21 +105,23 @@ def _expansion_components(b: BlochVector) -> np.ndarray:
 
 
 class DecodeResult(NamedTuple):
+    """The decoded matrix, in a one-field tuple kept only because
+    ``perfbench/workloads.py`` reads ``.matrix``, until the benchmark revision
+    of ROADMAP item 1."""
+
     matrix: np.ndarray
-    is_physical: bool
 
 
 def bloch_decode(b: BlochVector) -> DecodeResult:
     """Matrix 1/d + sum c_i A_i of a Bloch vector.
 
-    The result always has unit trace but need not be positive; the
-    ``is_physical`` flag reports whether the smallest eigenvalue of the
-    Hermitian part is >= -TOL_PSD. Non-physical vectors are legal input.
+    The result always has unit trace but need not be positive: non-physical
+    vectors are legal input, and ``is_psd`` tells them apart.
     """
     d = b.dim
     f = _frame(get_basis(b.kind, d))
     mat = np.eye(d, dtype=complex) / d + (_expansion_components(b) @ f[1:]).reshape(d, d)
-    return DecodeResult(mat, is_psd(mat))
+    return DecodeResult(mat)
 
 
 def purity(rho) -> float:

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import _frame, get_basis
 from .linalg import BipartiteState, _check_count, _frozen, _realign, _subdim, as_hermitian
-from .states import PAULI
 
 # largest off-diagonal Weyl Bell element |<Phi_nk|rho|Phi_n'k'>| that
 # nearest_separable_weyl accepts
@@ -60,7 +60,9 @@ class GilbertConfig:
     def __post_init__(self):
         _check_count("max_iterations", self.max_iterations, 0)
         tol = self.tolerance
-        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol >= 0):
+        # numbers.Real refuses a Decimal, a string, None or a complex, but takes a bool
+        if (isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real)
+                or not (math.isfinite(tol) and tol >= 0)):
             raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
         _check_count("seed", self.seed, 0)
 
@@ -86,10 +88,11 @@ class GilbertResult:
     gap: float
 
 
-# row 4 mu + nu: conj(sigma_mu (x) sigma_nu) flattened, sigma_0 the identity,
-# so that its dot with a flattened Hermitian G is Tr(G sigma_mu (x) sigma_nu)
-_PAULI_PRODUCTS = _frozen([np.kron(s, t).conj().ravel() for s, t in
-                           itertools.product((np.eye(2), *PAULI.values()), repeat=2)])
+# row 4 mu + nu: conj(sigma_mu (x) sigma_nu) flattened, sigma_0 the identity and
+# sigma_1..3 the Gell-Mann basis at d = 2, so that its dot with a flattened
+# Hermitian G is Tr(G sigma_mu (x) sigma_nu)
+_PAULI_PRODUCTS = _frozen([np.kron(s, t).conj().ravel() for s, t in itertools.product(
+    (np.eye(2), *get_basis("ggb", 2).elements[1:]), repeat=2)])
 
 
 def _initial_kets(d: int, rng, restarts: int) -> np.ndarray:

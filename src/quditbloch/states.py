@@ -23,11 +23,8 @@ import numpy as np
 from .bases import BasisKind, _check_dim, _check_indices, get_basis, wob_basis
 from .linalg import MAX_ENTRY, BipartiteState, DensityMatrix, _check_count, _frozen, tensor
 
-PAULI = {
-    1: _frozen([[0, 1], [1, 0]]),
-    2: _frozen([[0, -1j], [1j, 0]]),
-    3: _frozen([[1, 0], [0, -1]]),
-}
+# s1, s2, s3: the Gell-Mann elements s12, a12 and l1 at d = 2
+PAULI = dict(zip((1, 2, 3), get_basis("ggb", 2).elements[1:]))
 
 # slack of every family boundary: points on a positivity boundary count as
 # physical, and points on a separability boundary as separable
@@ -221,26 +218,19 @@ class CompositeKind(str, Enum):
     U2 = "u2"           # WOB clock part (m == 0, l != 0), d = 3 only
     SIGMA = "sigma"     # s1 x s1 - s2 x s2 + s3 x s3, d = 2 only
 
-COMPOSITE_NORMS = {
-    CompositeKind.LAMBDA: lambda d: 2 * np.sqrt(d * d - 1.0),
-    CompositeKind.T: lambda d: np.sqrt(d * d - 1.0),
-    CompositeKind.U: lambda d: d * np.sqrt(d * d - 1.0),
-    CompositeKind.U1: lambda d: np.sqrt(54.0),
-    CompositeKind.U2: lambda d: np.sqrt(18.0),
-    CompositeKind.SIGMA: lambda d: 2 * np.sqrt(3.0),
-}
 
-# the basis each sum_i A_i (x) A_i^* runs over
-_COMPOSITE_BASES = {
-    CompositeKind.LAMBDA: BasisKind.GGB,
-    CompositeKind.T: BasisKind.POB,
-    CompositeKind.U: BasisKind.WOB,
-    CompositeKind.U1: BasisKind.WOB,
-    CompositeKind.U2: BasisKind.WOB,
-    CompositeKind.SIGMA: BasisKind.GGB,
+# one row per kind: the basis each sum_i A_i (x) A_i^* runs over, the one d it
+# is defined at (None: every d), which labels its sum keeps (None: all) and its
+# Hilbert-Schmidt norm as a function of d
+_COMPOSITES = {
+    CompositeKind.LAMBDA: (BasisKind.GGB, None, None, lambda d: 2 * np.sqrt(d * d - 1.0)),
+    CompositeKind.T: (BasisKind.POB, None, None, lambda d: np.sqrt(d * d - 1.0)),
+    CompositeKind.U: (BasisKind.WOB, None, None, lambda d: d * np.sqrt(d * d - 1.0)),
+    CompositeKind.U1: (BasisKind.WOB, 3, lambda lab: lab[1] != 0, lambda d: np.sqrt(54.0)),
+    CompositeKind.U2: (BasisKind.WOB, 3, lambda lab: lab[1] == 0, lambda d: np.sqrt(18.0)),
+    CompositeKind.SIGMA: (BasisKind.GGB, 2, None, lambda d: 2 * np.sqrt(3.0)),
 }
-# the one dimension a kind is defined at, where it is not defined at every d
-_COMPOSITE_DIMS = {CompositeKind.U1: 3, CompositeKind.U2: 3, CompositeKind.SIGMA: 2}
+COMPOSITE_NORMS = {kind: row[3] for kind, row in _COMPOSITES.items()}
 
 
 def composite_operator(kind, d: int) -> np.ndarray:
@@ -257,16 +247,14 @@ def composite_operator(kind, d: int) -> np.ndarray:
     SIGMA is LAMBDA at d = 2, the GGB sum s1 x s1 - s2 x s2 + s3 x s3.
     """
     kind = CompositeKind(kind)
-    only = _COMPOSITE_DIMS.get(kind, d)
-    if d != only:
+    basis_kind, only, keeps, _ = _COMPOSITES[kind]
+    if only not in (None, d):
         raise ValueError(f"{kind.name} is defined for d = {only} only")
-    basis = get_basis(_COMPOSITE_BASES[kind], d)
+    basis = get_basis(basis_kind, d)
     out = np.zeros((d * d, d * d), dtype=complex)
     for label, el in zip(basis.labels[1:], basis.elements[1:]):
-        if (kind is CompositeKind.U1 and label[1] == 0
-                or kind is CompositeKind.U2 and label[1] != 0):
-            continue
-        out += tensor(el, el.conj())
+        if keeps is None or keeps(label):
+            out += tensor(el, el.conj())
     return out
 
 

@@ -118,7 +118,7 @@ def test_criterion_04_bloch_round_trip():
                     vec = qb.bloch_encode(rho, kind)
                     dec = qb.bloch_decode(vec)
                     worst_rt = max(worst_rt, qb.hs_norm(dec.matrix - rho.matrix))
-                    assert dec.is_physical, (d, kind)
+                    assert qb.is_psd(dec.matrix), (d, kind)
                     pur = abs(qb.purity(rho) - (1 / d + n_const * vec.radius ** 2))
                     worst_pur = max(worst_pur, pur)
                     if kind == "wob":

@@ -33,7 +33,7 @@ class TestEncode:
                 rho = qb.random_density_matrix(d, rng)
                 dec = qb.bloch_decode(qb.bloch_encode(rho, kind))
                 assert qb.hs_norm(dec.matrix - rho.matrix) <= 1e-10
-                assert dec.is_physical
+                assert qb.is_psd(dec.matrix)
 
     def test_purity_identity(self, kind, rng):
         for d in (2, 3, 4):
@@ -101,14 +101,14 @@ class TestDecode:
                              np.zeros(8), qb.ggb_basis(3).labels[1:])
         dec = qb.bloch_decode(vec)
         assert np.abs(dec.matrix - np.eye(3) / 3).max() < 1e-15
-        assert dec.is_physical
+        assert qb.is_psd(dec.matrix)
 
     def test_qubit_sphere_surface(self):
         vec = qb.BlochVector(qb.BasisKind.GGB, 2, Convention.EXPANSION,
                              np.array([0.5, 0, 0]), qb.ggb_basis(2).labels[1:])
         dec = qb.bloch_decode(vec)
         assert np.abs(dec.matrix - (np.eye(2) + qb.PAULI[1]) / 2).max() < 1e-15
-        assert dec.is_physical
+        assert qb.is_psd(dec.matrix)
         assert qb.purity(dec.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonphysical_direction_flagged(self):
@@ -118,7 +118,7 @@ class TestDecode:
         comp = np.zeros(8)
         comp[labels.index(("l", 1))] = np.sqrt(1 / 3)
         dec = qb.bloch_decode(qb.BlochVector(qb.BasisKind.GGB, 3, Convention.EXPANSION, comp, labels))
-        assert not dec.is_physical
+        assert not qb.is_psd(dec.matrix)
         assert np.linalg.eigvalsh(dec.matrix)[0] == pytest.approx(1 / 3 - np.sqrt(1 / 3), abs=1e-12)
         assert np.trace(dec.matrix) == pytest.approx(1.0, abs=1e-14)
 

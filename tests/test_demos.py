@@ -1,7 +1,9 @@
 """Demos 01-03 run to completion with nothing on stderr. Demo 04 writes
-CSV files next to itself, so it is left out."""
+CSV files next to itself, so it is left out. README's python quick start
+runs as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,9 @@ def test_demo_runs_clean(demo):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_quick_start_runs():
+    """README's python block runs as written."""
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})

@@ -140,6 +140,9 @@ ORACLE_GOLDENS = {
                      "a32939ffadb583804b026366673ebe72193832c04d3cf0cd2f56905a7142da35"),
     "sample_separable(3)": ("0.006785623841320259", 60, "0.00013068937618389216", False,
                             "9de166b655c13e0f404d2bed699e47b65df8cdce1a2adeaec763b3a48edb2017"),
+    # d = 2: the seesaw's Bloch-coordinate step on the Pauli products
+    "iso(2, 0.8)": ("0.404145190980125", 8, "7.550350075074579e-09", True,
+                    "ae98d77b1550f3b3145d3d0c9213f9ce9c00ef14ef44e6913d90928ead5ec754"),
 }
 
 
@@ -158,6 +161,7 @@ def _oracle_cases():
         "iso(3, 0.85)": (qb.isotropic_state(3, 0.85), None),
         "sample_separable(3)": (qb.sample_separable(3, seed=8),
                                 GilbertConfig(max_iterations=60, seed=3)),
+        "iso(2, 0.8)": (qb.isotropic_state(2, 0.8), GilbertConfig(seed=1)),
     }
 
 
@@ -237,6 +241,13 @@ WEYL_ORACLE_GOLDENS = {
                     "8578311265fde9f2d6d64f3c0ad80d968dfcf8282fea6375325af7c6bbf4200b"),
     "qutrit(0, 0.6)": ("0.11785189084822299", 10, "3.071270677943597e-07", True,
                        "c7c5896df5d08dbd4fe034facd281ebf64f5db2490fe20aa8e7b0d68ccdca8ea"),
+    # d = 2: the seesaw's Bloch-coordinate step on the Pauli products
+    "iso(2, 0.9)": ("0.49074772882854045", 2, "9.899232866040214e-11", True,
+                    "1eb54bd4dd151d8d85b01335a595bf4ef5deaa7837883d8afdab50839ae1132f"),
+    "qubit(0.7, 0.1)": ("0.2886751346732486", 2, "9.603388103603112e-11", True,
+                        "0363a29003d58fc36583191989b30a35dab3036a2fbb5470f7b4b672f7ca9356"),
+    "qubit(-0.7, -1.5)": ("0.34641016156596405", 2, "3.442238164060191e-11", True,
+                          "b2117b3ff9c83828e3e86956e58be7860390a3432459e03ce57e495bd41f2983"),
 }
 
 
@@ -244,7 +255,10 @@ WEYL_ORACLE_GOLDENS = {
 def test_nearest_separable_weyl_golden(name):
     state = {"iso(3, 0.85)": qb.isotropic_state(3, 0.85),
              "iso(4, 0.9)": qb.isotropic_state(4, 0.9),
-             "qutrit(0, 0.6)": qb.two_param_qutrit(0.0, 0.6)}[name]   # Region II
+             "qutrit(0, 0.6)": qb.two_param_qutrit(0.0, 0.6),          # Region II
+             "iso(2, 0.9)": qb.isotropic_state(2, 0.9),
+             "qubit(0.7, 0.1)": qb.two_param_qubit(0.7, 0.1),          # Region I
+             "qubit(-0.7, -1.5)": qb.two_param_qubit(-0.7, -1.5)}[name]  # Region II
     assert weyl_oracle_golden(state) == WEYL_ORACLE_GOLDENS[name]
 
 

@@ -28,7 +28,7 @@ def test_encode_decode_round_trip(d, kind, convention, seed):
     rho = qb.random_density_matrix(d, np.random.default_rng(seed))
     vec = qb.bloch_encode(rho, kind, convention)
     dec = qb.bloch_decode(vec)
-    assert dec.is_physical
+    assert qb.is_psd(dec.matrix)
     assert qb.hs_norm(dec.matrix - rho.matrix) <= 1e-10
 
 

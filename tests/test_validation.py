@@ -6,6 +6,8 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,6 +257,9 @@ class TestGilbertConfig:
         {"max_iterations": 10.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
         {"tolerance": -1e-9}, {"max_iterations": True}, {"tolerance": True},
         {"tolerance": np.True_},
+        # not numbers.Real: refused before Frank-Wolfe multiplies a Decimal by a float
+        {"tolerance": "1e-6"}, {"tolerance": None}, {"tolerance": 1j},
+        {"tolerance": Decimal("1e-6")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -264,6 +269,10 @@ class TestGilbertConfig:
         qb.GilbertConfig()
         qb.GilbertConfig(max_iterations=0, tolerance=0.0)
         qb.GilbertConfig(max_iterations=np.int64(3), tolerance=1)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10 ** 6), np.float64(1e-6), np.float32(1e-6)])
+    def test_accepts_real_numbers(self, tol):
+        assert qb.GilbertConfig(tolerance=tol).tolerance == tol
 
     def test_zero_iterations_returns_first_atom(self):
         res = qb.nearest_separable_numeric(qb.isotropic_state(2, 0.9),
@@ -360,7 +369,7 @@ class TestEveryEntryPoint:
         rho = qb.DensityMatrix(np.diag([1.5, -0.5]), validate=False)
         vec = qb.bloch_encode(rho, "ggb")
         dec = qb.bloch_decode(vec)
-        assert not dec.is_physical
+        assert not qb.is_psd(dec.matrix)
         assert np.abs(dec.matrix - rho.matrix).max() <= 1e-15
         assert qb.purity(rho) == 2.5
 
@@ -427,7 +436,7 @@ class TestBasisLayerFiniteness:
         coeffs = dict(zip(basis.labels, qb.expand_matrix(basis, m)))
         assert np.abs(qb.reconstruct(basis, coeffs) - m).max() < 1e-12
         vec = qb.bloch_encode(qb.isotropic_state(2, 0.5).reduced(), "wob")
-        assert qb.bloch_decode(vec).is_physical
+        assert qb.is_psd(qb.bloch_decode(vec).matrix)
 
 
 _ISOTROPIC_ENTRY_POINTS = {
