@@ -9,14 +9,15 @@
 * WOB -- Weyl operator basis: unitary shift-and-phase operators U_nm with
   Tr U_nm^dag U_lj = d d_nl d_mj.
 
-Element 0 of every basis is the identity-type element. Orderings are fixed
-for deterministic serialization:
+Element 0 of every basis is the identity-type element. Each builder fills
+one (d^2, d, d) stack in a fixed order, every element in its own row:
 
 * GGB: identity, symmetric (j,k) lexicographic, antisymmetric (j,k)
   lexicographic, diagonal l ascending. Labels ``("I",)``, ``("s", j, k)``,
-  ``("a", j, k)``, ``("l", l)`` with 1-based j < k.
-* POB: (L ascending, M ascending from -L); labels ``(L, M)``.
-* WOB: (n, m) lexicographic; labels ``(n, m)`` with 0-based indices.
+  ``("a", j, k)``, ``("l", l)`` with 1-based j < k. Pair p (0-based) goes to
+  rows 1 + p and 1 + n + p (n = d(d-1)/2), diagonal l to row 2n + l.
+* POB: labels ``(L, M)``, T_LM in row L^2 + L + M.
+* WOB: labels ``(n, m)`` with 0-based indices, U_nm in row d n + m.
 
 Standard-matrix expansion helpers return ``{label: coefficient}`` maps whose
 reconstruction reproduces the standard matrix exactly. GGB and POB
@@ -119,31 +120,23 @@ def _check_indices(d: int, first: int, what: str, *indices) -> None:
 def ggb_basis(d: int) -> OperatorBasis:
     """Generalized Gell-Mann basis in dimension d (N = 2)."""
     d = _check_dim(d)
-    elements = [np.eye(d, dtype=complex)]
-    labels: list[Label] = [("I",)]
-    for j in range(1, d + 1):          # symmetric: |j><k| + |k><j|
-        for k in range(j + 1, d + 1):
-            m = np.zeros((d, d), dtype=complex)
-            m[j - 1, k - 1] = 1
-            m[k - 1, j - 1] = 1
-            elements.append(m)
-            labels.append(("s", j, k))
-    for j in range(1, d + 1):          # antisymmetric: -i|j><k| + i|k><j|
-        for k in range(j + 1, d + 1):
-            m = np.zeros((d, d), dtype=complex)
-            m[j - 1, k - 1] = complex(0, -1)    # -1j has real part -0.0
-            m[k - 1, j - 1] = 1j
-            elements.append(m)
-            labels.append(("a", j, k))
+    pairs = [(j, k) for j in range(1, d + 1) for k in range(j + 1, d + 1)]
+    n = len(pairs)
+    p = np.arange(n)
+    j, k = np.array(pairs).T - 1        # pair p, 0-based
+    stack = np.zeros((d * d, d, d), dtype=complex)
+    stack[0] = np.eye(d)
+    stack[1 + p, j, k] = stack[1 + p, k, j] = 1      # symmetric: |j><k| + |k><j|
+    # antisymmetric: -i|j><k| + i|k><j|, with complex(0, -1) as -1j has real part -0.0
+    stack[1 + n + p, j, k] = complex(0, -1)
+    stack[1 + n + p, k, j] = 1j
     for l in range(1, d):              # diagonal: sqrt(2/(l(l+1))) (sum_j<=l |j><j| - l|l+1><l+1|)
-        m = np.zeros((d, d), dtype=complex)
         c = math.sqrt(2.0 / (l * (l + 1)))
-        for j in range(l):
-            m[j, j] = c
-        m[l, l] = -l * c
-        elements.append(m)
-        labels.append(("l", l))
-    return OperatorBasis(BasisKind.GGB, d, elements, labels, 2.0)
+        stack[2 * n + l, range(l), range(l)] = c
+        stack[2 * n + l, l, l] = -l * c
+    labels = ([("I",)] + [("s", j, k) for j, k in pairs] + [("a", j, k) for j, k in pairs]
+              + [("l", l) for l in range(1, d)])
+    return OperatorBasis(BasisKind.GGB, d, stack, labels, 2.0)
 
 
 def _pob_entry(d: int, L: int, M: int, k: int) -> float:
@@ -168,10 +161,8 @@ def pob_basis(d: int) -> OperatorBasis:
     rounded division and one square root (see ``cg``).
     """
     d = _check_dim(d)
-    elements = []
-    labels: list[Label] = []
+    stack = np.zeros((d * d, d, d), dtype=complex)
     for L in range(0, d):
-        upper = []
         for M in range(0, L + 1):
             # exchanging j1 and j (both s) gives <k|T_LM|k+M> as (-1)^(L+M) times
             # entry n - 1 - k of the same diagonal (n = d - M), with the same exact
@@ -179,13 +170,12 @@ def pob_basis(d: int) -> OperatorBasis:
             n = d - M
             half = [_pob_entry(d, L, M, k) for k in range((n + 1) // 2)]
             half += [(-1) ** (L + M) * x + 0.0 for x in reversed(half[:n // 2])]
-            m = np.zeros((d, d), dtype=complex)
-            m[range(n), range(M, d)] = half
-            upper.append(m)
-        # + 0.0 turns the -0.0 of a negated zero back into +0.0
-        elements += [(-1) ** M * upper[M].T + 0.0 for M in range(L, 0, -1)] + upper
-        labels += [(L, M) for M in range(-L, L + 1)]
-    return OperatorBasis(BasisKind.POB, d, elements, labels, 1.0)
+            t = stack[L * L + L + M]
+            t[range(n), range(M, d)] = half
+            if M:    # + 0.0 turns the -0.0 of a negated zero back into +0.0
+                stack[L * L + L - M] = (-1) ** M * t.T + 0.0
+    labels = [(L, M) for L in range(0, d) for M in range(-L, L + 1)]
+    return OperatorBasis(BasisKind.POB, d, stack, labels, 1.0)
 
 
 @lru_cache(maxsize=None)

@@ -54,6 +54,9 @@ class BlochVector:
     labels: tuple
 
     def __post_init__(self):
+        # strings become enum members, which decoding compares by identity
+        object.__setattr__(self, "kind", BasisKind(self.kind))
+        object.__setattr__(self, "convention", Convention(self.convention))
         comp = _frozen(self.components)
         object.__setattr__(self, "components", comp)
         if comp.shape != (self.dim * self.dim - 1,):
@@ -77,7 +80,6 @@ class BlochVector:
 
 def bloch_encode(rho, kind, convention=Convention.EXPANSION) -> BlochVector:
     """Bloch vector of a density matrix in the chosen basis and convention."""
-    kind = BasisKind(kind)
     convention = Convention(convention)
     mat = as_matrix(rho)
     basis = get_basis(kind, mat.shape[0])
@@ -87,12 +89,12 @@ def bloch_encode(rho, kind, convention=Convention.EXPANSION) -> BlochVector:
     # itself; all other components are Tr(A_i^dag rho) (GGB Hermitian). The
     # + 0.0 comes last: it turns the -0.0 that conjugating a zero imaginary
     # part leaves back into +0.0
-    if not (kind is BasisKind.WOB and convention is Convention.EXPECTATION):
+    if not (basis.kind is BasisKind.WOB and convention is Convention.EXPECTATION):
         comp = comp.conj()
     comp = comp + 0.0
     if convention is Convention.EXPANSION:
         comp = comp / basis.ortho_const
-    return BlochVector(kind, basis.dim, convention, comp, basis.labels[1:])
+    return BlochVector(basis.kind, basis.dim, convention, comp, basis.labels[1:])
 
 
 def _expansion_components(b: BlochVector) -> np.ndarray:

@@ -61,8 +61,12 @@ class GilbertConfig:
         _check_count("max_iterations", self.max_iterations, 0)
         tol = self.tolerance
         # numbers.Real refuses a Decimal, a string, None or a complex, but takes a bool
-        if (isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real)
-                or not (math.isfinite(tol) and tol >= 0)):
+        try:
+            ok = (not isinstance(tol, (bool, np.bool_)) and isinstance(tol, numbers.Real)
+                  and math.isfinite(tol) and tol >= 0)
+        except OverflowError:    # past the float range, as 10**400
+            ok = False
+        if not ok:
             raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
         _check_count("seed", self.seed, 0)
 

@@ -5,7 +5,9 @@ stack, the POB build to its diagonal-M form and the composite operators to
 one sum over A_i (x) A_i^*; these rewrites must not move a bit of the
 stacks, the POB expansion maps, LAMBDA, T or SIGMA. The GGB stacks were
 re-recorded once the antisymmetric elements' -i entries lost their negative
-zero real part.
+zero real part. The GGB and WOB stacks at d = 13..16 (POB_STACKED_LARGE
+holds the POB ones) were recorded while the GGB and POB builders still made
+one matrix per element, before they came to fill the stack row by row.
 """
 
 import hashlib
@@ -34,6 +36,10 @@ STACKED = {
     ("ggb", 10): "1504b5fc0b6feeae827cd6f6d21bffc61ef72cfff2d70a6af0d7d024198b50a9",
     ("ggb", 11): "acf38bee561b63d4ffe174131b34517d03ae47b31a8ae8aaff8fed283b765730",
     ("ggb", 12): "44627c2c1708baec3fad880ee322f8846187134d1e06a51953602985c7862e57",
+    ("ggb", 13): "4f63836cec87524058f01451d63769aa47253f8a703adc65db950113bb3eb843",
+    ("ggb", 14): "23ae64bda0776626c810f409ef6202fbb9c990b4a78bbdaed7a0ac9a78c5eea7",
+    ("ggb", 15): "8fce6047e445beee43bc505321be552e3f0a5a491eb9669daed35a4171cf69da",
+    ("ggb", 16): "c54c445f86165d48a012db3a9d606095fcbfa24ae92b986214f1be6f7890b766",
     ("pob", 2): "6b2447e5b48fa75393cfeb7b634e7dfaaeb7298b1917bab2ae07426e8cebece0",
     ("pob", 3): "a74c0d640bc840ad0b739bb2f94cb5482ed8ab8a15f3f5e5d789b4ffc652bc08",
     ("pob", 4): "a1a4191a29413bfa2bb4dad9f5242dae087f35614cb5ea3ebdd3174b56bee85a",
@@ -56,6 +62,10 @@ STACKED = {
     ("wob", 10): "0b13a8a4e267c6fdcfc8eaa28ce5d6533066023d5f63f1454a7e2278aa13f881",
     ("wob", 11): "859fa9907ab51dd9cf14d08cec3200e138fc5429502eedf4a527701e5c97595b",
     ("wob", 12): "6550e301621a472b88a3b810551a5e40f773639d4a07e85cc5366b2a66048a02",
+    ("wob", 13): "daad3c70cde666958bdeec3cd13a64e233320472c135c0ac0fd9be3618dc401a",
+    ("wob", 14): "3cbc16070c63f0e660e6d67bd4072deaf274782c2575a27d646d27fa5b169766",
+    ("wob", 15): "e7bdfbf7145202aff66ddabc9693858df023f0f3363f0d0cb0b385bc2ffc360f",
+    ("wob", 16): "3d04b1cecf1835afe1d0e1eff45d35c1159b5b14076b3f3a944e31cdfdc6000f",
 }
 
 COMPOSITE = {

@@ -127,6 +127,19 @@ class TestDecode:
             qb.BlochVector(qb.BasisKind.GGB, 3, Convention.EXPANSION,
                            np.zeros(7), qb.ggb_basis(3).labels[1:8])
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("convention", ["coeff", "expval"])
+    def test_strings_decode_as_enums(self, kind, convention, rng):
+        vec = qb.bloch_encode(qb.random_density_matrix(2, rng), kind, convention)
+        named = qb.BlochVector(kind, 2, convention, vec.components, vec.labels)
+        assert named.kind is qb.BasisKind(kind) and named.convention is Convention(convention)
+        assert qb.bloch_decode(named).matrix.tobytes() == qb.bloch_decode(vec).matrix.tobytes()
+
+    @pytest.mark.parametrize("kind,convention", [("ggb", "bogus"), ("gmb", "coeff")])
+    def test_unknown_kind_or_convention(self, kind, convention):
+        with pytest.raises(ValueError):
+            qb.BlochVector(kind, 2, convention, np.zeros(3), qb.ggb_basis(2).labels[1:])
+
 
 class TestPurity:
     def test_extremes(self, rng):

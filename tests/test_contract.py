@@ -82,9 +82,10 @@ def test_sweep_json(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("kind,digest", [
+    ("ggb", "1cd45f2dda1f921a3ca65fdacd8da61492d5f728a0cae8942c197b73c0e53d5b"),
     ("pob", "df9af617920370cb6c26f23c0e55ae658c8b50460ada6de53b7faa0ad1eccffc"),
     ("wob", "48dae20370156207d52b981dc84eaf92898f2dc44a4d4514a429eda532e74142"),
-], ids=["pob-3", "wob-3"])
+], ids=["ggb-3", "pob-3", "wob-3"])
 def test_basis_dump_csv(capsys, kind, digest):
     # the sweep and basis writers share one CSV formatter
     assert _sha256_stdout(capsys, "basis", "dump", "--kind", kind, "--dim", "3",

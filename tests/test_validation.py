@@ -260,6 +260,8 @@ class TestGilbertConfig:
         # not numbers.Real: refused before Frank-Wolfe multiplies a Decimal by a float
         {"tolerance": "1e-6"}, {"tolerance": None}, {"tolerance": 1j},
         {"tolerance": Decimal("1e-6")},
+        # past the float range, where math.isfinite overflows
+        {"tolerance": 10 ** 400}, {"tolerance": Fraction(10 ** 400)},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
